@@ -69,7 +69,6 @@ class ExperimentConfig:
     params: dict
     out_dir: str
     echo: dict = field(default_factory=dict)
-    workers: int = 1
 
 
 # ----------------------------------------------------------------- parsing
@@ -372,8 +371,10 @@ def _parse_params(kind, sec, cocycle, errors):
 def _fmt(x):
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if isinstance(x, np.integer):
+        return str(int(x))
     if isinstance(x, tuple):
         return " ".join(_fmt(c) for c in x)
     return str(x)
@@ -419,7 +420,6 @@ def _write_manifest(path, config, code, wall, error=None, extra=None):
     lines["run.python"] = sys.version.split()[0]
     lines["run.numpy"] = np.__version__
     lines["run.kernel_backend"] = _kernels.BACKEND
-    lines["run.workers"] = str(config.workers)
     lines["run.exit_code"] = str(code)
     lines["run.wall_time_s"] = f"{wall:.3f}"
     if error:
@@ -480,14 +480,11 @@ def _dispatch(config: ExperimentConfig):
             "note": rep.note,
         }
     if kind == "spectral-scan":
-        rep = spectral.aperiodicity_scan(system, cocycle, p["resolution"],
-                                         p["epsilon"], workers=config.workers)
-        rows = spectral.eigenvalue_grid(system, cocycle, p["resolution"])
-        d = len(rows[0]) - 3
-        header = tuple(f"theta_{i}" for i in range(d)) + ("re_lambda", "im_lambda", "gap")
+        rep, rows = spectral.spectral_scan(system, cocycle, p["resolution"], p["epsilon"])
+        header = tuple(f"theta_{i}" for i in range(len(rep.argmax_theta)))
+        header += ("re_lambda", "im_lambda", "gap")
         extra = {"max_modulus": rep.max_modulus, "passed": rep.passed,
-                 "argmax_theta": rep.argmax_theta,
-                 "algebraic_full": rep.algebraic_full}
+                 "argmax_theta": rep.argmax_theta, "algebraic_full": rep.algebraic_full}
         if not rep.passed:
             extra["note"] = "aperiodicity fails: unit-modulus eigenvalue off the zero ball"
         return (0 if rep.passed else 1), rows, header, extra
@@ -577,7 +574,6 @@ def main(argv=None):
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
         sp.add_argument("--mode", choices=("rational", "float"), default=None)
-        sp.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
     try:
         text = Path(args.config).read_text()
@@ -593,7 +589,6 @@ def main(argv=None):
     if args.mode:
         config.mode = args.mode
         config.echo["system.mode"] = args.mode
-    config.workers = args.workers
     code, artifacts = run(config, out_dir=args.out)
     for a in artifacts:
         print(a)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .convolve import make_conv_engine, sparse_convolve
 from .errors import ValidationError
@@ -297,6 +296,9 @@ def minimize_phi(mbar: WalkMeasure, tol=1e-13, max_iter=200) -> MinimizerResult:
     degenerate = [tuple(row) for row in vt[rank:]]
     Vr = V @ basis
     if rank > 0:
+        # imported here: scipy costs most of the package's start-up time
+        from scipy.optimize import linprog
+
         nat = Vr.shape[0]
         # LP certificate: max delta s.t. sum lam_i v_i = 0, sum lam = 1, lam_i >= delta
         c = np.zeros(nat + 1)

@@ -22,17 +22,19 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .gm_system import check_symmetry
+from .gm_system import check_aperiodicity_algebraic, check_symmetry
 from .groups import EmbeddedRealLattice, IntegerLattice
-from .walkdist import distribution, mass_trajectory, window_mass
+from .walkdist import _as_box, box_volume, distribution, mass_trajectory, window_mass
 
 NEAR_DEGENERATE_GAP = 1e-6
+# complex matrix entries per stacked block (2 MiB): grids of any resolution
+# are evaluated block by block, so memory stays bounded
+_BLOCK_ENTRIES = 1 << 17
 
 
 def _lattice_dim(cocycle):
@@ -42,73 +44,95 @@ def _lattice_dim(cocycle):
     raise ValidationError(f"character methods need a lattice target, got {spec!r}")
 
 
+def _torus_grid(resolution, d):
+    """The resolution^d torus grid as an (N, d) array, last coordinate fastest."""
+    axis = 2 * math.pi * np.arange(resolution) / resolution
+    return np.stack([a.ravel() for a in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
+
+
+def _blocks(n_rows, m):
+    step = max(1, _BLOCK_ENTRIES // (m * m))
+    return (slice(i, i + step) for i in range(0, n_rows, step))
+
+
+def _modulus(z):
+    # hypot, as Python's abs(complex); np.abs rounds differently
+    return np.hypot(z.real, z.imag)
+
+
+def _phases(cocycle, thetas):
+    """e^{i<theta, v(s)>} for every row theta and symbol s, shape (N, m)."""
+    d = _lattice_dim(cocycle)
+    if thetas.ndim != 2 or thetas.shape[1] != d:
+        raise ValidationError(f"theta must have {d} components")
+    # summed elementwise: a BLAS product fuses multiply-adds depending on the
+    # number of rows, and a phase must not depend on the block it is in
+    x = (thetas[:, None, :] * np.array(cocycle.values, dtype=float)).sum(axis=2)
+    return np.cos(x) + 1j * np.sin(x)
+
+
+def _twisted_stack(system, cocycle, thetas):
+    """Twisted matrices B[k, s', s] = p(s -> s') e^{i<theta_k, v(s')>}."""
+    return (system.trans_float * _phases(cocycle, thetas)[:, None, :]).transpose(0, 2, 1)
+
+
+def _one_row(theta):
+    return np.atleast_1d(np.asarray(theta, dtype=float))[None]
+
+
 def perturbed_matrix(system, cocycle, theta) -> np.ndarray:
     """Twisted transition matrix B[s', s] = p(s -> s') e^{i<theta, v(s')>}."""
-    d = _lattice_dim(cocycle)
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape != (d,):
-        raise ValidationError(f"theta must have {d} components")
-    m = system.m
-    phases = np.array(
-        [cmath.exp(1j * float(np.dot(theta, cocycle.value(s)))) for s in range(m)]
-    )
-    return (system.trans_float * phases[None, :]).T.astype(complex)
+    return _twisted_stack(system, cocycle, _one_row(theta))[0]
+
+
+def _leading(eig):
+    """Leading eigenvalue and runner-up modulus ratio of each row of ``eig``."""
+    ranked = np.take_along_axis(eig, np.argsort(-np.abs(eig), axis=-1)[:, :2], axis=-1)
+    second = _modulus(ranked[:, 1]) if eig.shape[1] > 1 else 0.0
+    mod = _modulus(ranked[:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ranked[:, 0], np.where(mod > 0, second / mod, math.inf)
+
+
+def _warn_near_degenerate(ratio):
+    if np.any(1 - ratio < NEAR_DEGENERATE_GAP):
+        warnings.warn("near-degenerate leading eigenvalues", RuntimeWarning, stacklevel=3)
 
 
 def leading_eigenvalue(matrix) -> tuple[complex, float]:
-    """Maximal-modulus eigenvalue and the modulus ratio to the runner-up.
+    """Maximal-modulus eigenvalue and runner-up modulus ratio (near 1: warns)."""
+    lam, ratio = _leading(np.linalg.eigvals(matrix)[None])
+    _warn_near_degenerate(ratio)
+    return complex(lam[0]), float(ratio[0])
 
-    Dense solve for small matrices, power iteration with one deflation step
-    beyond 64 states.  A ratio within 1e-6 of 1 flags near-degeneracy.
+
+def leading_stack(system, cocycle, thetas):
+    """Leading twisted eigenvalues and runner-up ratios at the rows of ``thetas``.
+
+    Markov systems take one ``eigvals`` call per block of stacked matrices.
+    Bernoulli twisted matrices have identical columns, so their only nonzero
+    eigenvalue is the trace (ratio 0): exact, and free of the sqrt(eps) noise
+    a generic eigensolve puts on the defective zero eigenvalue.
     """
-    m = matrix.shape[0]
-    if m <= 64:
-        eig = np.linalg.eigvals(matrix)
-        order = np.argsort(-np.abs(eig))
-        lam = complex(eig[order[0]])
-        second = abs(eig[order[1]]) if m > 1 else 0.0
-    else:
-        lam, vec = _power_iteration(matrix)
-        deflated = matrix - lam * np.outer(vec, vec.conj())
-        lam2, _ = _power_iteration(deflated)
-        second = abs(lam2)
-    ratio = second / abs(lam) if lam else math.inf
-    if 1 - ratio < NEAR_DEGENERATE_GAP:
-        warnings.warn("near-degenerate leading eigenvalues", RuntimeWarning, stacklevel=2)
+    thetas = np.asarray(thetas, dtype=float)
+    lam = np.zeros(len(thetas), dtype=complex)
+    ratio = np.zeros(len(thetas))
+    for blk in _blocks(len(thetas), system.m):
+        if system.is_bernoulli:
+            phases = _phases(cocycle, thetas[blk])
+            for s in range(system.m):
+                lam[blk] += system.pi_float[s] * phases[:, s]
+        else:
+            eig = np.linalg.eigvals(_twisted_stack(system, cocycle, thetas[blk]))
+            lam[blk], ratio[blk] = _leading(eig)
     return lam, ratio
 
 
-def _power_iteration(matrix, iters=2000, tol=1e-14):
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(matrix.shape[0]) + 1j * rng.standard_normal(matrix.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = matrix @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0, v
-        w /= nw
-        new_lam = (w.conj() @ (matrix @ w)) / (w.conj() @ w)
-        if abs(new_lam - lam) < tol:
-            return complex(new_lam), w
-        lam, v = new_lam, w
-    return complex(lam), v
-
-
 def eigenvalue_at(system, cocycle, theta):
-    if system.is_bernoulli:
-        # the twisted matrix has identical columns, so its only nonzero
-        # eigenvalue is the trace: exact, and free of the sqrt(eps) noise a
-        # generic eigensolve puts on the defective zero eigenvalue
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        lam = sum(
-            float(system.pi_float[s])
-            * cmath.exp(1j * float(np.dot(theta, cocycle.value(s))))
-            for s in range(system.m)
-        )
-        return lam, 0.0
-    return leading_eigenvalue(perturbed_matrix(system, cocycle, theta))
+    """Leading twisted eigenvalue and runner-up ratio at one character."""
+    lam, ratio = leading_stack(system, cocycle, _one_row(theta))
+    _warn_near_degenerate(ratio)
+    return complex(lam[0]), float(ratio[0])
 
 
 @dataclass
@@ -125,78 +149,75 @@ class ScanReport:
                  1.0, 1.0 - self.max_modulus)]
 
 
-def aperiodicity_scan(system, cocycle, resolution=64, eps=0.1, workers=1) -> ScanReport:
+def _grid(cocycle, resolution):
+    d = _lattice_dim(cocycle)
+    if d > 2:
+        raise ValidationError("grid scans are implemented for d <= 2")
+    return _torus_grid(resolution, d)
+
+
+def _scan(system, cocycle, resolution, eps):
+    """Scan report, grid and leading eigenvalues from one evaluation of the grid."""
+    if resolution < 16:
+        raise ValidationError("resolution must be >= 16 per dimension")
+    thetas = _grid(cocycle, resolution)
+    lam, ratio = leading_stack(system, cocycle, thetas)
+    off = np.linalg.norm(np.where(thetas > math.pi, thetas - 2 * math.pi, thetas), axis=1) >= eps
+    if thetas.shape[1] == 1:
+        sphere = np.array([[eps], [2 * math.pi - eps]])
+    else:
+        t = np.linspace(0, 2 * math.pi, 4 * resolution, endpoint=False)
+        sphere = np.stack([eps * np.cos(t), eps * np.sin(t)], axis=1) % (2 * math.pi)
+    pts = np.concatenate([thetas[off], sphere])
+    mods = _modulus(np.concatenate([lam[off], leading_stack(system, cocycle, sphere)[0]]))
+    imax = int(np.argmax(mods))
+    alg = None
+    try:
+        alg = check_aperiodicity_algebraic(system, cocycle).full
+    except ValidationError:
+        pass
+    rep = ScanReport(resolution, eps, float(mods[imax]), tuple(pts[imax].tolist()),
+                     bool(mods[imax] < 1 - 1e-9), alg)
+    return rep, thetas, lam, ratio
+
+
+def _grid_rows(thetas, lam, ratio):
+    return [tuple(t) + (z.real, z.imag, r)
+            for t, z, r in zip(thetas.tolist(), lam.tolist(), ratio.tolist())]
+
+
+def aperiodicity_scan(system, cocycle, resolution=64, eps=0.1) -> ScanReport:
     """Max twisted leading-eigenvalue modulus outside the eps-ball around 0.
 
     The torus grid is augmented with exact points on the eps-sphere (d <= 2),
     so the reported maximum includes the boundary of the excluded ball.
     Passes iff the maximum stays below 1 - 1e-9.
     """
-    d = _lattice_dim(cocycle)
-    if resolution < 16:
-        raise ValidationError("resolution must be >= 16 per dimension")
-    if d > 2:
-        raise ValidationError("grid scans are implemented for d <= 2")
-    axes = [2 * math.pi * np.arange(resolution) / resolution] * d
-    pts = []
-    for idx in np.ndindex(*(resolution,) * d):
-        theta = np.array([axes[i][idx[i]] for i in range(d)])
-        wrapped = np.where(theta > math.pi, theta - 2 * math.pi, theta)
-        if np.linalg.norm(wrapped) >= eps:
-            pts.append(theta)
-    if d == 1:
-        pts.append(np.array([eps]))
-        pts.append(np.array([2 * math.pi - eps]))
-    else:
-        for t in np.linspace(0, 2 * math.pi, 4 * resolution, endpoint=False):
-            pts.append(np.array([eps * math.cos(t), eps * math.sin(t)]) % (2 * math.pi))
-
-    def mod_at(theta):
-        lam, _ = eigenvalue_at(system, cocycle, theta)
-        return abs(lam)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                mods = list(ex.map(mod_at, pts))
-        else:
-            mods = [mod_at(t) for t in pts]
-    imax = int(np.argmax(mods))
-    from .gm_system import check_aperiodicity_algebraic
-
-    alg = None
-    try:
-        alg = check_aperiodicity_algebraic(system, cocycle).full
-    except ValidationError:
-        pass
-    return ScanReport(
-        resolution, eps, float(mods[imax]), tuple(float(x) for x in pts[imax]),
-        mods[imax] < 1 - 1e-9, alg,
-    )
+    return _scan(system, cocycle, resolution, eps)[0]
 
 
 def eigenvalue_grid(system, cocycle, resolution=64):
     """Rows (theta..., Re lambda, Im lambda, runner-up ratio) over the torus grid."""
-    d = _lattice_dim(cocycle)
-    if d > 2:
-        raise ValidationError("grid scans are implemented for d <= 2")
-    rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for idx in np.ndindex(*(resolution,) * d):
-            theta = tuple(2 * math.pi * i / resolution for i in idx)
-            lam, gap = eigenvalue_at(system, cocycle, theta)
-            rows.append(theta + (lam.real, lam.imag, gap))
-    return rows
+    thetas = _grid(cocycle, resolution)
+    return _grid_rows(thetas, *leading_stack(system, cocycle, thetas))
 
 
-def _charfn_matrix(system, cocycle, theta, n):
-    B = perturbed_matrix(system, cocycle, theta)
-    v = system.pi_float.astype(complex)
-    for _ in range(n):
-        v = B @ v
-    return complex(v.sum())
+def spectral_scan(system, cocycle, resolution=64, eps=0.1):
+    """``aperiodicity_scan`` and ``eigenvalue_grid`` from one evaluation of the grid."""
+    rep, thetas, lam, ratio = _scan(system, cocycle, resolution, eps)
+    return rep, _grid_rows(thetas, lam, ratio)
+
+
+def _charfn_matrix(system, cocycle, thetas, n):
+    """E[character(n-step product)] at the rows of ``thetas``, by stacked powers."""
+    out = np.empty(len(thetas), dtype=complex)
+    for blk in _blocks(len(thetas), system.m):
+        stack = _twisted_stack(system, cocycle, thetas[blk])
+        v = np.broadcast_to(system.pi_float.astype(complex), stack.shape[:2])
+        for _ in range(n):
+            v = np.einsum("kij,kj->ki", stack, v)
+        out[blk] = v.sum(axis=1)
+    return out
 
 
 def _charfn_table(table, cocycle, theta):
@@ -214,7 +235,7 @@ def characteristic_function(system, cocycle, theta, n, check=True, tol=1e-10,
     With ``check`` the value is recomputed as a direct sum over the n-step
     law; disagreement beyond ``tol`` raises, as the two paths are independent.
     """
-    val = _charfn_matrix(system, cocycle, theta, n)
+    val = complex(_charfn_matrix(system, cocycle, _one_row(theta), n)[0])
     if check:
         if table is None:
             table = distribution(system, cocycle, n, mode="float")
@@ -254,13 +275,9 @@ def fourier_invert(system, cocycle, g, n, grid_size, compare=False) -> FourierIn
     g = tuple(g)
     R = max(max(abs(c) for c in v) if v else 0 for v in cocycle.values)
     aliasing = grid_size <= 2 * n * R + 1
-    grids = [2 * math.pi * np.arange(grid_size) / grid_size] * d
-    total = 0j
-    for idx in np.ndindex(*(grid_size,) * d):
-        theta = np.array([grids[i][idx[i]] for i in range(d)])
-        phase = cmath.exp(-1j * float(np.dot(theta, g)))
-        total += phase * _charfn_matrix(system, cocycle, theta, n)
-    value = (total / grid_size ** d).real
+    thetas = _torus_grid(grid_size, d)
+    phase = np.exp(-1j * (thetas @ np.array(g, dtype=float)))
+    value = (phase @ _charfn_matrix(system, cocycle, thetas, n)).real / grid_size ** d
     ref = dev = None
     if compare:
         traj = mass_trajectory(system, cocycle, [g], n, mode="float")
@@ -272,13 +289,13 @@ def fourier_invert(system, cocycle, g, n, grid_size, compare=False) -> FourierIn
 # ------------------------------------------------------------- u_n integrals
 
 def _adaptive_gl(f, a, b, rel_tol=1e-12, max_depth=48):
-    """Adaptive 15-point Gauss-Legendre bisection to a relative tolerance."""
+    """Adaptive 15-point Gauss-Legendre bisection; ``f`` maps node arrays to values."""
     nodes, weights = np.polynomial.legendre.leggauss(15)
 
     def panel(lo, hi):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        return half * sum(w * f(mid + half * x) for x, w in zip(nodes, weights))
+        return half * float(weights @ f(mid + half * nodes))
 
     scale = abs(panel(a, b)) + 1e-300
 
@@ -293,16 +310,6 @@ def _adaptive_gl(f, a, b, rel_tol=1e-12, max_depth=48):
     return recurse(a, b, panel(a, b), 0)
 
 
-def _real_leading(system, cocycle, theta, sym_tol=1e-10):
-    lam, _ = eigenvalue_at(system, cocycle, theta)
-    if abs(lam.imag) > sym_tol * max(1.0, abs(lam)):
-        raise ConsistencyError(
-            f"leading eigenvalue {lam} is not real at theta={theta}: "
-            "the symmetry hypothesis fails"
-        )
-    return lam.real
-
-
 def u_n_integral(system, cocycle, eta, n, rel_tol=1e-12) -> float:
     """Integral of the n-th power of the leading eigenvalue over the eta-ball.
 
@@ -313,33 +320,39 @@ def u_n_integral(system, cocycle, eta, n, rel_tol=1e-12) -> float:
     if eta <= 0:
         raise ValidationError("eta must be positive")
     spec = cocycle.spec
+
+    def lead(thetas):
+        thetas = thetas % (2 * math.pi)
+        lam, ratio = leading_stack(system, cocycle, thetas)
+        _warn_near_degenerate(ratio)
+        bad = np.abs(lam.imag) > 1e-10 * np.maximum(1.0, _modulus(lam))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ConsistencyError(
+                f"leading eigenvalue {complex(lam[i])} is not real at "
+                f"theta={tuple(thetas[i].tolist())}: the symmetry hypothesis fails"
+            )
+        return lam.real ** n
+
     if isinstance(spec, EmbeddedRealLattice):
         if spec.ambient_dim != 1:
             raise ValidationError("embedded u_n integrals support ambient dimension 1")
         beta = np.array([row[0] for row in spec.basis])
-
-        def f(t):
-            return _real_leading(system, cocycle, (t * beta) % (2 * math.pi)) ** n
-
-        return float(_adaptive_gl(f, -eta, eta, rel_tol) / (2 * math.pi))
+        return float(_adaptive_gl(lambda t: lead(np.outer(t, beta)), -eta, eta, rel_tol)
+                     / (2 * math.pi))
     d = _lattice_dim(cocycle)
     if d == 1:
         if eta > math.pi + 1e-12:
             raise ValidationError("eta must be <= pi on the torus")
-
-        def f(t):
-            return _real_leading(system, cocycle, (t % (2 * math.pi),)) ** n
-
-        return float(_adaptive_gl(f, -eta, eta, rel_tol))
+        return float(_adaptive_gl(lambda t: lead(t[:, None]), -eta, eta, rel_tol))
     if d == 2:
+        tol = max(rel_tol, 1e-10)
+
         def radial(r):
-            def angular(t):
-                theta = np.array([r * math.cos(t), r * math.sin(t)]) % (2 * math.pi)
-                return _real_leading(system, cocycle, theta) ** n
+            return r * _adaptive_gl(lambda t: lead(r * np.stack([np.cos(t), np.sin(t)], axis=1)),
+                                    0.0, 2 * math.pi, tol)
 
-            return r * _adaptive_gl(angular, 0.0, 2 * math.pi, max(rel_tol, 1e-10))
-
-        return float(_adaptive_gl(radial, 0.0, eta, max(rel_tol, 1e-10)))
+        return float(_adaptive_gl(np.vectorize(radial, otypes=[float]), 0.0, eta, tol))
     raise ValidationError("u_n integrals are implemented for d <= 2")
 
 
@@ -384,8 +397,6 @@ def local_limit_check(system, cocycle, n_grid, g=None, E=None, eta=0.5) -> Local
     else:
         if not isinstance(spec, EmbeddedRealLattice):
             raise ValidationError("window experiments require an embedded real lattice")
-        from .walkdist import _as_box, box_volume
-
         box = _as_box(E, spec.ambient_dim)
         vol = box_volume(box)
         for n in ns:
@@ -412,20 +423,13 @@ class RealityReport:
 def symmetry_reality_check(system, cocycle, involution=None, grid_size=128,
                            tol=1e-10) -> RealityReport:
     """Largest imaginary part of the leading eigenvalue over a torus grid."""
-    d = _lattice_dim(cocycle)
-    if d > 2:
-        raise ValidationError("grid scans are implemented for d <= 2")
+    thetas = _grid(cocycle, grid_size)
     sym_ok = None
     if involution is not None:
         sym_ok = bool(check_symmetry(system, cocycle, involution))
-    worst = 0.0
-    argmax = (0.0,) * d
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for idx in np.ndindex(*(grid_size,) * d):
-            theta = tuple(2 * math.pi * i / grid_size for i in idx)
-            lam, _ = eigenvalue_at(system, cocycle, theta)
-            if abs(lam.imag) > worst:
-                worst = abs(lam.imag)
-                argmax = theta
+    imag = np.abs(leading_stack(system, cocycle, thetas)[0].imag)
+    i = int(np.argmax(imag))
+    worst, argmax = 0.0, (0.0,) * thetas.shape[1]
+    if imag[i] > 0:
+        worst, argmax = float(imag[i]), tuple(thetas[i].tolist())
     return RealityReport(worst, argmax, worst <= tol, sym_ok)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from gmwalk import cli
@@ -308,6 +314,46 @@ n = 30
     assert code == 0
     manifest = (tmp_path / "out" / "manifest.txt").read_text()
     assert "result.note = holds" in manifest
+
+
+MARKOV_SCAN = """
+[system]
+alphabet = 2
+order = 1
+weights = 1/2 1/2; 1/4 3/4
+
+[cocycle]
+group = lattice 1
+values = 1; -1
+
+[experiment]
+kind = spectral-scan
+resolution = 16
+epsilon = 0.1
+"""
+
+
+def test_numpy_scalars_written_as_numbers(tmp_path):
+    # the Markov gap column and the scan results come out of numpy
+    code = cli.main(["spectral-scan", "--config", _write(tmp_path, MARKOV_SCAN),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1      # +-1 increments: period 2
+    csv = (tmp_path / "out" / "spectral_scan.csv").read_text()
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    cells = [c for line in csv.splitlines() for c in line.split(",")]
+    cells += [line.split(" = ", 1)[1] for line in manifest.splitlines()]
+    assert not [c for c in cells if "np." in c]
+    assert len(csv.splitlines()) == 17
+    for line in csv.splitlines()[1:]:
+        [float(c) for c in line.split(",")]
+    assert cli._fmt(np.float64(0.25)) == "0.25" and cli._fmt(np.int64(-3)) == "-3"
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, gmwalk.cli, gmwalk.presets; assert 'scipy' not in sys.modules"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def _write(tmp_path, text):

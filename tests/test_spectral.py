@@ -1,13 +1,14 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gmwalk import presets, spectral, walkdist
 from gmwalk.errors import ConsistencyError, ValidationError
-from gmwalk.groups import IntegerLattice
-from gmwalk.gm_system import Cocycle
+from gmwalk.gm_system import Cocycle, GibbsMarkovSystem
+from gmwalk.groups import EmbeddedRealLattice, IntegerLattice
 
 
 def test_perturbed_matrix_reduces_to_transition_matrix():
@@ -88,12 +89,118 @@ def test_aperiodicity_scan_agrees_with_algebraic_check():
         assert spectrally_aperiodic == alg.full, name
 
 
-def test_scan_workers_agree():
-    sys_, coc, _ = presets.z2_lattice()
-    a = spectral.aperiodicity_scan(sys_, coc, 32, 0.1, workers=1)
-    b = spectral.aperiodicity_scan(sys_, coc, 32, 0.1, workers=4)
-    assert a.max_modulus == pytest.approx(b.max_modulus, abs=1e-15)
-    assert a.passed and b.passed
+def _markov3_z2():
+    sys_ = GibbsMarkovSystem.markov([
+        [Fraction(3, 10), Fraction(5, 10), Fraction(2, 10)],
+        [Fraction(1, 7), Fraction(4, 7), Fraction(2, 7)],
+        [Fraction(5, 12), Fraction(4, 12), Fraction(3, 12)],
+    ])
+    return sys_, Cocycle(IntegerLattice(2), ((1, 0), (0, 1), (0, 0)))
+
+
+def _sticky_z():
+    sys_ = GibbsMarkovSystem.markov([
+        [Fraction(9, 10), Fraction(1, 10)],
+        [Fraction(1, 5), Fraction(4, 5)],
+    ])
+    return sys_, Cocycle(IntegerLattice(1), ((1,), (-1,)))
+
+
+def _lattice_systems():
+    out = {}
+    for name, mk in presets.ALL_EXAMPLES.items():
+        sys_, coc, _ = mk()
+        if isinstance(coc.spec, (IntegerLattice, EmbeddedRealLattice)):
+            out[name] = (sys_, coc)
+    out["markov3_z2"] = _markov3_z2()
+    out["sticky_z"] = _sticky_z()
+    return out
+
+
+def _per_theta_leading(system, cocycle, theta):
+    """One character at a time, as the grids were evaluated before stacking."""
+    phases = [cmath.exp(1j * float(np.dot(theta, v))) for v in cocycle.values]
+    if system.is_bernoulli:
+        return sum(float(system.pi_float[s]) * phases[s] for s in range(system.m)), 0.0
+    B = (system.trans_float * np.array(phases)[None, :]).T.astype(complex)
+    eig = np.linalg.eigvals(B)
+    order = np.argsort(-np.abs(eig))
+    lam = complex(eig[order[0]])
+    second = abs(eig[order[1]]) if system.m > 1 else 0.0
+    return lam, (second / abs(lam) if lam else math.inf)
+
+
+def _per_theta_scan(system, cocycle, resolution, eps):
+    d = cocycle.spec.key_size
+    pts = []
+    for idx in np.ndindex(*(resolution,) * d):
+        theta = np.array([2 * math.pi * i / resolution for i in idx])
+        wrapped = np.where(theta > math.pi, theta - 2 * math.pi, theta)
+        if np.linalg.norm(wrapped) >= eps:
+            pts.append(theta)
+    if d == 1:
+        pts += [np.array([eps]), np.array([2 * math.pi - eps])]
+    else:
+        for t in np.linspace(0, 2 * math.pi, 4 * resolution, endpoint=False):
+            pts.append(np.array([eps * math.cos(t), eps * math.sin(t)]) % (2 * math.pi))
+    mods = [abs(_per_theta_leading(system, cocycle, t)[0]) for t in pts]
+    imax = int(np.argmax(mods))
+    return mods[imax], tuple(float(x) for x in pts[imax]), mods[imax] < 1 - 1e-9
+
+
+def _grid(resolution, d):
+    return [tuple(2 * math.pi * i / resolution for i in idx)
+            for idx in np.ndindex(*(resolution,) * d)]
+
+
+@pytest.mark.parametrize("name", sorted(_lattice_systems()))
+def test_stacked_evaluator_matches_per_theta_loop(name):
+    # bitwise: every cocycle value here is 0 or +-1, so the phase arguments
+    # are exact whatever order the inner products are summed in
+    sys_, coc = _lattice_systems()[name]
+    d = coc.spec.key_size
+    rng = np.random.default_rng(3)
+    thetas = _grid(64 if d == 1 else 32, d) + [tuple(t) for t in rng.uniform(0, 7, (50, d))]
+    lam, ratio = spectral.leading_stack(sys_, coc, np.array(thetas))
+    for theta, got_lam, got_ratio in zip(thetas, lam.tolist(), ratio.tolist()):
+        want_lam, want_ratio = _per_theta_leading(sys_, coc, np.array(theta))
+        assert repr(got_lam) == repr(complex(want_lam)), theta
+        assert repr(got_ratio) == repr(float(want_ratio)), theta
+    one = spectral.eigenvalue_at(sys_, coc, thetas[-1])
+    assert one == (lam.tolist()[-1], ratio.tolist()[-1])
+
+
+@pytest.mark.parametrize("name", sorted(_lattice_systems()))
+def test_aperiodicity_scan_matches_per_theta_loop(name):
+    sys_, coc = _lattice_systems()[name]
+    d = coc.spec.key_size
+    resolution = 64 if d == 1 else 24
+    rep = spectral.aperiodicity_scan(sys_, coc, resolution, 0.1)
+    assert (rep.max_modulus, rep.argmax_theta, rep.passed) == \
+        _per_theta_scan(sys_, coc, resolution, 0.1)
+
+
+def test_scan_unchanged_across_blocks(monkeypatch):
+    for sys_, coc in (_markov3_z2(), presets.z2_lattice()[:2], _sticky_z()):
+        one = (spectral.aperiodicity_scan(sys_, coc, 32, 0.1),
+               spectral.eigenvalue_grid(sys_, coc, 32),
+               spectral.symmetry_reality_check(sys_, coc, None, 32),
+               spectral.fourier_invert(sys_, coc, (1,) * coc.spec.key_size, 5, 32))
+        # a few rows per block: the 32^d grid spans many blocks
+        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 50)
+        many = (spectral.aperiodicity_scan(sys_, coc, 32, 0.1),
+                spectral.eigenvalue_grid(sys_, coc, 32),
+                spectral.symmetry_reality_check(sys_, coc, None, 32),
+                spectral.fourier_invert(sys_, coc, (1,) * coc.spec.key_size, 5, 32))
+        monkeypatch.undo()
+        assert repr(one) == repr(many)
+
+
+def test_spectral_scan_is_scan_plus_grid():
+    sys_, coc = _markov3_z2()
+    rep, rows = spectral.spectral_scan(sys_, coc, 32, 0.1)
+    assert rep == spectral.aperiodicity_scan(sys_, coc, 32, 0.1)
+    assert rows == spectral.eigenvalue_grid(sys_, coc, 32)
 
 
 def test_characteristic_function_trivial_and_power():
@@ -212,3 +319,27 @@ def test_eigenvalue_grid_rows():
         theta, re, im, gap = row
         assert re == pytest.approx((1 + 2 * math.cos(theta)) / 3, abs=1e-14)
         assert abs(im) == 0.0
+
+
+@pytest.mark.parametrize("name", ["trinomial", "two_state_markov", "z2_lattice", "markov3_z2",
+                                  "sticky_z"])
+def test_fourier_invert_matches_mass_trajectory(name):
+    sys_, coc = _lattice_systems()[name]
+    d = coc.spec.key_size
+    n = 12 if d == 1 else 6
+    targets = [(g,) for g in range(-n, n + 1, 3)] if d == 1 else \
+        [(0, 0), (2, 1), (3, 3), (6, 0), (1, 4)]
+    traj = walkdist.mass_trajectory(sys_, coc, targets, n, mode="float")
+    for g, want in zip(targets, traj[n]):
+        rep = spectral.fourier_invert(sys_, coc, g, n, 2 * n + 2)
+        assert not rep.aliasing_risk
+        assert abs(rep.value - want) <= 1e-12, g
+
+
+def test_u_n_integral_inversion_identity_bernoulli():
+    sys_ = GibbsMarkovSystem.bernoulli([Fraction(1, 5), Fraction(3, 5), Fraction(1, 5)])
+    coc = Cocycle(IntegerLattice(1), ((-1,), (0,), (1,)))
+    for n in (1, 7, 30, 80):
+        mass = walkdist.distribution(sys_, coc, n, mode="rational").mass_at((0,))
+        want = 2 * math.pi * float(mass)
+        assert spectral.u_n_integral(sys_, coc, math.pi, n) == pytest.approx(want, rel=1e-12)
