@@ -1,213 +1,93 @@
-"""Hot stepping kernels: numba-compiled with a pure-numpy fallback.
+"""Stepping kernels: one numpy kernel per dense table layout.
 
-The fallback is selected by setting ``GMWALK_PURE_NUMPY=1`` (or numba's own
-``NUMBA_DISABLE_JIT``) in the environment, or automatically when numba is not
-importable.  Both paths implement identical semantics so they can be compared
-cell by cell; ``benchmarks/bench_kernels.py`` times them against each other.
+Every engine steps the same recursion.  It has S states, an S x S mixing
+matrix P (None when S = 1) and a list of shifts (target state s', atom,
+weight).  One step computes M = P^T W (M is W itself when P is None) and then,
+for every shift k, adds ``wts[k] * (atom_k . M[tgt[k]])`` into the new table's
+row ``tgt[k]``.  A walk has P = the transition matrix and one shift
+(s', v(s'), 1) per state; the convolution power of a measure has S = 1 and
+one shift (0, atom, weight) per atom.
+
+A kernel takes the table and a spare buffer of the same shape and returns
+(new table, spare buffer), so a step allocates nothing table-sized.  With P,
+M goes into the spare buffer and the new table overwrites W; without P the
+new table is written into the spare buffer.  A shift of weight 1.0 adds M
+without multiplying, which gives the same floats.
+
+A step reads and clears only the region ``act`` of the box; W and the spare
+buffer must be zero outside it.  Engines pass the box that holds every
+product of as many atoms as steps taken so far, which only grows, so both
+hold; the cells skipped would only have added zeros.
 
 Layout conventions:
 
 * Lattice tables are flat ``(S, L)`` float64 arrays; a group coordinate maps
-  to a flat index through C-order strides.  A per-symbol step is then a single
-  constant flat offset.  Engines size boxes so that populated cells never sit
-  close enough to the edge for an offset to cross a row boundary; edge cells
-  hold exact zeros, so row-crossing writes only ever add zeros.
+  to a flat index through C-order strides.  A left multiplication by an atom
+  is then a single constant flat offset.  Engines size boxes so that
+  populated cells never sit close enough to the edge for an offset to cross
+  a row boundary; edge cells hold exact zeros, so row-crossing writes only
+  ever add zeros.
 * Heisenberg tables are ``(S, Nx, Ny, Nz)``; the left increment (a, b, c)
   sends index (x, y, z) to (x+a, y+b, z+c+a*(y-oy)) where oy is the index of
   the y origin.  The shear depends on y, so this cannot be a flat offset.
 """
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = bool(os.environ.get("GMWALK_PURE_NUMPY") or os.environ.get("NUMBA_DISABLE_JIT"))
-
-try:
-    if _FORCE_NUMPY:
-        raise ImportError
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------- numpy path
+def _start(W, spare, P, region):
+    # (M, table the shifts add into, zeroed over the region)
+    if P is None:
+        spare[region] = 0.0
+        return W, spare
+    S = W.shape[0]
+    np.matmul(P.T, W.reshape(S, -1), out=spare.reshape(S, -1))
+    W[region] = 0.0
+    return spare, W
 
-def lattice_step_numpy(W, out, trans, offs):
-    """out[s2, i + offs[s2]] += sum_s trans[s, s2] * W[s, i]."""
+
+def lattice_step(W, spare, P, offs, tgt, wts, act):
+    """new[tgt[k], i + offs[k]] += wts[k] * M[tgt[k], i] for every k; returns (new, spare).
+
+    ``act`` = (a, b) is the flat range of source cells i that may be nonzero.
+    """
+    a, b = act
+    M, out = _start(W, spare, P, np.s_[:, a:b])
     L = W.shape[1]
-    M = trans.T @ W
-    for s2 in range(trans.shape[1]):
-        off = int(offs[s2])
-        lo = -off if off < 0 else 0
-        hi = L - off if off > 0 else L
+    for off, s2, w in zip(offs.tolist(), tgt.tolist(), wts.tolist()):
+        lo = max(-off if off < 0 else 0, a)
+        hi = min(L - off if off > 0 else L, b)
         if lo < hi:
-            out[s2, lo + off : hi + off] += M[s2, lo:hi]
+            src = M[s2, lo:hi]
+            out[s2, lo + off : hi + off] += src if w == 1.0 else w * src
+    return out, M
 
 
-def conv_step_numpy(w, out, weights, offs):
-    """out[i + offs[j]] += weights[j] * w[i] for every atom j."""
-    L = w.shape[0]
-    for j in range(weights.shape[0]):
-        off = int(offs[j])
-        lo = -off if off < 0 else 0
-        hi = L - off if off > 0 else L
-        if lo < hi:
-            out[lo + off : hi + off] += weights[j] * w[lo:hi]
+def heis_step(W, spare, P, incs, tgt, wts, oy, act):
+    """new[tgt[k]] += wts[k] * (incs[k] . M[tgt[k]]) for every k; returns (new, spare).
 
-
-def heis_step_numpy(W, out, trans, incs, oy):
-    S, Nx, Ny, Nz = W.shape
-    M = np.tensordot(trans, W, axes=(0, 0))
-    for s2 in range(S):
-        a, b, c = (int(v) for v in incs[s2])
-        _heis_shift_add_numpy(M[s2], out[s2], a, b, c, oy)
-
-
-def heis_conv_step_numpy(w, out, weights, incs, oy):
-    for j in range(weights.shape[0]):
-        a, b, c = (int(v) for v in incs[j])
-        _heis_shift_add_numpy(w, out, a, b, c, oy, scale=float(weights[j]))
-
-
-def _heis_shift_add_numpy(src, dst, a, b, c, oy, scale=1.0):
-    Nx, Ny, Nz = src.shape
-    xlo = -a if a < 0 else 0
-    xhi = Nx - a if a > 0 else Nx
-    if xlo >= xhi:
-        return
-    for y in range(max(0, -b), min(Ny, Ny - b)):
-        dz = c + a * (y - oy)
-        zlo = -dz if dz < 0 else 0
-        zhi = Nz - dz if dz > 0 else Nz
-        if zlo >= zhi:
+    ``act`` = ((x0, x1), (y0, y1), (z0, z1)) bounds the source cells that may
+    be nonzero.
+    """
+    (x0, x1), (y0, y1), (z0, z1) = act
+    M, out = _start(W, spare, P, np.s_[:, x0:x1, y0:y1, z0:z1])
+    _, Nx, Ny, Nz = W.shape
+    for (a, b, c), s2, w in zip(incs.tolist(), tgt.tolist(), wts.tolist()):
+        src, dst = M[s2], out[s2]
+        xlo = max(-a if a < 0 else 0, x0)
+        xhi = min(Nx - a if a > 0 else Nx, x1)
+        if xlo >= xhi:
             continue
-        dst[xlo + a : xhi + a, y + b, zlo + dz : zhi + dz] += (
-            scale * src[xlo:xhi, y, zlo:zhi]
-        )
-
-
-# ---------------------------------------------------------------- numba path
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _lattice_step_nb(W, out, trans, offs):
-        S, L = W.shape
-        for s2 in range(S):
-            off = offs[s2]
-            lo = -off if off < 0 else 0
-            hi = L - off if off > 0 else L
-            for s in range(S):
-                w = trans[s, s2]
-                if w == 0.0:
-                    continue
-                row = W[s]
-                orow = out[s2]
-                for i in range(lo, hi):
-                    orow[i + off] += w * row[i]
-
-    @njit(cache=True)
-    def _conv_step_nb(w, out, weights, offs):
-        L = w.shape[0]
-        for j in range(weights.shape[0]):
-            off = offs[j]
-            c = weights[j]
-            lo = -off if off < 0 else 0
-            hi = L - off if off > 0 else L
-            for i in range(lo, hi):
-                out[i + off] += c * w[i]
-
-    @njit(cache=True)
-    def _heis_step_nb(W, out, trans, incs, oy):
-        S, Nx, Ny, Nz = W.shape
-        for s2 in range(S):
-            a = incs[s2, 0]
-            b = incs[s2, 1]
-            c = incs[s2, 2]
-            xlo = -a if a < 0 else 0
-            xhi = Nx - a if a > 0 else Nx
-            ylo = -b if b < 0 else 0
-            yhi = Ny - b if b > 0 else Ny
-            for s in range(S):
-                p = trans[s, s2]
-                if p == 0.0:
-                    continue
-                for x in range(xlo, xhi):
-                    for y in range(ylo, yhi):
-                        dz = c + a * (y - oy)
-                        zlo = -dz if dz < 0 else 0
-                        zhi = Nz - dz if dz > 0 else Nz
-                        for z in range(zlo, zhi):
-                            out[s2, x + a, y + b, z + dz] += p * W[s, x, y, z]
-
-    @njit(cache=True)
-    def _heis_conv_step_nb(w, out, weights, incs, oy):
-        Nx, Ny, Nz = w.shape
-        for j in range(weights.shape[0]):
-            a = incs[j, 0]
-            b = incs[j, 1]
-            c = incs[j, 2]
-            p = weights[j]
-            xlo = -a if a < 0 else 0
-            xhi = Nx - a if a > 0 else Nx
-            ylo = -b if b < 0 else 0
-            yhi = Ny - b if b > 0 else Ny
-            for x in range(xlo, xhi):
-                for y in range(ylo, yhi):
-                    dz = c + a * (y - oy)
-                    zlo = -dz if dz < 0 else 0
-                    zhi = Nz - dz if dz > 0 else Nz
-                    for z in range(zlo, zhi):
-                        out[x + a, y + b, z + dz] += p * w[x, y, z]
-
-    def lattice_step_numba(W, out, trans, offs):
-        _lattice_step_nb(W, out, trans, np.asarray(offs, dtype=np.int64))
-
-    def conv_step_numba(w, out, weights, offs):
-        _conv_step_nb(w, out, weights, np.asarray(offs, dtype=np.int64))
-
-    def heis_step_numba(W, out, trans, incs, oy):
-        _heis_step_nb(W, out, trans, np.asarray(incs, dtype=np.int64), oy)
-
-    def heis_conv_step_numba(w, out, weights, incs, oy):
-        _heis_conv_step_nb(w, out, weights, np.asarray(incs, dtype=np.int64), oy)
-
-else:
-    lattice_step_numba = None
-    conv_step_numba = None
-    heis_step_numba = None
-    heis_conv_step_numba = None
-
-
-if HAS_NUMBA:
-    BACKEND = "numba"
-    lattice_step = lattice_step_numba
-    conv_step = conv_step_numba
-    heis_step = heis_step_numba
-    heis_conv_step = heis_conv_step_numba
-else:
-    BACKEND = "numpy"
-    lattice_step = lattice_step_numpy
-    conv_step = conv_step_numpy
-    heis_step = heis_step_numpy
-    heis_conv_step = heis_conv_step_numpy
-
-
-def warm_up():
-    """Trigger JIT compilation on tiny inputs (no-op on the numpy path)."""
-    W = np.zeros((2, 8))
-    W[:, 4] = 0.5
-    out = np.zeros_like(W)
-    lattice_step(W, out, np.full((2, 2), 0.5), np.array([1, -1]))
-    w3 = np.zeros((3, 3, 5))
-    w3[1, 1, 2] = 1.0
-    out3 = np.zeros_like(w3)
-    heis_conv_step(w3, out3, np.array([0.5, 0.5]), np.array([[1, 0, 0], [-1, 0, 0]]), 1)
-    W4 = np.zeros((2, 3, 3, 5))
-    W4[:, 1, 1, 2] = 0.5
-    out4 = np.zeros_like(W4)
-    heis_step(W4, out4, np.full((2, 2), 0.5), np.array([[1, 0, 0], [0, 1, 0]]), 1)
-    conv_step(np.ones(8), np.zeros(8), np.array([1.0]), np.array([0]))
+        for y in range(max(0, -b, y0), min(Ny, Ny - b, y1)):
+            dz = c + a * (y - oy)
+            zlo = max(-dz if dz < 0 else 0, z0)
+            zhi = min(Nz - dz if dz > 0 else Nz, z1)
+            if zlo >= zhi:
+                continue
+            part = src[xlo:xhi, y, zlo:zhi]
+            dst[xlo + a : xhi + a, y + b, zlo + dz : zhi + dz] += (
+                part if w == 1.0 else w * part
+            )
+    return out, M

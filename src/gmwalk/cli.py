@@ -80,10 +80,10 @@ _KNOWN_KEYS = {
     "cocycle": {"group", "values", "involution", "basis"},
     "experiment": {
         "kind", "g", "n", "n_grid", "n_max", "n0", "n1", "stride", "e", "a_box",
-        "f_box", "eta", "resolution", "epsilon", "grid", "k_max", "s_max",
-        "variant", "base", "cylinder", "max_cells",
+        "f_box", "eta", "resolution", "epsilon", "grid", "k_max", "variant",
+        "base", "cylinder", "max_cells",
     },
-    "output": {"dir", "formats"},
+    "output": {"dir"},
 }
 
 
@@ -304,7 +304,7 @@ def _parse_params(kind, sec, cocycle, errors):
         p["n_grid"] = [int(t) for t in re.split(r"[,\s]+", sec["n_grid"].strip()) if t]
     if "n_max" in sec:
         p["n_max"] = int(sec["n_max"])
-    for key in ("n0", "n1", "stride", "resolution", "k_max", "s_max", "base"):
+    for key in ("n0", "n1", "stride", "resolution", "k_max", "base"):
         if key in sec:
             p[key] = int(sec[key])
     for key, name in (("e", "E"), ("a_box", "A"), ("f_box", "F")):

@@ -19,10 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convolve import make_conv_engine, sparse_convolve
 from .errors import ValidationError
 from .groups import IntegerLattice
-from .walkdist import DEFAULT_MAX_CELLS, _make_engine, return_sequence
+from .walkdist import (DEFAULT_MAX_CELLS, _make_engine, _SparseEngine, measure_recursion,
+                       one_step_recursion, return_sequence, walk_recursion)
 
 
 @dataclass
@@ -57,12 +57,8 @@ class WalkMeasure:
 
 def one_step_law(system, cocycle, mode="rational") -> WalkMeasure:
     """Law of a single increment under the stationary measure."""
-    pi = system.pi if mode == "rational" else system.pi_float
-    out = {}
-    for s in range(system.m):
-        g = cocycle.value(s)
-        out[g] = out.get(g, 0) + pi[s]
-    return WalkMeasure(cocycle.spec, out, n=1)
+    rec = one_step_recursion(system, cocycle, mode)
+    return WalkMeasure(cocycle.spec, {g: w for _, g, w in rec.shifts}, n=1)
 
 
 # ------------------------------------------------------------ periodic sums
@@ -93,7 +89,8 @@ def pn_one(system, a, n, mode="float"):
 
 def _grouped_engine(system, cocycle, a, n, mode, max_cells):
     seed = (a, cocycle.value(a))
-    eng = _make_engine(system, cocycle, n, mode, max_cells=max_cells, seed_entry=seed)
+    eng = _make_engine(walk_recursion(system, cocycle, mode), n, max_cells=max_cells,
+                       seed_entry=seed)
     for _ in range(n - 1):
         eng.step_once()
     return eng
@@ -104,7 +101,6 @@ def grouped_periodic_sum(system, cocycle, a, n, mode="rational",
     """Per-element table Z_{a, g}^n of weighted period-n returns through a."""
     if n < 1:
         raise ValidationError("periodic sums need n >= 1")
-    cocycle.check_total(system.m)
     eng = _grouped_engine(system, cocycle, a, n, mode, max_cells)
     trans = system.trans if mode == "rational" else system.trans_float
     table = eng.to_table()
@@ -117,11 +113,11 @@ def grouped_periodic_sum(system, cocycle, a, n, mode="rational",
 def grouped_return_sequence(system, cocycle, a, n_max, mode="float",
                             max_cells=DEFAULT_MAX_CELLS):
     """Z_{a,e}^n for n = 1..n_max in one forward pass."""
-    cocycle.check_total(system.m)
     e = cocycle.spec.identity()
     trans = system.trans if mode == "rational" else system.trans_float
     seed = (a, cocycle.value(a))
-    eng = _make_engine(system, cocycle, n_max, mode, max_cells=max_cells, seed_entry=seed)
+    eng = _make_engine(walk_recursion(system, cocycle, mode), n_max, max_cells=max_cells,
+                       seed_entry=seed)
     out = []
     for n in range(1, n_max + 1):
         z = sum(eng.joint_mass_at(s, e) * trans[s][a] for s in range(system.m))
@@ -173,14 +169,13 @@ def generating_period(measures, gen_set, s_max, return_horizon=16) -> PeriodRepo
     if found is None:
         return PeriodReport(None, missing_by_s, None,
                             note=f"no s <= {s_max} covers the generating set")
-    m = get(found).as_float()
-    spec = m.spec
-    e = spec.identity()
-    conv = {e: 1.0}
+    m = get(found)
+    e = m.spec.identity()
+    eng = _SparseEngine(measure_recursion(m.spec, m.masses, "float"))
     returns = []
     for k in range(1, return_horizon + 1):
-        conv = sparse_convolve(conv, m.masses, spec)
-        if conv.get(e, 0.0) > 0:
+        eng.step_once()
+        if eng.mass_at(e) > 0:
             returns.append(k)
     period = math.gcd(*returns) if returns else None
     return PeriodReport(found, missing_by_s, period)
@@ -217,13 +212,14 @@ def spectral_radius_convolution(measure, k_max, stride=None, mode="float",
     the stride ratio (r_{k+s}/r_k)^{1/s} is the headline estimate since its
     bias decays like 1/k instead of log(k)/k.
     """
-    eng = make_conv_engine(measure.spec, measure.masses, k_max + (stride or 2),
-                           mode, max_cells)
-    returns_all = []
     top = k_max + (stride or 2)
+    eng = _make_engine(measure_recursion(measure.spec, measure.masses, mode), top,
+                       max_cells=max_cells)
+    e = measure.spec.identity()
+    returns_all = []
     for _ in range(top):
         eng.step_once()
-        returns_all.append(float(eng.identity_mass()))
+        returns_all.append(float(eng.mass_at(e)))
     positive = [k for k in range(1, top + 1) if returns_all[k - 1] > 0]
     if not positive:
         return ConvolutionReport([], [], [], [], 0, -math.inf, math.nan,

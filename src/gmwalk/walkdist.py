@@ -5,11 +5,13 @@ product: after emitting symbol s' from state s,
 
     W_{n+1}(s', v(s') * g) += W_n(s, g) * p(s -> s').
 
-Dense float engines (stride-indexed boxes) are selected automatically for
-integer-lattice and embedded-lattice targets and for the Heisenberg group;
-everything else, and all exact-rational work, runs on hash-keyed sparse
-tables.  No mass is ever pruned unless explicitly requested, and pruned mass
-is tracked and surfaced in every derived report.
+The same recursion with one state and one shift per atom is the convolution
+power of a measure; ``Recursion`` holds either form.  Dense float engines
+(stride-indexed boxes) are selected automatically for integer-lattice and
+embedded-lattice targets and for the Heisenberg group; everything else, and
+all exact-rational work, runs on hash-keyed sparse tables.  No mass is ever
+pruned unless explicitly requested, and pruned mass is tracked and surfaced
+in every derived report.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .convolve import heis_z_bound
 from .errors import ResourceLimitError, ValidationError
 from .gm_system import check_aperiodicity_algebraic, cylinder_mass
 from .groups import EmbeddedRealLattice, FiniteGroup, HeisenbergZ, IntegerLattice
@@ -83,9 +84,6 @@ class MassTable:
             out[s] += w
         return out
 
-    def items_sorted(self):
-        return sorted(self.data.items())
-
     def support(self):
         return set(g for (_, g) in self.data)
 
@@ -112,49 +110,123 @@ def _csv_cell(x):
     return str(x)
 
 
+# ------------------------------------------------------------------ recursion
+
+def heis_z_bound(atoms, span):
+    """Safe |z| bound after ``span`` left multiplications by the given atoms.
+
+    When every atom moves x or y but not both, shearing steps see |y| built
+    up only by the other steps, so the products peak at the n^2/4 split;
+    mixed atoms shear while advancing y, which needs the triangular budget.
+    """
+    amax = max(abs(a) for a, _, _ in atoms)
+    bmax = max(abs(b) for _, b, _ in atoms)
+    cmax = max(abs(c) for _, _, c in atoms)
+    if all(a * b == 0 for a, b, _ in atoms):
+        return (span * span // 4 + span) * amax * bmax + span * cmax
+    return span * cmax + amax * bmax * span * (span - 1) // 2 + span
+
+
+@dataclass(frozen=True)
+class Recursion:
+    """A forward recursion on (state, group element) masses.
+
+    S states, an S x S mixing matrix P (None when S = 1) and shifts
+    (s', atom, weight).  One step maps W to out with
+
+        out(s', atom * g) += weight * sum_s P(s, s') W(s, g)
+
+    for every shift; without P the inner sum is W(0, g).  ``init`` holds the
+    default step-0 masses.  Numbers are Fractions in rational mode.
+    """
+
+    spec: object
+    mode: str
+    S: int
+    P: object
+    shifts: tuple
+    init: tuple
+
+    def seed(self, state=None, entry=None):
+        """Step-0 masses: ``init``, or unit mass at (state, e) or at entry = (s, g)."""
+        one = Fraction(1) if self.mode == "rational" else 1.0
+        if entry is not None:
+            return {(int(entry[0]), tuple(entry[1])): one}
+        if state is not None:
+            return {(int(state), self.spec.identity()): one}
+        return dict(self.init)
+
+
+def walk_recursion(system, cocycle, mode) -> Recursion:
+    """The walk: S = m, P = the transition matrix, shifts (s', v(s'), 1)."""
+    cocycle.check_total(system.m)
+    spec = cocycle.spec
+    rational = mode == "rational"
+    P = system.trans if rational else system.trans_float
+    pi = system.pi if rational else system.pi_float
+    one = Fraction(1) if rational else 1.0
+    shifts = tuple((s, cocycle.value(s), one) for s in range(system.m))
+    init = tuple(((s, spec.identity()), pi[s]) for s in range(system.m))
+    return Recursion(spec, mode, system.m, P, shifts, init)
+
+
+def measure_recursion(spec, masses, mode) -> Recursion:
+    """Convolution powers of a finitely supported measure: S = 1, shifts (0, atom, w)."""
+    if mode != "rational":
+        masses = {g: float(w) for g, w in masses.items()}
+    one = Fraction(1) if mode == "rational" else 1.0
+    shifts = tuple((0, tuple(g), w) for g, w in masses.items())
+    return Recursion(spec, mode, 1, None, shifts, (((0, spec.identity()), one),))
+
+
+def one_step_recursion(system, cocycle, mode) -> Recursion:
+    """The stationary one-step law as a measure recursion.
+
+    For a Bernoulli system its convolution powers are the group marginals of
+    the walk, with one state instead of m.
+    """
+    cocycle.check_total(system.m)
+    pi = system.pi if mode == "rational" else system.pi_float
+    masses = {}
+    for s in range(system.m):
+        g = cocycle.value(s)
+        masses[g] = masses.get(g, 0) + pi[s]
+    return measure_recursion(cocycle.spec, masses, mode)
+
+
 # ------------------------------------------------------------------ engines
 
 class _SparseEngine:
-    """Dictionary-backed stepping; exact in rational mode."""
+    """Dictionary-backed stepping on keys (s, g); exact in rational mode."""
 
-    def __init__(self, system, cocycle, mode, seed_state=None,
-                 max_atoms=DEFAULT_MAX_ATOMS, prune_eps=0.0, data=None, n=0,
-                 seed_entry=None):
-        self.system = system
-        self.cocycle = cocycle
-        self.spec = cocycle.spec
-        self.mode = mode
+    def __init__(self, rec, seed_state=None, seed_entry=None, max_atoms=DEFAULT_MAX_ATOMS,
+                 prune_eps=0.0, data=None, n=0):
+        self.rec = rec
+        self.spec = rec.spec
+        self.mode = rec.mode
         self.max_atoms = max_atoms
         self.prune_eps = prune_eps
-        self.dropped = Fraction(0) if mode == "rational" else 0.0
+        self.zero = Fraction(0) if rec.mode == "rational" else 0.0
+        self.dropped = self.zero
         self.n = n
-        e = self.spec.identity()
-        one = Fraction(1) if mode == "rational" else 1.0
-        if data is not None:
-            self.data = dict(data)
-        elif seed_entry is not None:
-            s0, g0 = seed_entry
-            self.data = {(int(s0), tuple(g0)): one}
-        elif seed_state is None:
-            pi = system.pi if mode == "rational" else system.pi_float
-            self.data = {(s, e): pi[s] for s in range(system.m)}
+        self.data = dict(data) if data is not None else rec.seed(seed_state, seed_entry)
+        # per source state: (target, atom, P(s, target) * weight)
+        if rec.P is None:
+            self._edges = [list(rec.shifts)]
         else:
-            self.data = {(int(seed_state), e): one}
+            self._edges = [[(t, a, rec.P[s][t] * w) for t, a, w in rec.shifts]
+                           for s in range(rec.S)]
 
     def step_once(self):
-        trans = self.system.trans if self.mode == "rational" else self.system.trans_float
-        vals = self.cocycle.values
         mul = self.spec.multiply
+        edges = self._edges
         new = {}
+        get = new.get
         for (s, g), w in self.data.items():
-            row = trans[s]
-            for s2 in range(self.system.m):
-                key = (s2, mul(vals[s2], g))
-                nw = w * row[s2]
-                if key in new:
-                    new[key] += nw
-                else:
-                    new[key] = nw
+            for t, a, c in edges[s]:
+                key = (t, mul(a, g))
+                old = get(key)
+                new[key] = w * c if old is None else old + w * c
         if self.prune_eps:
             kept = {}
             for k, w in new.items():
@@ -174,20 +246,19 @@ class _SparseEngine:
         return sum(self.data.values())
 
     def mass_at(self, g):
-        zero = Fraction(0) if self.mode == "rational" else 0.0
-        out = zero
+        if self.rec.S == 1:
+            return self.data.get((0, g), self.zero)
+        out = self.zero         # in table order, which fixes the float sum
         for (_, gg), w in self.data.items():
             if gg == g:
                 out += w
         return out
 
     def joint_mass_at(self, s, g):
-        zero = Fraction(0) if self.mode == "rational" else 0.0
-        return self.data.get((s, g), zero)
+        return self.data.get((s, g), self.zero)
 
     def state_marginal(self):
-        zero = Fraction(0) if self.mode == "rational" else 0.0
-        out = [zero] * self.system.m
+        out = [self.zero] * self.rec.S
         for (s, _), w in self.data.items():
             out[s] += w
         return out
@@ -197,7 +268,7 @@ class _SparseEngine:
         if not isinstance(spec, EmbeddedRealLattice):
             raise ValidationError("window masses require an embedded real lattice")
         sh = spec.embed(shift) if shift is not None else (0.0,) * spec.ambient_dim
-        total = Fraction(0) if self.mode == "rational" else 0.0
+        total = self.zero
         flagged = 0
         for (_, g), w in self.data.items():
             emb = spec.embed(g)
@@ -216,86 +287,122 @@ class _SparseEngine:
         return MassTable(self.n, self.mode, self.spec, dict(self.data), self.dropped)
 
 
-class _DenseLatticeEngine:
-    """Float stepping on a flat stride-indexed box (integer/embedded lattices)."""
+class _DenseEngine:
+    """Float stepping of a recursion on a dense box; subclasses fix the layout.
 
-    def __init__(self, system, cocycle, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
-                 seed_entry=None):
-        spec = cocycle.spec
-        self.system = system
-        self.cocycle = cocycle
-        self.spec = spec
+    The box is planned here for both layouts, and the ``max_cells`` guard
+    (see ``_make_engine``) is checked before anything is allocated.
+    """
+
+    layout = ""
+
+    def __init__(self, rec, n_max, seed_state, max_cells, seed_entry):
+        self.rec = rec
+        self.spec = rec.spec
         self.mode = "float"
         self.dropped = 0.0
         self.n = 0
-        d = spec.key_size
-        vals = cocycle.values
-        span = n_max + (1 if seed_entry is not None else 0)
-        lo = [min(0, min(v[i] for v in vals)) * span for i in range(d)]
-        hi = [max(0, max(v[i] for v in vals)) * span for i in range(d)]
-        self.dims = tuple(h - l + 1 for l, h in zip(lo, hi))
+        shifts = sorted(rec.shifts)     # a measure's atom order fixes its float sums
+        self.atoms = [a for _, a, _ in shifts]
+        self._span0 = 1 if seed_entry is not None else 0
+        lo, hi = self._span_box(n_max + self._span0)
         self.lo = tuple(lo)
-        L = 1
-        for dd in self.dims:
-            L *= dd
-        if system.m * L > max_cells:
+        self.dims = tuple(h - l + 1 for l, h in zip(lo, hi))
+        self.L = math.prod(self.dims)
+        if 2 * rec.S * self.L > max_cells:
             raise ResourceLimitError(
-                f"dense box needs {system.m * L} cells, over the {max_cells} guard",
+                f"dense {self.layout} box needs 2 buffers of {rec.S * self.L} cells, "
+                f"over the {max_cells}-cell guard",
                 completed=0,
             )
-        self.L = L
-        strides = [0] * d
-        acc = 1
-        for i in range(d - 1, -1, -1):
-            strides[i] = acc
-            acc *= self.dims[i]
-        self.strides = tuple(strides)
-        self.origin = sum(-l * st for l, st in zip(lo, strides))
-        self.offs = np.array(
-            [sum(v[i] * strides[i] for i in range(d)) for v in vals], dtype=np.int64
-        )
-        self.W = np.zeros((system.m, L))
-        if seed_entry is not None:
-            s0, g0 = seed_entry
-            self.W[int(s0), self.flat_index(tuple(g0))] = 1.0
-        elif seed_state is None:
-            self.W[:, self.origin] = system.pi_float
-        else:
-            self.W[int(seed_state), self.origin] = 1.0
+        self.tgt = np.array([t for t, _, _ in shifts], dtype=np.int64)
+        self.wts = np.array([float(w) for _, _, w in shifts])
+        self.W = np.zeros(self._table_shape())
+        grid = self._grid()
+        for (s, g), w in rec.seed(seed_state, seed_entry).items():
+            grid[(s,) + self._cell(g)] = float(w)
         self._buf = np.zeros_like(self.W)
-        self._embed_cache = None
 
-    def flat_index(self, g):
-        idx = self.origin
-        for c, st, l, dim in zip(g, self.strides, self.lo, self.dims):
-            if not l <= c <= l + dim - 1:
-                return None
-            idx += c * st
-        return idx
+    def _span_box(self, span):
+        # corners of the box holding every product of ``span`` atoms
+        atoms = self.atoms
+        lo = [min(0, min(a[i] for a in atoms)) * span for i in range(len(atoms[0]))]
+        hi = [max(0, max(a[i] for a in atoms)) * span for i in range(len(atoms[0]))]
+        return lo, hi
 
-    def step_once(self):
-        self._buf.fill(0.0)
-        _kernels.lattice_step(self.W, self._buf, self.system.trans_float, self.offs)
-        self.W, self._buf = self._buf, self.W
-        self.n += 1
+    def _active(self):
+        # index corners (inclusive) of the box holding the current support
+        lo, hi = self._span_box(self.n + self._span0)
+        return ([l - o for l, o in zip(lo, self.lo)], [h - o for h, o in zip(hi, self.lo)])
+
+    def _grid(self):
+        # the table viewed as (S, key coordinates...)
+        return self.W.reshape((self.rec.S,) + self.dims)
+
+    def _cell(self, g):
+        if not all(l <= c < l + dim for c, l, dim in zip(g, self.lo, self.dims)):
+            return None
+        return tuple(c - l for c, l in zip(g, self.lo))
 
     def total(self):
         return float(self.W.sum())
 
     def mass_at(self, g):
-        idx = self.flat_index(g)
+        idx = self._cell(g)
         if idx is None:
             return 0.0
-        return float(self.W[:, idx].sum())
+        return float(self._grid()[(slice(None),) + idx].sum())
 
     def joint_mass_at(self, s, g):
-        idx = self.flat_index(g)
+        idx = self._cell(g)
         if idx is None:
             return 0.0
-        return float(self.W[s, idx])
+        return float(self._grid()[(s,) + idx])
 
     def state_marginal(self):
-        return self.W.sum(axis=1).tolist()
+        return self.W.reshape(self.rec.S, -1).sum(axis=1).tolist()
+
+    def to_table(self):
+        grid = self._grid()
+        nz = np.nonzero(grid)
+        if nz[0].size > EXPORT_MAX_ATOMS:
+            raise ResourceLimitError(
+                f"table export would produce {nz[0].size} atoms", completed=self.n
+            )
+        keys = (np.stack(nz[1:], axis=1) + np.array(self.lo, dtype=np.int64)).tolist()
+        data = {(s, tuple(g)): w
+                for s, g, w in zip(nz[0].tolist(), keys, grid[nz].tolist())}
+        return MassTable(self.n, "float", self.spec, data, self.dropped)
+
+
+class _DenseLatticeEngine(_DenseEngine):
+    """Flat stride-indexed box (integer and embedded lattices)."""
+
+    layout = "lattice"
+
+    def __init__(self, rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
+                 seed_entry=None):
+        super().__init__(rec, n_max, seed_state, max_cells, seed_entry)
+        strides = [0] * len(self.dims)
+        acc = 1
+        for i in range(len(self.dims) - 1, -1, -1):
+            strides[i] = acc
+            acc *= self.dims[i]
+        self.strides = tuple(strides)
+        self.offs = np.array([sum(a * st for a, st in zip(atom, strides))
+                              for atom in self.atoms], dtype=np.int64)
+        self._embed_cache = None
+
+    def _table_shape(self):
+        return (self.rec.S, self.L)
+
+    def step_once(self):
+        lo, hi = self._active()
+        act = (sum(c * st for c, st in zip(lo, self.strides)),
+               sum(c * st for c, st in zip(hi, self.strides)) + 1)
+        self.W, self._buf = _kernels.lattice_step(self.W, self._buf, self.rec.P, self.offs,
+                                                  self.tgt, self.wts, act)
+        self.n += 1
 
     def _embed_grid(self):
         # per-cell real embeddings, cached; ambient axis first
@@ -331,136 +438,68 @@ class _DenseLatticeEngine:
             flagged += int(np.count_nonzero(near & occupied))
         return float(marg[mask].sum()), flagged
 
-    def to_table(self):
-        nz = np.nonzero(self.W)
-        if nz[0].size > EXPORT_MAX_ATOMS:
-            raise ResourceLimitError(
-                f"table export would produce {nz[0].size} atoms", completed=self.n
-            )
-        data = {}
-        for s, flat in zip(*nz):
-            coords = np.unravel_index(flat, self.dims)
-            g = tuple(int(c + l) for c, l in zip(coords, self.lo))
-            data[(int(s), g)] = float(self.W[s, flat])
-        return MassTable(self.n, "float", self.spec, data, self.dropped)
 
+class _DenseHeisEngine(_DenseEngine):
+    """Dense (x, y, z) box with the shear handled in-kernel."""
 
-class _DenseHeisEngine:
-    """Float stepping on a dense (x, y, z) box with the shear handled in-kernel."""
+    layout = "Heisenberg"
 
-    def __init__(self, system, cocycle, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
+    def __init__(self, rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
                  seed_entry=None):
-        spec = cocycle.spec
-        self.system = system
-        self.cocycle = cocycle
-        self.spec = spec
-        self.mode = "float"
-        self.dropped = 0.0
-        self.n = 0
-        vals = cocycle.values
-        span = n_max + (1 if seed_entry is not None else 0)
-        ax = [v[0] for v in vals]
-        by = [v[1] for v in vals]
-        cz = [v[2] for v in vals]
-        xlo, xhi = min(0, min(ax)) * span, max(0, max(ax)) * span
-        ylo, yhi = min(0, min(by)) * span, max(0, max(by)) * span
-        zbound = heis_z_bound(vals, span)
-        self.lo = (xlo, ylo, -zbound)
-        self.dims = (xhi - xlo + 1, yhi - ylo + 1, 2 * zbound + 1)
-        cells = self.system.m * self.dims[0] * self.dims[1] * self.dims[2]
-        if cells > max_cells:
-            raise ResourceLimitError(
-                f"dense Heisenberg box needs {cells} cells, over the {max_cells} guard",
-                completed=0,
-            )
-        self.incs = np.array(vals, dtype=np.int64)
-        self.oy = -ylo
-        self.W = np.zeros((system.m,) + self.dims)
-        if seed_entry is not None:
-            s0, g0 = seed_entry
-            self.W[(int(s0),) + self._index(tuple(g0))] = 1.0
-        elif seed_state is None:
-            self.W[:, -xlo, -ylo, zbound] = system.pi_float
-        else:
-            self.W[int(seed_state), -xlo, -ylo, zbound] = 1.0
-        self._buf = np.zeros_like(self.W)
+        super().__init__(rec, n_max, seed_state, max_cells, seed_entry)
+        self.incs = np.array(self.atoms, dtype=np.int64)
+        self.oy = -self.lo[1]
 
-    def _index(self, g):
-        out = []
-        for c, l, dim in zip(g, self.lo, self.dims):
-            if not l <= c <= l + dim - 1:
-                return None
-            out.append(c - l)
-        return tuple(out)
+    def _span_box(self, span):
+        lo, hi = super()._span_box(span)
+        zb = heis_z_bound(self.atoms, span)
+        lo[2], hi[2] = -zb, zb
+        return lo, hi
+
+    def _table_shape(self):
+        return (self.rec.S,) + self.dims
 
     def step_once(self):
-        self._buf.fill(0.0)
-        _kernels.heis_step(self.W, self._buf, self.system.trans_float, self.incs, self.oy)
-        self.W, self._buf = self._buf, self.W
+        lo, hi = self._active()
+        act = tuple((l, h + 1) for l, h in zip(lo, hi))
+        self.W, self._buf = _kernels.heis_step(self.W, self._buf, self.rec.P, self.incs,
+                                               self.tgt, self.wts, self.oy, act)
         self.n += 1
-
-    def total(self):
-        return float(self.W.sum())
-
-    def mass_at(self, g):
-        idx = self._index(g)
-        if idx is None:
-            return 0.0
-        return float(self.W[(slice(None),) + idx].sum())
-
-    def joint_mass_at(self, s, g):
-        idx = self._index(g)
-        if idx is None:
-            return 0.0
-        return float(self.W[(s,) + idx])
-
-    def state_marginal(self):
-        return self.W.sum(axis=(1, 2, 3)).tolist()
 
     def window_mass(self, box, shift=None):
         raise ValidationError("window masses require an embedded real lattice")
 
-    def to_table(self):
-        nz = np.nonzero(self.W)
-        if nz[0].size > EXPORT_MAX_ATOMS:
-            raise ResourceLimitError(
-                f"table export would produce {nz[0].size} atoms", completed=self.n
-            )
-        data = {}
-        for s, x, y, z in zip(*nz):
-            g = (int(x + self.lo[0]), int(y + self.lo[1]), int(z + self.lo[2]))
-            data[(int(s), g)] = float(self.W[s, x, y, z])
-        return MassTable(self.n, "float", self.spec, data, self.dropped)
 
+def _make_engine(rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
+                 max_atoms=DEFAULT_MAX_ATOMS, prune_eps=0.0, seed_entry=None):
+    """Engine for ``n_max`` steps of a recursion: dense in float mode where a layout fits.
 
-def _make_engine(system, cocycle, n_max, mode, seed_state=None,
-                 max_cells=DEFAULT_MAX_CELLS, max_atoms=DEFAULT_MAX_ATOMS,
-                 prune_eps=0.0, seed_entry=None):
-    cocycle.check_total(system.m)
-    spec = cocycle.spec
-    if mode == "float" and not prune_eps:
+    ``max_cells`` bounds the float64 cells of every buffer a dense engine
+    allocates: the table and the step buffer, which also receives the mixed
+    table P^T W when states mix.  A box of S x L cells therefore needs
+    2 S L cells.  ``max_atoms`` bounds the keys of a sparse table after every
+    step.
+    """
+    spec = rec.spec
+    if rec.mode == "float" and not prune_eps:
         if isinstance(spec, (IntegerLattice, EmbeddedRealLattice)) and spec.key_size > 0:
-            return _DenseLatticeEngine(system, cocycle, n_max, seed_state, max_cells,
-                                       seed_entry=seed_entry)
+            return _DenseLatticeEngine(rec, n_max, seed_state, max_cells, seed_entry)
         if isinstance(spec, HeisenbergZ):
-            return _DenseHeisEngine(system, cocycle, n_max, seed_state, max_cells,
-                                    seed_entry=seed_entry)
-    return _SparseEngine(system, cocycle, mode, seed_state, max_atoms, prune_eps,
-                         seed_entry=seed_entry)
+            return _DenseHeisEngine(rec, n_max, seed_state, max_cells, seed_entry)
+    return _SparseEngine(rec, seed_state, seed_entry, max_atoms, prune_eps)
 
 
 # ------------------------------------------------------------- public ops
 
 def zero_table(system, cocycle, mode="rational", seed_state=None) -> MassTable:
     """Step-0 table: all mass at the identity, stationary state marginal."""
-    eng = _SparseEngine(system, cocycle, mode, seed_state)
-    return eng.to_table()
+    return _SparseEngine(walk_recursion(system, cocycle, mode), seed_state).to_table()
 
 
 def step(table: MassTable, system, cocycle, max_atoms=DEFAULT_MAX_ATOMS) -> MassTable:
     """One left-increment step of a sparse table."""
-    eng = _SparseEngine(system, cocycle, table.mode, data=table.data, n=table.n,
-                        max_atoms=max_atoms)
+    eng = _SparseEngine(walk_recursion(system, cocycle, table.mode), data=table.data,
+                        n=table.n, max_atoms=max_atoms)
     eng.dropped = table.dropped
     eng.step_once()
     return eng.to_table()
@@ -472,10 +511,19 @@ def distribution(system, cocycle, n, mode="rational", seed_state=None,
     """Law of the n-step product (joint with the state), from the step-1 seed."""
     if n < 0:
         raise ValidationError("n must be >= 0")
-    eng = _make_engine(system, cocycle, n, mode, seed_state, max_cells, max_atoms, prune_eps)
+    eng = _make_engine(walk_recursion(system, cocycle, mode), n, seed_state, max_cells,
+                       max_atoms, prune_eps)
     for _ in range(n):
         eng.step_once()
     return eng.to_table()
+
+
+def _trajectory(eng, targets, n_max):
+    rows = [[eng.mass_at(t) for t in targets]]
+    for _ in range(n_max):
+        eng.step_once()
+        rows.append([eng.mass_at(t) for t in targets])
+    return rows
 
 
 def mass_trajectory(system, cocycle, targets, n_max, mode="float", seed_state=None,
@@ -486,12 +534,9 @@ def mass_trajectory(system, cocycle, targets, n_max, mode="float", seed_state=No
     Returns a list of rows, row n holding the mass of each target at step n.
     """
     targets = [tuple(t) for t in targets]
-    eng = _make_engine(system, cocycle, n_max, mode, seed_state, max_cells, max_atoms,
-                       prune_eps)
-    rows = [[eng.mass_at(t) for t in targets]]
-    for _ in range(n_max):
-        eng.step_once()
-        rows.append([eng.mass_at(t) for t in targets])
+    eng = _make_engine(walk_recursion(system, cocycle, mode), n_max, seed_state, max_cells,
+                       max_atoms, prune_eps)
+    rows = _trajectory(eng, targets, n_max)
     if _with_dropped:
         return rows, float(eng.dropped)
     return rows
@@ -506,19 +551,9 @@ def return_sequence(system, cocycle, n_max, mode="float", max_cells=DEFAULT_MAX_
     """
     e = cocycle.spec.identity()
     if system.is_bernoulli:
-        from .convolve import make_conv_engine
-
-        weights = system.pi if mode == "rational" else system.pi_float
-        masses = {}
-        for s in range(system.m):
-            g = cocycle.value(s)
-            masses[g] = masses.get(g, 0) + weights[s]
-        eng = make_conv_engine(cocycle.spec, masses, n_max, mode, max_cells)
-        out = [Fraction(1) if mode == "rational" else 1.0]
-        for _ in range(n_max):
-            eng.step_once()
-            out.append(eng.identity_mass())
-        return out
+        eng = _make_engine(one_step_recursion(system, cocycle, mode), n_max,
+                           max_cells=max_cells, **kw)
+        return [row[0] for row in _trajectory(eng, [e], n_max)]
     return [row[0] for row in
             mass_trajectory(system, cocycle, [e], n_max, mode, max_cells=max_cells, **kw)]
 
@@ -654,7 +689,7 @@ def window_mass(system, cocycle, E, n, g_shift=None, mode="float", strict=False,
     if not isinstance(spec, EmbeddedRealLattice):
         raise ValidationError("window experiments require an embedded real lattice")
     box = _as_box(E, spec.ambient_dim)
-    eng = _make_engine(system, cocycle, n, mode, **kw)
+    eng = _make_engine(walk_recursion(system, cocycle, mode), n, **kw)
     for _ in range(n):
         eng.step_once()
     val, flagged = eng.window_mass(box, tuple(g_shift) if g_shift is not None else None)
@@ -687,7 +722,7 @@ def window_pair_ratios(system, cocycle, E, shifts, n, mode="float", **kw) -> Win
         raise ValidationError("window experiments require an embedded real lattice")
     box = _as_box(E, spec.ambient_dim)
     shifts = [tuple(s) for s in shifts]
-    eng = _make_engine(system, cocycle, n, mode, **kw)
+    eng = _make_engine(walk_recursion(system, cocycle, mode), n, **kw)
     for _ in range(n):
         eng.step_once()
     needed = set(shifts)
@@ -727,7 +762,7 @@ def stone_ratio(system, cocycle, E, A, n, mode="float", **kw) -> StoneReport:
         raise ValidationError("window experiments require an embedded real lattice")
     boxE = _as_box(E, spec.ambient_dim)
     boxA = _as_box(A, spec.ambient_dim)
-    eng = _make_engine(system, cocycle, n, mode, **kw)
+    eng = _make_engine(walk_recursion(system, cocycle, mode), n, **kw)
     for _ in range(n):
         eng.step_once()
     vE, fE = eng.window_mass(boxE)
@@ -835,7 +870,7 @@ def check_condition_C(system, cocycle, E, g, n0, n1, n, mode="float",
     total_cyls = sum(system.m ** k for k in range(n0, n1 + 1))
     if total_cyls > max_cylinders:
         raise ResourceLimitError(f"{total_cyls} cylinders exceed the cap {max_cylinders}")
-    eng = _make_engine(system, cocycle, n, mode, **kw)
+    eng = _make_engine(walk_recursion(system, cocycle, mode), n, **kw)
     for _ in range(n):
         eng.step_once()
     target, _ = eng.window_mass(box, g)
@@ -852,7 +887,8 @@ def check_condition_C(system, cocycle, E, g, n0, n1, n, mode="float",
     table = []
     worst = {}
     for s, items in by_state.items():
-        eng_s = _make_engine(system, cocycle, n - n0, mode, seed_state=s, **kw)
+        eng_s = _make_engine(walk_recursion(system, cocycle, mode), n - n0, seed_state=s,
+                             **kw)
         for j in range(1, n - n0 + 1):
             eng_s.step_once()
             if j < n - n1:
@@ -893,7 +929,8 @@ def check_condition_CM(system, cocycle, a_word, F, A, E, g, n, mode="float",
     mu_a = cylinder_mass(system, a_word, mode="float")
     psi_a = cocycle.word_value(a_word)
     emb_a = spec.embed(psi_a)
-    eng_s = _make_engine(system, cocycle, n - k, mode, seed_state=a_word[-1], **kw)
+    eng_s = _make_engine(walk_recursion(system, cocycle, mode), n - k,
+                         seed_state=a_word[-1], **kw)
     for _ in range(n - k):
         eng_s.step_once()
     # vectorized overlap volumes over the seeded engine's support
@@ -914,7 +951,7 @@ def check_condition_CM(system, cocycle, a_word, F, A, E, g, n, mode="float",
             for j, ((flo, fhi), (alo, ahi)) in enumerate(zip(boxF, boxA)):
                 v *= max(0.0, min(fhi, ahi - x[j]) - max(flo, alo - x[j]))
             lhs += mu_a * float(w) * v
-    eng = _make_engine(system, cocycle, n, mode, **kw)
+    eng = _make_engine(walk_recursion(system, cocycle, mode), n, **kw)
     for _ in range(n):
         eng.step_once()
     muE, _fl = eng.window_mass(boxE, g)
@@ -993,7 +1030,7 @@ def return_time_tail(system, cocycle, n_max, mode="float") -> TailReport:
     spec = cocycle.spec
     if not isinstance(spec, FiniteGroup):
         raise ValidationError("return-time tails require a finite target")
-    eng = _SparseEngine(system, cocycle, mode)
+    eng = _SparseEngine(walk_recursion(system, cocycle, mode))
     e = spec.identity()
     one = Fraction(1) if mode == "rational" else 1.0
     tails = [one]

@@ -2,7 +2,6 @@
 
 Each test prints one `[PASS]`/`[FAIL]` line (run with `pytest -s` to see them
 all) and enforces both the numerical tolerance and the runtime budget.
-Kernel JIT compilation is excluded from the budgets by the session fixture.
 """
 
 import math

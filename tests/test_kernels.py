@@ -1,84 +1,104 @@
-"""Both kernel paths must implement identical semantics, cell for cell."""
+"""Both kernels against a naive per-cell loop of the recursion they implement.
+
+Every input is dyadic (small multiples of powers of two), so every product
+and partial sum is exact in float64 and the kernels must match the loop with
+``==`` whatever order they add in.
+"""
 
 import numpy as np
 import pytest
 
 from gmwalk import _kernels
 
-needs_numba = pytest.mark.skipif(
-    not _kernels.HAS_NUMBA, reason="numba backend not active"
-)
-
 rng = np.random.default_rng(2024)
 
 
-@needs_numba
-def test_lattice_step_paths_agree():
-    S, L = 3, 64
+def _dyadic(shape, scale=64):
+    return rng.integers(0, 9, size=shape) / scale
+
+
+def _mixed_reference(W, P):
+    S = W.shape[0]
+    if P is None:
+        return W
+    M = np.zeros_like(W)
+    for t in range(S):
+        for s in range(S):
+            M[t] += P[s, t] * W[s]
+    return M
+
+
+def _lattice_reference(W, P, offs, tgt, wts):
+    M = _mixed_reference(W, P)
+    out = np.zeros_like(W)
+    L = W.shape[1]
+    for off, t, w in zip(offs, tgt, wts):
+        for i in range(L):
+            if 0 <= i + off < L:
+                out[t, i + off] += w * M[t, i]
+    return out
+
+
+def _heis_reference(W, P, incs, tgt, wts, oy):
+    M = _mixed_reference(W, P)
+    out = np.zeros_like(W)
+    _, Nx, Ny, Nz = W.shape
+    for (a, b, c), t, w in zip(incs, tgt, wts):
+        for x in range(Nx):
+            for y in range(Ny):
+                for z in range(Nz):
+                    x2, y2, z2 = x + a, y + b, z + c + a * (y - oy)
+                    if 0 <= x2 < Nx and 0 <= y2 < Ny and 0 <= z2 < Nz:
+                        out[t, x2, y2, z2] += w * M[t, x, y, z]
+    return out
+
+
+WALK = dict(S=3, P=np.array([[0.5, 0.25, 0.25], [0.125, 0.75, 0.125], [0.0, 0.5, 0.5]]),
+            tgt=np.array([0, 1, 2]), wts=np.array([1.0, 1.0, 1.0]))
+MEASURE = dict(S=1, P=None, tgt=np.zeros(4, dtype=np.int64),
+               wts=np.array([0.375, 0.125, 0.25, 0.25]))
+
+
+@pytest.mark.parametrize("rec", [WALK, MEASURE], ids=["walk_S3", "measure_S1"])
+def test_lattice_step_matches_reference(rec):
+    S, L = rec["S"], 64
+    offs = np.array([-2, 0, 3, 5][: len(rec["tgt"])], dtype=np.int64)
     W = np.zeros((S, L))
-    W[:, 20:44] = rng.random((S, 24))
-    trans = rng.random((S, S))
-    offs = np.array([-2, 0, 3], dtype=np.int64)
-    out_a = np.zeros_like(W)
-    out_b = np.zeros_like(W)
-    _kernels.lattice_step_numpy(W, out_a, trans, offs)
-    _kernels.lattice_step_numba(W, out_b, trans, offs)
-    np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-15)
+    W[:, 20:44] = _dyadic((S, 24))
+    want = _lattice_reference(W, rec["P"], offs, rec["tgt"], rec["wts"])
+    # the spare buffer may hold anything inside the active region
+    spare = np.zeros_like(W)
+    spare[:, 20:44] = 7.0
+    new, _ = _kernels.lattice_step(W, spare, rec["P"], offs, rec["tgt"], rec["wts"], (20, 44))
+    assert np.array_equal(new, want)
 
 
-@needs_numba
-def test_conv_step_paths_agree():
-    L = 101
-    w = np.zeros(L)
-    w[30:70] = rng.random(40)
-    weights = rng.random(5)
-    offs = np.array([-3, -1, 0, 2, 5], dtype=np.int64)
-    out_a = np.zeros(L)
-    out_b = np.zeros(L)
-    _kernels.conv_step_numpy(w, out_a, weights, offs)
-    _kernels.conv_step_numba(w, out_b, weights, offs)
-    np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-15)
-
-
-@needs_numba
-def test_heis_step_paths_agree():
-    S, Nx, Ny, Nz = 2, 9, 9, 21
+@pytest.mark.parametrize("rec", [WALK, MEASURE], ids=["walk_S3", "measure_S1"])
+def test_heis_step_matches_reference(rec):
+    S = rec["S"]
+    Nx, Ny, Nz, oy = 9, 9, 25, 4
+    # nonzero a shears z by a * (y - oy); c shifts z outright
+    incs = np.array([[1, 0, 0], [0, -1, 1], [-1, 1, -2], [2, 0, 1]][: len(rec["tgt"])],
+                    dtype=np.int64)
     W = np.zeros((S, Nx, Ny, Nz))
-    W[:, 2:7, 2:7, 8:13] = rng.random((S, 5, 5, 5))
-    trans = rng.random((S, S))
-    incs = np.array([[1, 0, 0], [0, -1, 1]], dtype=np.int64)
-    oy = 4
-    out_a = np.zeros_like(W)
-    out_b = np.zeros_like(W)
-    _kernels.heis_step_numpy(W, out_a, trans, incs, oy)
-    _kernels.heis_step_numba(W, out_b, trans, incs, oy)
-    np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-15)
-
-
-@needs_numba
-def test_heis_conv_step_paths_agree():
-    Nx, Ny, Nz = 9, 9, 25
-    w = np.zeros((Nx, Ny, Nz))
-    w[2:7, 2:7, 9:16] = rng.random((5, 5, 7))
-    weights = rng.random(4)
-    incs = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], dtype=np.int64)
-    out_a = np.zeros_like(w)
-    out_b = np.zeros_like(w)
-    _kernels.heis_conv_step_numpy(w, out_a, weights, incs, 4)
-    _kernels.heis_conv_step_numba(w, out_b, weights, incs, 4)
-    np.testing.assert_allclose(out_a, out_b, rtol=0, atol=1e-15)
+    W[:, 2:7, 2:7, 9:16] = _dyadic((S, 5, 5, 7))
+    want = _heis_reference(W, rec["P"], incs, rec["tgt"], rec["wts"], oy)
+    spare = np.zeros_like(W)
+    spare[:, 2:7, 2:7, 9:16] = 7.0
+    new, _ = _kernels.heis_step(W, spare, rec["P"], incs, rec["tgt"], rec["wts"], oy,
+                                ((2, 7), (2, 7), (9, 16)))
+    assert np.array_equal(new, want)
 
 
 def test_shear_moves_mass_where_expected():
     # left increment (1,0,0) sends (x,y,z) to (x+1, y, z+y)
     Nx, Ny, Nz = 5, 5, 9
-    w = np.zeros((Nx, Ny, Nz))
+    w = np.zeros((1, Nx, Ny, Nz))
     oy = 2
-    w[2, 3, 4] = 1.0          # coordinates (0, 1, 0)
-    out = np.zeros_like(w)
-    _kernels.heis_conv_step(w, out, np.array([1.0]),
-                            np.array([[1, 0, 0]], dtype=np.int64), oy)
-    assert out[3, 3, 5] == 1.0
+    w[0, 2, 3, 4] = 1.0       # coordinates (0, 1, 0)
+    out, _ = _kernels.heis_step(w, np.zeros_like(w), None, np.array([[1, 0, 0]]),
+                                np.array([0]), np.array([1.0]), oy, ((0, Nx), (0, Ny), (0, Nz)))
+    assert out[0, 3, 3, 5] == 1.0
     assert out.sum() == 1.0
 
 
@@ -88,9 +108,8 @@ def test_mass_conservation_under_stepping():
     W[:, 20] = 0.5
     trans = np.array([[0.25, 0.75], [0.6, 0.4]])
     offs = np.array([1, -1], dtype=np.int64)
-    out = np.zeros_like(W)
+    spare = np.zeros_like(W)
     for _ in range(10):
-        out.fill(0.0)
-        _kernels.lattice_step(W, out, trans, offs)
-        W, out = out, W
+        W, spare = _kernels.lattice_step(W, spare, trans, offs, np.array([0, 1]),
+                                         np.array([1.0, 1.0]), (0, L))
     assert W.sum() == pytest.approx(1.0, abs=1e-14)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gmwalk import oracle, presets, walkdist
-from gmwalk.convolve import heis_z_bound
 from gmwalk.errors import ResourceLimitError, ValidationError
 from gmwalk.gm_system import Cocycle, GibbsMarkovSystem
-from gmwalk.groups import HeisenbergZ, left_product
+from gmwalk.groups import FiniteGroup, HeisenbergZ, left_product
+from gmwalk.walkdist import heis_z_bound
 
 
 def test_step_zero_seed_and_mass():
@@ -346,6 +346,62 @@ def test_dense_guard_trips():
     sys_, coc, _ = presets.heisenberg_symmetric()
     with pytest.raises(ResourceLimitError):
         walkdist.distribution(sys_, coc, 60, mode="float", max_cells=10_000)
+
+
+def test_dense_guard_counts_every_buffer():
+    # 2 states x 201 cells: the table and the step buffer (which also takes
+    # the mixed table) are 2 x 402 float64 cells, so 402 alone does not fit 500
+    sys_, coc, _ = presets.two_state_markov()
+    with pytest.raises(ResourceLimitError) as exc:
+        walkdist.distribution(sys_, coc, 100, mode="float", max_cells=500)
+    assert exc.value.completed == 0
+    walkdist.distribution(sys_, coc, 100, mode="float", max_cells=2 * 402)
+    # one state: the table and the step buffer, 2 x 201 cells
+    bern, bcoc, _ = presets.asymmetric_z()
+    with pytest.raises(ResourceLimitError):
+        walkdist.return_sequence(bern, bcoc, 100, max_cells=2 * 201 - 1)
+    walkdist.return_sequence(bern, bcoc, 100, max_cells=2 * 201)
+
+
+def _close(a, b, rel=1e-13):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("name", sorted(n for n, mk in presets.ALL_EXAMPLES.items()
+                                        if mk()[0].is_bernoulli))
+def test_one_state_and_m_state_recursions_agree(name):
+    # return_sequence steps the one-step law (S = 1); mass_trajectory steps
+    # the walk with its m states
+    sys_, coc, _ = presets.ALL_EXAMPLES[name]()
+    e = coc.spec.identity()
+    n = 12 if isinstance(coc.spec, HeisenbergZ) else 30
+    exact = walkdist.return_sequence(sys_, coc, n, mode="rational")
+    assert exact == [row[0] for row in walkdist.mass_trajectory(sys_, coc, [e], n, "rational")]
+    fast = walkdist.return_sequence(sys_, coc, n, mode="float")
+    walk = [row[0] for row in walkdist.mass_trajectory(sys_, coc, [e], n, "float")]
+    assert all(_close(a, b) for a, b in zip(fast, walk))
+    assert len(fast) == len(walk) == n + 1
+
+
+@pytest.mark.parametrize("name", sorted(n for n, mk in presets.ALL_EXAMPLES.items()
+                                        if not isinstance(mk()[1].spec, FiniteGroup)))
+def test_dense_and_sparse_float_engines_agree(name):
+    sys_, coc, _ = presets.ALL_EXAMPLES[name]()
+    n = 8 if isinstance(coc.spec, HeisenbergZ) else 30
+    recs = [walkdist.walk_recursion(sys_, coc, "float")]
+    if sys_.is_bernoulli:
+        recs.append(walkdist.one_step_recursion(sys_, coc, "float"))
+    for rec in recs:
+        dense = walkdist._make_engine(rec, n)
+        sparse = walkdist._SparseEngine(rec)
+        assert not isinstance(dense, walkdist._SparseEngine)
+        for _ in range(n):
+            dense.step_once()
+            sparse.step_once()
+        a = dense.to_table().group_masses()
+        b = sparse.to_table().group_masses()
+        assert set(a) <= set(b)
+        assert all(_close(a.get(g, 0.0), w) for g, w in b.items())
 
 
 def test_distribution_seeded_state():
