@@ -35,6 +35,7 @@ import math
 import re
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -52,13 +53,6 @@ from .groups import (
     cyclic_group,
 )
 
-KINDS = (
-    "ratio", "cross-ratio", "stone", "window", "conditions", "spectral-scan",
-    "fourier-invert", "local-limit", "mixing", "pressure", "kesten", "fekete",
-    "oracle-compare",
-)
-
-
 @dataclass
 class ExperimentConfig:
     system: GibbsMarkovSystem
@@ -74,18 +68,6 @@ class ExperimentConfig:
 # ----------------------------------------------------------------- parsing
 
 _SECTION_RE = re.compile(r"^\[([a-z]+)\]$")
-
-_KNOWN_KEYS = {
-    "system": {"alphabet", "order", "weights", "mode"},
-    "cocycle": {"group", "values", "involution", "basis"},
-    "experiment": {
-        "kind", "g", "n", "n_grid", "n_max", "n0", "n1", "stride", "e", "a_box",
-        "f_box", "eta", "resolution", "epsilon", "grid", "k_max", "variant",
-        "base", "cylinder", "max_cells",
-    },
-    "output": {"dir"},
-}
-
 
 def _split_sections(text, errors):
     sections = {}
@@ -251,7 +233,7 @@ def parse_config(text, kind_override=None) -> ExperimentConfig:
             errors.extend(getattr(exc, "errors", [str(exc)]))
 
     kind = kind_override or exp_sec.get("kind", "").strip()
-    if kind not in KINDS:
+    if kind not in EXPERIMENTS:
         errors.append(f"unknown experiment kind {kind!r}")
     if kind_override and exp_sec.get("kind") and exp_sec["kind"].strip() != kind_override:
         errors.append(
@@ -259,11 +241,7 @@ def parse_config(text, kind_override=None) -> ExperimentConfig:
             f"subcommand {kind_override!r}"
         )
 
-    params = {}
-    try:
-        params = _parse_params(kind, exp_sec, cocycle, errors)
-    except (ValidationError, ValueError) as exc:
-        errors.extend(getattr(exc, "errors", [str(exc)]))
+    params = _parse_params(kind, exp_sec, cocycle, errors)
 
     if errors:
         raise ValidationError(errors)
@@ -281,111 +259,71 @@ def parse_config(text, kind_override=None) -> ExperimentConfig:
     )
 
 
+# [experiment] key -> parser; each key is parsed on its own
+_PARAM_PARSERS = {
+    "g": _parse_int_tuple,
+    "cylinder": _parse_int_tuple,
+    "n_grid": lambda text: list(_parse_int_tuple(text)),
+    "e": _parse_box,
+    "a_box": _parse_box,
+    "f_box": _parse_box,
+    "eta": _parse_number,
+    "epsilon": _parse_number,
+    "variant": str.strip,
+    **dict.fromkeys(("n", "n_max", "n0", "n1", "stride", "resolution", "grid", "k_max",
+                     "base", "max_cells"), int),
+}
+_BOX_KEYS = ("e", "a_box", "f_box")
+
+
+def _keys(needs):
+    """Every key a ``needs`` tuple names; "g|e" names both."""
+    return {k for key in needs for k in key.split("|")}
+
+
 def _parse_params(kind, sec, cocycle, errors):
     p = {}
-
-    def need(key, reason=None):
+    for key, parse in _PARAM_PARSERS.items():
         if key not in sec:
-            errors.append(f"experiment kind {kind!r} requires {key!r}"
-                          + (f" ({reason})" if reason else ""))
-            return False
-        return True
+            continue
+        try:
+            p[key] = parse(sec[key])
+        except (ValidationError, ValueError, ZeroDivisionError) as exc:
+            errors.extend(f"experiment key {key!r} = {sec[key]!r}: {e}"
+                          for e in getattr(exc, "errors", [str(exc)]))
+    exp = EXPERIMENTS.get(kind)
+    if exp is None:
+        return p
 
-    embedded = cocycle is not None and isinstance(cocycle.spec, EmbeddedRealLattice)
-    if kind in ("stone", "window", "local-limit", "conditions") and not embedded:
-        if kind != "conditions" or sec.get("variant", "D").upper() in ("C", "CM"):
-            if kind != "local-limit" or "e" in sec:
-                errors.append("window experiments require an embedded real lattice")
-    if "g" in sec:
-        p["g"] = _parse_int_tuple(sec["g"])
-    if "n" in sec:
-        p["n"] = int(sec["n"])
-    if "n_grid" in sec:
-        p["n_grid"] = [int(t) for t in re.split(r"[,\s]+", sec["n_grid"].strip()) if t]
-    if "n_max" in sec:
-        p["n_max"] = int(sec["n_max"])
-    for key in ("n0", "n1", "stride", "resolution", "k_max", "base"):
-        if key in sec:
-            p[key] = int(sec[key])
-    for key, name in (("e", "E"), ("a_box", "A"), ("f_box", "F")):
-        if key in sec:
-            p[name] = _parse_box(sec[key])
-    for key in ("eta", "epsilon"):
-        if key in sec:
-            p[key] = _parse_number(sec[key])
-    if "grid" in sec:
-        p["grid"] = int(sec["grid"])
-    if "variant" in sec:
-        p["variant"] = sec["variant"].strip()
-    if "cylinder" in sec:
-        p["cylinder"] = _parse_int_tuple(sec["cylinder"])
-    if "max_cells" in sec:
-        p["max_cells"] = int(sec["max_cells"])
-
-    if kind == "ratio":
-        need("g"), need("n_grid")
-    elif kind == "cross-ratio":
-        need("g"), need("n")
-    elif kind == "stone":
-        need("e"), need("a_box"), need("n")
-    elif kind == "window":
-        need("e"), need("n")
-    elif kind == "conditions":
-        variant = p.get("variant", "D").upper()
+    needs = exp.needs
+    if exp.variants:
+        variant = p.get("variant", next(iter(exp.variants))).upper()
         p["variant"] = variant
-        if variant in ("D", "C"):
-            need("g"), need("n0"), need("n1"), need("n")
-            if variant == "C":
-                need("e")
-        elif variant == "CM":
-            need("cylinder"), need("f_box"), need("a_box"), need("e"), need("g"), need("n")
+        if variant in exp.variants:
+            needs += exp.variants[variant]
         else:
-            errors.append(f"conditions variant must be D, C, or CM, got {variant!r}")
-    elif kind == "spectral-scan":
-        p.setdefault("resolution", 64)
-        p.setdefault("epsilon", 0.1)
-    elif kind == "fourier-invert":
-        need("g"), need("n"), need("grid")
-    elif kind == "local-limit":
-        need("n_grid")
-        if "g" not in p and "E" not in p:
-            errors.append("local-limit needs a point g or a window e")
-        p.setdefault("eta", 0.5)
-    elif kind == "mixing":
-        need("n_max")
-    elif kind == "pressure":
-        p.setdefault("variant", "extension")
-        p.setdefault("base", 0)
-        need("n_max")
-    elif kind == "kesten":
-        p.setdefault("k_max", 30)
-    elif kind == "fekete":
-        need("n_max")
-    elif kind == "oracle-compare":
-        p.setdefault("n_max", 8)
+            errors.append(f"{kind} variant must be one of {', '.join(exp.variants)}, "
+                          f"got {variant!r}")
+    # a window the kind reads (required, or optional and given) needs real coordinates
+    used = _keys(needs + exp.reads)
+    windowed = any(k in needs or (k in sec and k in used) for k in _BOX_KEYS)
+    embedded = cocycle is not None and isinstance(cocycle.spec, EmbeddedRealLattice)
+    if windowed and not embedded:
+        errors.append("window experiments require an embedded real lattice")
+    for key in needs:
+        if not any(k in sec for k in key.split("|")):
+            errors.append(f"experiment kind {kind!r} requires "
+                          + " or ".join(repr(k) for k in key.split("|")))
+    for key, value in exp.defaults.items():
+        p.setdefault(key, value)
+    for key, cap in exp.caps.items():
+        if p.get(key, 0) > cap:
+            errors.append(f"experiment kind {kind!r} allows {key!r} up to {cap}, "
+                          f"got {p[key]}")
     return p
 
 
 # ------------------------------------------------------------------ running
-
-def _fmt(x):
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, np.integer):
-        return str(int(x))
-    if isinstance(x, tuple):
-        return " ".join(_fmt(c) for c in x)
-    return str(x)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(c) for c in row) + "\n")
-
 
 def run(config: ExperimentConfig, out_dir=None):
     """Execute one experiment; returns (exit_code, artifact paths)."""
@@ -405,7 +343,7 @@ def run(config: ExperimentConfig, out_dir=None):
                         error=f"{exc} (completed={exc.completed})")
         return 3, [out / "manifest.txt"]
     csv_path = out / f"{config.kind.replace('-', '_')}.csv"
-    _write_csv(csv_path, header, rows)
+    walkdist._write_csv(csv_path, header, rows)
     artifacts.append(csv_path)
     manifest = out / "manifest.txt"
     _write_manifest(manifest, config, code, time.perf_counter() - t0, extra=extra)
@@ -425,142 +363,196 @@ def _write_manifest(path, config, code, wall, error=None, extra=None):
     if error:
         lines["run.error"] = error
     for k, v in (extra or {}).items():
-        lines[f"result.{k}"] = _fmt(v)
+        lines[f"result.{k}"] = walkdist._csv_cell(v)
     with open(path, "w") as fh:
         for k in sorted(lines):
             fh.write(f"{k} = {lines[k]}\n")
 
 
-def _dispatch(config: ExperimentConfig):
-    system, cocycle, mode = config.system, config.cocycle, config.mode
-    p = dict(config.params)
-    kind = config.kind
-    kw = {}
-    if "max_cells" in p:
-        kw["max_cells"] = p.pop("max_cells")
+_STAT_HEADER = ("n", "statistic", "value", "target", "deviation")
 
-    if kind == "ratio":
-        rep = walkdist.ratio_sequence(system, cocycle, p["g"], p["n_grid"], mode,
-                                      stride=p.get("stride", 1), **kw)
-        code = 1 if (rep.periodic and not rep.ratios) else 0
-        return code, rep.rows(), ("n", "statistic", "value", "target", "deviation"), {
-            "worst_deviation": rep.worst(), "periodic": rep.periodic, "note": rep.note,
-        }
-    if kind == "cross-ratio":
-        rep = walkdist.cross_ratio(system, cocycle, p["g"], p["n"], mode, **kw)
-        return 0, rep.rows(), ("n", "statistic", "value", "target", "deviation"), {
-            "value": rep.value, "clt_reference": rep.clt_reference,
-        }
-    if kind == "stone":
-        rep = walkdist.stone_ratio(system, cocycle, p["E"], p["A"], p["n"], mode, **kw)
-        return 0, rep.rows(), ("n", "statistic", "value", "target", "deviation"), {
-            "ratio": rep.ratio, "target": rep.target,
-            "boundary_atoms": rep.boundary_atoms,
-        }
-    if kind == "window":
-        rep = walkdist.window_mass(system, cocycle, p["E"], p["n"],
-                                   g_shift=p.get("g"), mode=mode, **kw)
-        return 0, rep.rows(), ("n", "statistic", "value", "target", "flagged"), {
-            "mass": rep.value, "boundary_atoms": rep.boundary_atoms,
-        }
-    if kind == "conditions":
-        variant = p["variant"]
-        if variant == "D":
-            rep = walkdist.check_condition_D(system, cocycle, p["g"], p["n0"],
-                                             p["n1"], p["n"], mode, **kw)
-        elif variant == "C":
-            rep = walkdist.check_condition_C(system, cocycle, p["E"], p["g"],
-                                             p["n0"], p["n1"], p["n"], mode, **kw)
-        else:
-            rep = walkdist.check_condition_CM(system, cocycle, p["cylinder"], p["F"],
-                                              p["A"], p["E"], p["g"], p["n"], mode, **kw)
-        code = 1 if (variant == "CM" and rep.note != "holds") else 0
-        return code, rep.rows(), ("n_prime", "statistic", "value", "target", "deviation"), {
-            "worst_deviation": rep.worst_deviation, "best_nprime": rep.best_nprime,
-            "note": rep.note,
-        }
-    if kind == "spectral-scan":
-        rep, rows = spectral.spectral_scan(system, cocycle, p["resolution"], p["epsilon"])
-        header = tuple(f"theta_{i}" for i in range(len(rep.argmax_theta)))
-        header += ("re_lambda", "im_lambda", "gap")
-        extra = {"max_modulus": rep.max_modulus, "passed": rep.passed,
-                 "argmax_theta": rep.argmax_theta, "algebraic_full": rep.algebraic_full}
-        if not rep.passed:
-            extra["note"] = "aperiodicity fails: unit-modulus eigenvalue off the zero ball"
-        return (0 if rep.passed else 1), rows, header, extra
-    if kind == "fourier-invert":
-        rep = spectral.fourier_invert(system, cocycle, p["g"], p["n"], p["grid"],
-                                      compare=True)
-        code = 0 if (rep.deviation is not None and rep.deviation <= 1e-10) else 1
-        return code, rep.rows(), ("n", "statistic", "value", "target", "deviation"), {
-            "value": rep.value, "deviation": rep.deviation,
-            "aliasing_risk": rep.aliasing_risk,
-        }
-    if kind == "local-limit":
-        rep = spectral.local_limit_check(system, cocycle, p["n_grid"],
-                                         g=p.get("g"), E=p.get("E"), eta=p["eta"])
-        return 0, rep.rows(), ("n", "statistic", "value", "target", "deviation"), {
-            "final_deviation": rep.deviations[-1],
-        }
-    if kind == "mixing":
-        rep = walkdist.finite_group_mixing(system, cocycle, p["n_max"], mode)
-        tail = walkdist.return_time_tail(system, cocycle, p["n_max"], mode)
-        rows = rep.rows() + [(n, "tail", t, 0.0, 0.0) for n, t in zip(tail.ns, tail.tail)]
-        code = 1 if rep.periodic else 0
-        return code, rows, ("n", "statistic", "value", "target", "deviation"), {
-            "rate": rep.rate, "tail_r_squared": tail.r_squared, "note": rep.note,
-        }
-    if kind == "pressure":
-        rep = pressure.pressure_estimate(p["variant"], system, cocycle, p["base"],
-                                         p["n_max"], mode, **kw)
-        code = 0 if rep.transitive else 1
-        return code, rep.rows(), ("n", "estimator", "log_over_n", "fekete_lower"), {
-            **{f"estimate_{k}": v for k, v in rep.estimates.items()},
-            "transitive": rep.transitive,
-        }
-    if kind == "kesten":
-        law = pressure.one_step_law(system, cocycle, mode="float")
-        rep = pressure.kesten_identity_check(law, p["k_max"], p.get("stride"),
-                                             "float", **kw)
-        code = 0 if rep.consistent else 1
-        rows = rep.convolution.rows()
-        return code, rows, ("k", "conv_return", "kth_root", "stride_ratio"), {
-            "estimate": rep.convolution.estimate,
-            "abelianized_minimum": rep.minimizer.phi,
-            "difference": rep.difference, "bracket_width": rep.bracket_width,
-            "minimizer_x": tuple(rep.minimizer.x),
-            "grad_norm": rep.minimizer.grad_norm,
-        }
-    if kind == "fekete":
-        seq = walkdist.return_sequence(system, cocycle, p["n_max"], mode, **kw)
-        valid = [(n, float(v)) for n, v in enumerate(seq) if n >= 1 and float(v) > 0]
-        log_c = 0.0 if system.is_bernoulli else -2.0 * math.log(float(system.gibbs_constant))
-        br = pressure.fekete_limit([math.log(v) for _, v in valid], log_c,
-                                   [n for n, _ in valid], upper=0.0)
-        rows = [(n, math.log(v) / n, br.lower) for n, v in valid]
-        return (0 if br.holds else 1), rows, ("n", "log_mass_over_n", "fekete_lower"), {
-            "lower": br.lower, "estimate": br.estimate, "holds": br.holds,
-            "violations": len(br.violations),
-        }
-    if kind == "oracle-compare":
-        n_max = min(p["n_max"], 10)
-        rows = []
-        worst = 0.0
-        for n in range(1, n_max + 1):
-            ref = oracle.oracle_distribution(system, cocycle, n)
-            fast = walkdist.distribution(system, cocycle, n, mode="rational")
-            keys = set(ref.data) | set(fast.data)
-            dev = max(
-                abs(float(ref.data.get(k, 0)) - float(fast.data.get(k, 0))) for k in keys
-            )
-            exact = ref.data == fast.data
-            worst = max(worst, dev)
-            rows.append((n, "distribution_max_abs_diff", dev, 0.0, 0 if exact else 1))
-        code = 0 if worst == 0.0 else 1
-        return code, rows, ("n", "statistic", "value", "target", "mismatch"), {
-            "worst_deviation": worst,
-        }
-    raise ValidationError([f"unhandled kind {kind!r}"])
+
+def _run_ratio(c, p, kw):
+    rep = walkdist.ratio_sequence(c.system, c.cocycle, p["g"], p["n_grid"], c.mode,
+                                  stride=p.get("stride", 1), **kw)
+    return (1 if rep.periodic and not rep.ratios else 0), rep.rows(), _STAT_HEADER, {
+        "worst_deviation": rep.worst(), "periodic": rep.periodic, "note": rep.note}
+
+
+def _run_cross_ratio(c, p, kw):
+    rep = walkdist.cross_ratio(c.system, c.cocycle, p["g"], p["n"], c.mode, **kw)
+    return 0, rep.rows(), _STAT_HEADER, {
+        "value": rep.value, "clt_reference": rep.clt_reference}
+
+
+def _run_stone(c, p, kw):
+    rep = walkdist.stone_ratio(c.system, c.cocycle, p["e"], p["a_box"], p["n"], c.mode,
+                               **kw)
+    return 0, rep.rows(), _STAT_HEADER, {
+        "ratio": rep.ratio, "target": rep.target, "boundary_atoms": rep.boundary_atoms}
+
+
+def _run_window(c, p, kw):
+    rep = walkdist.window_mass(c.system, c.cocycle, p["e"], p["n"], g_shift=p.get("g"),
+                               mode=c.mode, **kw)
+    return 0, rep.rows(), _STAT_HEADER[:4] + ("flagged",), {
+        "mass": rep.value, "boundary_atoms": rep.boundary_atoms}
+
+
+def _run_conditions(c, p, kw):
+    args, variant = (c.system, c.cocycle), p["variant"]
+    if variant == "D":
+        rep = walkdist.check_condition_D(*args, p["g"], p["n0"], p["n1"], p["n"], c.mode,
+                                         **kw)
+    elif variant == "C":
+        rep = walkdist.check_condition_C(*args, p["e"], p["g"], p["n0"], p["n1"], p["n"],
+                                         c.mode, **kw)
+    else:
+        rep = walkdist.check_condition_CM(*args, p["cylinder"], p["f_box"], p["a_box"],
+                                          p["e"], p["g"], p["n"], c.mode, **kw)
+    code = 1 if (variant == "CM" and rep.note != "holds") else 0
+    return code, rep.rows(), ("n_prime",) + _STAT_HEADER[1:], {
+        "worst_deviation": rep.worst_deviation, "best_nprime": rep.best_nprime,
+        "note": rep.note}
+
+
+def _run_spectral_scan(c, p, kw):
+    rep, rows = spectral.spectral_scan(c.system, c.cocycle, p["resolution"], p["epsilon"])
+    header = tuple(f"theta_{i}" for i in range(len(rep.argmax_theta)))
+    extra = {"max_modulus": rep.max_modulus, "passed": rep.passed,
+             "argmax_theta": rep.argmax_theta, "algebraic_full": rep.algebraic_full}
+    if not rep.passed:
+        extra["note"] = "aperiodicity fails: unit-modulus eigenvalue off the zero ball"
+    return (0 if rep.passed else 1), rows, header + ("re_lambda", "im_lambda", "gap"), extra
+
+
+def _run_fourier_invert(c, p, kw):
+    rep = spectral.fourier_invert(c.system, c.cocycle, p["g"], p["n"], p["grid"],
+                                  compare=True)
+    code = 0 if (rep.deviation is not None and rep.deviation <= 1e-10) else 1
+    return code, rep.rows(), _STAT_HEADER, {
+        "value": rep.value, "deviation": rep.deviation, "aliasing_risk": rep.aliasing_risk}
+
+
+def _run_local_limit(c, p, kw):
+    rep = spectral.local_limit_check(c.system, c.cocycle, p["n_grid"], g=p.get("g"),
+                                     E=p.get("e"), eta=p["eta"])
+    return 0, rep.rows(), _STAT_HEADER, {"final_deviation": rep.deviations[-1]}
+
+
+def _run_mixing(c, p, kw):
+    rep = walkdist.finite_group_mixing(c.system, c.cocycle, p["n_max"], c.mode)
+    tail = walkdist.return_time_tail(c.system, c.cocycle, p["n_max"], c.mode)
+    rows = rep.rows() + [(n, "tail", t, 0.0, 0.0) for n, t in zip(tail.ns, tail.tail)]
+    return (1 if rep.periodic else 0), rows, _STAT_HEADER, {
+        "rate": rep.rate, "tail_r_squared": tail.r_squared, "note": rep.note}
+
+
+def _run_pressure(c, p, kw):
+    rep = pressure.pressure_estimate(p["variant"], c.system, c.cocycle, p["base"],
+                                     p["n_max"], c.mode, **kw)
+    extra = {f"estimate_{k}": v for k, v in rep.estimates.items()}
+    extra["transitive"] = rep.transitive
+    return (0 if rep.transitive else 1), rep.rows(), \
+        ("n", "estimator", "log_over_n", "fekete_lower"), extra
+
+
+def _run_kesten(c, p, kw):
+    law = pressure.one_step_law(c.system, c.cocycle, mode="float")
+    rep = pressure.kesten_identity_check(law, p["k_max"], p.get("stride"), "float", **kw)
+    header = ("k", "conv_return", "kth_root", "stride_ratio")
+    return (0 if rep.consistent else 1), rep.convolution.rows(), header, {
+        "estimate": rep.convolution.estimate, "abelianized_minimum": rep.minimizer.phi,
+        "difference": rep.difference, "bracket_width": rep.bracket_width,
+        "minimizer_x": tuple(rep.minimizer.x), "grad_norm": rep.minimizer.grad_norm}
+
+
+def _run_fekete(c, p, kw):
+    system = c.system
+    seq = walkdist.return_sequence(system, c.cocycle, p["n_max"], c.mode, **kw)
+    valid = [(n, float(v)) for n, v in enumerate(seq) if n >= 1 and float(v) > 0]
+    log_c = 0.0 if system.is_bernoulli else -2.0 * math.log(float(system.gibbs_constant))
+    br = pressure.fekete_limit([math.log(v) for _, v in valid], log_c,
+                               [n for n, _ in valid], upper=0.0)
+    rows = [(n, math.log(v) / n, br.lower) for n, v in valid]
+    return (0 if br.holds else 1), rows, ("n", "log_mass_over_n", "fekete_lower"), {
+        "lower": br.lower, "estimate": br.estimate, "holds": br.holds,
+        "violations": len(br.violations)}
+
+
+def _run_oracle_compare(c, p, kw):
+    rows = []
+    worst = 0.0
+    for n in range(1, p["n_max"] + 1):
+        ref = oracle.oracle_distribution(c.system, c.cocycle, n)
+        fast = walkdist.distribution(c.system, c.cocycle, n, mode="rational")
+        keys = set(ref.data) | set(fast.data)
+        dev = max(abs(float(ref.data.get(k, 0)) - float(fast.data.get(k, 0))) for k in keys)
+        worst = max(worst, dev)
+        rows.append((n, "distribution_max_abs_diff", dev, 0.0,
+                     0 if ref.data == fast.data else 1))
+    return (0 if worst == 0.0 else 1), rows, _STAT_HEADER[:4] + ("mismatch",), {
+        "worst_deviation": worst}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """An experiment kind: its runner and the [experiment] keys it takes.
+
+    ``run(config, params, kw)`` returns (exit code, CSV rows, CSV header,
+    manifest results); ``kw`` holds ``max_cells`` when the config sets it.
+    ``needs`` are required keys ("g|e": either one), ``reads`` optional ones.
+    ``variants`` maps each ``variant`` (upper case; the first is the default)
+    to the keys it needs on top.  ``caps`` bounds integer keys.
+    """
+
+    run: Callable
+    needs: tuple = ()
+    reads: tuple = ()
+    defaults: dict = field(default_factory=dict)
+    variants: dict = field(default_factory=dict)
+    caps: dict = field(default_factory=dict)
+
+
+EXPERIMENTS = {
+    "ratio": Experiment(_run_ratio, needs=("g", "n_grid"), reads=("stride",)),
+    "cross-ratio": Experiment(_run_cross_ratio, needs=("g", "n")),
+    "stone": Experiment(_run_stone, needs=("e", "a_box", "n")),
+    "window": Experiment(_run_window, needs=("e", "n"), reads=("g",)),
+    "conditions": Experiment(_run_conditions, needs=("g", "n"), reads=("variant",),
+                             variants={"D": ("n0", "n1"), "C": ("n0", "n1", "e"),
+                                       "CM": ("cylinder", "f_box", "a_box", "e")}),
+    "spectral-scan": Experiment(_run_spectral_scan,
+                                defaults={"resolution": 64, "epsilon": 0.1}),
+    "fourier-invert": Experiment(_run_fourier_invert, needs=("g", "n", "grid")),
+    "local-limit": Experiment(_run_local_limit, needs=("n_grid", "g|e"),
+                              defaults={"eta": 0.5}),
+    "mixing": Experiment(_run_mixing, needs=("n_max",)),
+    "pressure": Experiment(_run_pressure, needs=("n_max",),
+                           defaults={"variant": "extension", "base": 0}),
+    "kesten": Experiment(_run_kesten, reads=("stride",), defaults={"k_max": 30}),
+    "fekete": Experiment(_run_fekete, needs=("n_max",)),
+    # the oracle enumerates m^n words at depth n
+    "oracle-compare": Experiment(_run_oracle_compare, defaults={"n_max": 8},
+                                 caps={"n_max": 10}),
+}
+KINDS = tuple(EXPERIMENTS)
+
+
+_KNOWN_KEYS = {
+    "system": {"alphabet", "order", "weights", "mode"},
+    "cocycle": {"group", "values", "involution", "basis"},
+    "experiment": {"kind", "max_cells"}.union(*(
+        _keys(e.needs + e.reads + sum(e.variants.values(), ())) | set(e.defaults) | set(e.caps)
+        for e in EXPERIMENTS.values())),
+    "output": {"dir"},
+}
+
+
+def _dispatch(config: ExperimentConfig):
+    p = dict(config.params)
+    kw = {"max_cells": p.pop("max_cells")} if "max_cells" in p else {}
+    return EXPERIMENTS[config.kind].run(config, p, kw)
 
 
 def main(argv=None):
@@ -569,7 +561,7 @@ def main(argv=None):
         description="Deterministic walk experiments on group extensions",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    for kind in KINDS:
+    for kind in EXPERIMENTS:
         sp = sub.add_parser(kind)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)

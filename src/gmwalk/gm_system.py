@@ -185,11 +185,6 @@ class SymmetryInvolution:
             raise ValidationError("involution is not a permutation of the alphabet")
 
 
-def stationary_measure(system: GibbsMarkovSystem):
-    """Exact left eigenvector for eigenvalue 1, normalized to sum 1."""
-    return system.pi
-
-
 def cylinder_mass(system: GibbsMarkovSystem, word, mode="rational"):
     """mu([word]) = pi(word[0]) * product of transition weights along the word."""
     if len(word) < 1:

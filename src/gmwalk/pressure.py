@@ -78,15 +78,6 @@ def periodic_sum(system, a, n, mode="float"):
     return float(np.linalg.matrix_power(system.trans_float, n)[a, a])
 
 
-def pn_one(system, a, n, mode="float"):
-    """Normalization of the base-cylinder walk measure.
-
-    With the periodic reference point this equals Z_a^n; the identity is
-    asserted in tests rather than assumed silently elsewhere.
-    """
-    return periodic_sum(system, a, n, mode)
-
-
 def _grouped_engine(system, cocycle, a, n, mode, max_cells):
     seed = (a, cocycle.value(a))
     eng = _make_engine(walk_recursion(system, cocycle, mode), n, max_cells=max_cells,
@@ -519,7 +510,7 @@ def phi_tilde_check(system, cocycle, a, i_range, s=1, mode="float",
         if not res.attained:
             raise ValidationError(f"minimizer not attained at i={i}")
         phis[i] = res.phi
-        pns[i] = float(pn_one(system, a, n, mode="float"))
+        pns[i] = float(periodic_sum(system, a, n, mode="float"))
     const = 1.0 if system.is_bernoulli else float(1 / system.gibbs_constant ** 2)
     tilde = {i: pns[i] * phis[i] for i in indices}
     violations = []

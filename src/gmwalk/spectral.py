@@ -395,9 +395,7 @@ def local_limit_check(system, cocycle, n_grid, g=None, E=None, eta=0.5) -> Local
             ratios.append(traj[n][0] * 2 * math.pi / un)
         kind = "point"
     else:
-        if not isinstance(spec, EmbeddedRealLattice):
-            raise ValidationError("window experiments require an embedded real lattice")
-        box = _as_box(E, spec.ambient_dim)
+        box = _as_box(E, spec)
         vol = box_volume(box)
         for n in ns:
             wm = window_mass(system, cocycle, box, n, g_shift=g, mode="float")

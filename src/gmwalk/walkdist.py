@@ -34,8 +34,11 @@ EXPORT_MAX_ATOMS = 5_000_000
 BOUNDARY_ATOL = 1e-9
 
 
-def _as_box(E, ambient_dim):
-    """Normalize a window to a tuple of per-dimension open intervals."""
+def _as_box(E, spec):
+    """Normalize a window on an embedded real lattice to per-dimension open intervals."""
+    if not isinstance(spec, EmbeddedRealLattice):
+        raise ValidationError("window experiments require an embedded real lattice")
+    ambient_dim = spec.ambient_dim
     if ambient_dim == 1 and len(E) == 2 and not hasattr(E[0], "__len__"):
         E = (E,)
     box = tuple((float(lo), float(hi)) for lo, hi in E)
@@ -96,17 +99,24 @@ def write_distribution_csv(table: MassTable, path):
     """Write a table's group marginal as CSV with columns (n, key..., mass)."""
     key_size = table.spec.key_size
     header = ["n"] + [f"key_{i}" for i in range(key_size)] + ["mass"]
+    _write_csv(path, header, table.rows())
+
+
+def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in table.rows():
+        for row in rows:
             fh.write(",".join(_csv_cell(c) for c in row) + "\n")
 
 
 def _csv_cell(x):
+    """One CSV or manifest cell: exact fractions as p/q, floats by shortest repr."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
+    if isinstance(x, tuple):
+        return " ".join(_csv_cell(c) for c in x)
     return str(x)
 
 
@@ -265,8 +275,6 @@ class _SparseEngine:
 
     def window_mass(self, box, shift=None):
         spec = self.spec
-        if not isinstance(spec, EmbeddedRealLattice):
-            raise ValidationError("window masses require an embedded real lattice")
         sh = spec.embed(shift) if shift is not None else (0.0,) * spec.ambient_dim
         total = self.zero
         flagged = 0
@@ -421,8 +429,6 @@ class _DenseLatticeEngine(_DenseEngine):
 
     def window_mass(self, box, shift=None):
         spec = self.spec
-        if not isinstance(spec, EmbeddedRealLattice):
-            raise ValidationError("window masses require an embedded real lattice")
         emb = self._embed_grid()
         sh = spec.embed(shift) if shift is not None else (0.0,) * spec.ambient_dim
         marg = self.W.sum(axis=0)
@@ -465,9 +471,6 @@ class _DenseHeisEngine(_DenseEngine):
         self.W, self._buf = _kernels.heis_step(self.W, self._buf, self.rec.P, self.incs,
                                                self.tgt, self.wts, self.oy, act)
         self.n += 1
-
-    def window_mass(self, box, shift=None):
-        raise ValidationError("window masses require an embedded real lattice")
 
 
 def _make_engine(rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
@@ -686,9 +689,7 @@ def window_mass(system, cocycle, E, n, g_shift=None, mode="float", strict=False,
     in strict mode a flagged atom raises instead.
     """
     spec = cocycle.spec
-    if not isinstance(spec, EmbeddedRealLattice):
-        raise ValidationError("window experiments require an embedded real lattice")
-    box = _as_box(E, spec.ambient_dim)
+    box = _as_box(E, spec)
     eng = _make_engine(walk_recursion(system, cocycle, mode), n, **kw)
     for _ in range(n):
         eng.step_once()
@@ -718,9 +719,7 @@ def window_pair_ratios(system, cocycle, E, shifts, n, mode="float", **kw) -> Win
     with its worst deviation.
     """
     spec = cocycle.spec
-    if not isinstance(spec, EmbeddedRealLattice):
-        raise ValidationError("window experiments require an embedded real lattice")
-    box = _as_box(E, spec.ambient_dim)
+    box = _as_box(E, spec)
     shifts = [tuple(s) for s in shifts]
     eng = _make_engine(walk_recursion(system, cocycle, mode), n, **kw)
     for _ in range(n):
@@ -758,10 +757,8 @@ class StoneReport:
 def stone_ratio(system, cocycle, E, A, n, mode="float", **kw) -> StoneReport:
     """Window-mass ratio against the Lebesgue volume ratio |E|/|A|."""
     spec = cocycle.spec
-    if not isinstance(spec, EmbeddedRealLattice):
-        raise ValidationError("window experiments require an embedded real lattice")
-    boxE = _as_box(E, spec.ambient_dim)
-    boxA = _as_box(A, spec.ambient_dim)
+    boxE = _as_box(E, spec)
+    boxA = _as_box(A, spec)
     eng = _make_engine(walk_recursion(system, cocycle, mode), n, **kw)
     for _ in range(n):
         eng.step_once()
@@ -863,10 +860,8 @@ def check_condition_C(system, cocycle, E, g, n0, n1, n, mode="float",
     if not (1 <= n0 <= n1 < n):
         raise ValidationError("need 1 <= n0 <= n1 < n")
     spec = cocycle.spec
-    if not isinstance(spec, EmbeddedRealLattice):
-        raise ValidationError("window experiments require an embedded real lattice")
     g = tuple(g)
-    box = _as_box(E, spec.ambient_dim)
+    box = _as_box(E, spec)
     total_cyls = sum(system.m ** k for k in range(n0, n1 + 1))
     if total_cyls > max_cylinders:
         raise ResourceLimitError(f"{total_cyls} cylinders exceed the cap {max_cylinders}")
@@ -917,12 +912,10 @@ def check_condition_CM(system, cocycle, a_word, F, A, E, g, n, mode="float",
     RHS = mu(a) * vol(F) * (vol(A)/vol(E)) * mu^n(E + g).
     """
     spec = cocycle.spec
-    if not isinstance(spec, EmbeddedRealLattice):
-        raise ValidationError("window experiments require an embedded real lattice")
     g = tuple(g)
-    boxF = _as_box(F, spec.ambient_dim)
-    boxA = _as_box(A, spec.ambient_dim)
-    boxE = _as_box(E, spec.ambient_dim)
+    boxF = _as_box(F, spec)
+    boxA = _as_box(A, spec)
+    boxE = _as_box(E, spec)
     k = len(a_word)
     if not 1 <= k < n:
         raise ValidationError("cylinder length must be in [1, n)")

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmwalk import cli
+from gmwalk import cli, walkdist
 from gmwalk.errors import ValidationError
 
 TRINOMIAL_RATIO = """
@@ -103,6 +104,49 @@ kind = frobnicate
     msgs = "\n".join(exc.value.errors)
     assert "unknown key" in msgs
     assert "unknown experiment kind" in msgs
+
+
+def test_parse_names_each_bad_key_and_keeps_going():
+    cfg = TRINOMIAL_RATIO.replace("kind = ratio\ng = 0\nn_grid = 4 8 16",
+                                  "kind = cross-ratio\nn = abc")
+    with pytest.raises(ValidationError) as exc:
+        cli.parse_config(cfg)
+    msgs = exc.value.errors
+    assert any("'n'" in e and "abc" in e for e in msgs)
+    assert any("requires 'g'" in e for e in msgs)
+
+
+def test_oracle_compare_refuses_n_max_above_cap(tmp_path):
+    cfg = TRINOMIAL_RATIO.replace("kind = ratio\ng = 0\nn_grid = 4 8 16",
+                                  "kind = oracle-compare\nn_max = 12")
+    with pytest.raises(ValidationError) as exc:
+        cli.parse_config(cfg)
+    assert any("'n_max' up to 10" in e for e in exc.value.errors)
+    code = cli.main(["oracle-compare", "--config", _write(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert cli.parse_config(cfg.replace("n_max = 12", "n_max = 10")).params["n_max"] == 10
+
+
+def test_experiment_keys_come_from_the_registry():
+    assert cli.KINDS == tuple(cli.EXPERIMENTS)
+    assert cli._KNOWN_KEYS["experiment"] == {
+        "kind", "g", "n", "n_grid", "n_max", "n0", "n1", "stride", "e", "a_box",
+        "f_box", "eta", "resolution", "epsilon", "grid", "k_max", "variant",
+        "base", "cylinder", "max_cells",
+    }
+    assert set(cli._PARAM_PARSERS) == cli._KNOWN_KEYS["experiment"] - {"kind"}
+
+
+def test_readme_kind_table_and_shipped_configs():
+    repo = Path(__file__).resolve().parents[1]
+    readme = (repo / "README.md").read_text()
+    listed = re.findall(r"^\| `([a-z-]+)` \|", readme, re.M)
+    assert listed == list(cli.KINDS)
+    configs = sorted((repo / "configs").glob("*.cfg"))
+    assert configs
+    for path in configs:
+        assert cli.parse_config(path.read_text()).kind in cli.KINDS
 
 
 def test_subcommand_kind_conflict():
@@ -346,7 +390,8 @@ def test_numpy_scalars_written_as_numbers(tmp_path):
     assert len(csv.splitlines()) == 17
     for line in csv.splitlines()[1:]:
         [float(c) for c in line.split(",")]
-    assert cli._fmt(np.float64(0.25)) == "0.25" and cli._fmt(np.int64(-3)) == "-3"
+    assert walkdist._csv_cell(np.float64(0.25)) == "0.25"
+    assert walkdist._csv_cell(np.int64(-3)) == "-3"
 
 
 def test_import_does_not_load_scipy():

@@ -12,21 +12,20 @@ from gmwalk.gm_system import (
     check_aperiodicity_algebraic,
     check_symmetry,
     cylinder_mass,
-    stationary_measure,
 )
 from gmwalk.groups import EmbeddedRealLattice, IntegerLattice
 
 
 def test_stationary_uniform_bernoulli():
     sys_ = GibbsMarkovSystem.bernoulli([Fraction(1, 3)] * 3)
-    assert stationary_measure(sys_) == (Fraction(1, 3),) * 3
+    assert sys_.pi == (Fraction(1, 3),) * 3
 
 
 def test_stationary_two_state_markov():
     sys_ = GibbsMarkovSystem.markov(
         [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 4), Fraction(3, 4)]]
     )
-    assert stationary_measure(sys_) == (Fraction(1, 3), Fraction(2, 3))
+    assert sys_.pi == (Fraction(1, 3), Fraction(2, 3))
 
 
 def test_stationary_doubly_stochastic_is_uniform():
@@ -36,7 +35,7 @@ def test_stationary_doubly_stochastic_is_uniform():
         [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)],
     ]
     sys_ = GibbsMarkovSystem.markov(rows)
-    assert stationary_measure(sys_) == (Fraction(1, 3),) * 3
+    assert sys_.pi == (Fraction(1, 3),) * 3
 
 
 def test_validation_collects_problems():
@@ -54,7 +53,7 @@ def test_validation_collects_problems():
 def test_cylinder_mass_examples():
     sys_ = GibbsMarkovSystem.bernoulli([Fraction(1, 3)] * 3)
     assert cylinder_mass(sys_, (0, 1)) == Fraction(1, 9)
-    assert cylinder_mass(sys_, (2,)) == stationary_measure(sys_)[2]
+    assert cylinder_mass(sys_, (2,)) == sys_.pi[2]
     total = sum(cylinder_mass(sys_, w) for w in itertools.product(range(3), repeat=4))
     assert total == 1
     with pytest.raises(ValidationError):

@@ -175,10 +175,26 @@ def test_window_mass_examples():
     assert got == pytest.approx(expected, abs=1e-14)
 
 
-def test_window_requires_embedded_lattice():
-    sys_, coc, _ = presets.trinomial()
-    with pytest.raises(ValidationError):
-        walkdist.window_mass(sys_, coc, (-1.0, 1.0), 3)
+_WINDOW_OPS = {
+    "window_mass": lambda s, c, E, g, mode: walkdist.window_mass(s, c, E, 3, mode=mode),
+    "window_pair_ratios": lambda s, c, E, g, mode: walkdist.window_pair_ratios(
+        s, c, E, [g], 3, mode=mode),
+    "stone_ratio": lambda s, c, E, g, mode: walkdist.stone_ratio(s, c, E, E, 3, mode=mode),
+    "check_condition_C": lambda s, c, E, g, mode: walkdist.check_condition_C(
+        s, c, E, g, 1, 1, 3, mode=mode),
+    "check_condition_CM": lambda s, c, E, g, mode: walkdist.check_condition_CM(
+        s, c, (0,), E, E, E, g, 3, mode=mode),
+}
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize("preset", ["trinomial", "heisenberg_symmetric"])
+@pytest.mark.parametrize("op", sorted(_WINDOW_OPS))
+def test_window_requires_embedded_lattice(op, preset, mode):
+    sys_, coc, _ = presets.ALL_EXAMPLES[preset]()
+    E = ((-1.0, 1.0),) * coc.spec.key_size
+    with pytest.raises(ValidationError, match="embedded real lattice"):
+        _WINDOW_OPS[op](sys_, coc, E, coc.spec.identity(), mode)
 
 
 def test_window_boundary_atom_flagged_and_strict():
