@@ -14,10 +14,13 @@ M goes into the spare buffer and the new table overwrites W; without P the
 new table is written into the spare buffer.  A shift of weight 1.0 adds M
 without multiplying, which gives the same floats.
 
-A step reads and clears only the region ``act`` of the box; W and the spare
-buffer must be zero outside it.  Engines pass the box that holds every
-product of as many atoms as steps taken so far, which only grows, so both
-hold; the cells skipped would only have added zeros.
+A step reads, mixes and clears only the region ``act`` of the box; W and
+the spare buffer must be zero outside it.  Engines pass the box that holds
+every product of as many atoms as steps taken so far, which only grows, so
+both hold; the cells skipped would only have added zeros.  P^T W is taken
+on a strided view of the flat columns covering ``act`` (its x-slab in the
+Heisenberg layout), bitwise as over the whole box; a one-column view would
+go to gemv, which rounds differently from gemm, so it is widened to two.
 
 Layout conventions:
 
@@ -37,13 +40,18 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def _start(W, spare, P, region):
-    # (M, table the shifts add into, zeroed over the region)
+def _start(W, spare, P, region, cols):
+    # (M, table the shifts add into, zeroed over the region); M = P^T W on cols
     if P is None:
         spare[region] = 0.0
         return W, spare
     S = W.shape[0]
-    np.matmul(P.T, W.reshape(S, -1), out=spare.reshape(S, -1))
+    L = W.size // S
+    a, b = cols
+    if b - a < 2:
+        a = max(0, min(a, L - 2))
+        b = min(a + 2, L)
+    np.matmul(P.T, W.reshape(S, L)[:, a:b], out=spare.reshape(S, L)[:, a:b])
     W[region] = 0.0
     return spare, W
 
@@ -54,7 +62,7 @@ def lattice_step(W, spare, P, offs, tgt, wts, act):
     ``act`` = (a, b) is the flat range of source cells i that may be nonzero.
     """
     a, b = act
-    M, out = _start(W, spare, P, np.s_[:, a:b])
+    M, out = _start(W, spare, P, np.s_[:, a:b], act)
     L = W.shape[1]
     for off, s2, w in zip(offs.tolist(), tgt.tolist(), wts.tolist()):
         lo = max(-off if off < 0 else 0, a)
@@ -72,8 +80,8 @@ def heis_step(W, spare, P, incs, tgt, wts, oy, act):
     be nonzero.
     """
     (x0, x1), (y0, y1), (z0, z1) = act
-    M, out = _start(W, spare, P, np.s_[:, x0:x1, y0:y1, z0:z1])
     _, Nx, Ny, Nz = W.shape
+    M, out = _start(W, spare, P, np.s_[:, x0:x1, y0:y1, z0:z1], (x0 * Ny * Nz, x1 * Ny * Nz))
     for (a, b, c), s2, w in zip(incs.tolist(), tgt.tolist(), wts.tolist()):
         src, dst = M[s2], out[s2]
         xlo = max(-a if a < 0 else 0, x0)

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _kernels, oracle, pressure, spectral, walkdist
-from .errors import ResourceLimitError, ValidationError
+from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .gm_system import Cocycle, GibbsMarkovSystem, SymmetryInvolution
 from .groups import (
     DirectProduct,
@@ -146,8 +146,12 @@ def _parse_group(text, basis_text, errors):
         rows = [r for r in basis_text.split(";") if r.strip()]
         basis = []
         for r in rows:
-            basis.append(tuple(_parse_number(p) for p in re.split(r"[,\s]+", r.strip()) if p))
-        return EmbeddedRealLattice(basis)
+            try:
+                basis.append(tuple(_parse_number(p) for p in re.split(r"[,\s]+", r.strip())
+                                   if p))
+            except (ValueError, ZeroDivisionError) as exc:
+                errors.append(f"cocycle key 'basis' = {basis_text!r}: {exc}")
+        return EmbeddedRealLattice(basis) if len(basis) == len(rows) else None
     m = re.fullmatch(r"product\((.+)\)", text)
     if m:
         depth = 0
@@ -342,6 +346,11 @@ def run(config: ExperimentConfig, out_dir=None):
         _write_manifest(out / "manifest.txt", config, 3, time.perf_counter() - t0,
                         error=f"{exc} (completed={exc.completed})")
         return 3, [out / "manifest.txt"]
+    except ConsistencyError as exc:
+        # a hypothesis the statistic needs fails: a labelled check failed
+        _write_manifest(out / "manifest.txt", config, 1, time.perf_counter() - t0,
+                        error=str(exc))
+        return 1, [out / "manifest.txt"]
     csv_path = out / f"{config.kind.replace('-', '_')}.csv"
     walkdist._write_csv(csv_path, header, rows)
     artifacts.append(csv_path)

@@ -358,17 +358,26 @@ def fekete_limit(a_seq, log_c, ns=None, slack=1e-9, upper=math.inf) -> FeketeBra
     collected and reported); each index then gives the rigorous lower bound
     (a_p + log_c)/p for the limit of a_n/n, and the largest index gives the
     running estimate.  An a-priori upper bound (e.g. 0 for log-masses) closes
-    the bracket from above.
+    the bracket from above.  The pair scan compares (a_n + a_m) + log_c - slack
+    in that order, in float64, and lists violations in (n, m) row-major order.
     """
     if ns is None:
         ns = list(range(1, len(a_seq) + 1))
     vals = dict(zip(ns, a_seq))
+    keys = np.array(sorted(vals))
+    at_key = np.array([vals[k] for k in keys.tolist()], dtype=float)
+    n_arr = np.array(ns)
+    v = np.array([vals[n] for n in ns], dtype=float)
     violations = []
-    for n in ns:
-        for m in ns:
-            if n + m in vals:
-                if vals[n + m] < vals[n] + vals[m] + log_c - slack:
-                    violations.append((n, m, vals[n + m], vals[n] + vals[m] + log_c))
+    block = max(1, 65536 // max(1, len(ns)))    # pair rows per pass: bounded temporaries
+    for i0 in range(0, len(ns), block):
+        nm = n_arr[i0:i0 + block, None] + n_arr[None, :]
+        pos = np.minimum(np.searchsorted(keys, nm), len(keys) - 1)
+        lhs = at_key[pos]
+        rhs = (v[i0:i0 + block, None] + v[None, :]) + log_c
+        rows, cols = np.nonzero((keys[pos] == nm) & (lhs < rhs - slack))
+        violations += [(ns[i0 + i], ns[j], float(lhs[i, j]), float(rhs[i, j]))
+                       for i, j in zip(rows.tolist(), cols.tolist())]
     lower = max((vals[p] + log_c) / p for p in ns)
     top = max(ns)
     return FeketeBracket(lower, vals[top] / top, not violations, violations, upper)

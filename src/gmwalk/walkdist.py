@@ -6,7 +6,9 @@ product: after emitting symbol s' from state s,
     W_{n+1}(s', v(s') * g) += W_n(s, g) * p(s -> s').
 
 The same recursion with one state and one shift per atom is the convolution
-power of a measure; ``Recursion`` holds either form.  Dense float engines
+power of a measure; ``Recursion`` holds either form.  Statistics of the
+group marginal alone step ``marginal_recursion``, which for a Bernoulli
+system is the one-step law with one state instead of m.  Dense float engines
 (stride-indexed boxes) are selected automatically for integer-lattice and
 embedded-lattice targets and for the Heisenberg group; everything else, and
 all exact-rational work, runs on hash-keyed sparse tables.  No mass is ever
@@ -162,8 +164,8 @@ class Recursion:
         one = Fraction(1) if self.mode == "rational" else 1.0
         if entry is not None:
             return {(int(entry[0]), tuple(entry[1])): one}
-        if state is not None:
-            return {(int(state), self.spec.identity()): one}
+        if state is not None:   # one state: a Bernoulli group marginal ignores the state
+            return {(int(state) if self.S > 1 else 0, self.spec.identity()): one}
         return dict(self.init)
 
 
@@ -202,6 +204,13 @@ def one_step_recursion(system, cocycle, mode) -> Recursion:
         g = cocycle.value(s)
         masses[g] = masses.get(g, 0) + pi[s]
     return measure_recursion(cocycle.spec, masses, mode)
+
+
+def marginal_recursion(system, cocycle, mode) -> Recursion:
+    """A recursion whose group marginal is the walk's: one state when Bernoulli."""
+    if system.is_bernoulli:
+        return one_step_recursion(system, cocycle, mode)
+    return walk_recursion(system, cocycle, mode)
 
 
 # ------------------------------------------------------------------ engines
@@ -492,6 +501,14 @@ def _make_engine(rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
     return _SparseEngine(rec, seed_state, seed_entry, max_atoms, prune_eps)
 
 
+def _stepped(rec, n, *args, **kw):
+    """An engine for ``rec`` (``_make_engine`` arguments) after n steps."""
+    eng = _make_engine(rec, n, *args, **kw)
+    for _ in range(n):
+        eng.step_once()
+    return eng
+
+
 # ------------------------------------------------------------- public ops
 
 def zero_table(system, cocycle, mode="rational", seed_state=None) -> MassTable:
@@ -514,11 +531,8 @@ def distribution(system, cocycle, n, mode="rational", seed_state=None,
     """Law of the n-step product (joint with the state), from the step-1 seed."""
     if n < 0:
         raise ValidationError("n must be >= 0")
-    eng = _make_engine(walk_recursion(system, cocycle, mode), n, seed_state, max_cells,
-                       max_atoms, prune_eps)
-    for _ in range(n):
-        eng.step_once()
-    return eng.to_table()
+    return _stepped(walk_recursion(system, cocycle, mode), n, seed_state, max_cells,
+                    max_atoms, prune_eps).to_table()
 
 
 def _trajectory(eng, targets, n_max):
@@ -535,9 +549,10 @@ def mass_trajectory(system, cocycle, targets, n_max, mode="float", seed_state=No
     """Masses at fixed group elements for every n <= n_max (one forward pass).
 
     Returns a list of rows, row n holding the mass of each target at step n.
+    Bernoulli systems step one state row (``marginal_recursion``).
     """
     targets = [tuple(t) for t in targets]
-    eng = _make_engine(walk_recursion(system, cocycle, mode), n_max, seed_state, max_cells,
+    eng = _make_engine(marginal_recursion(system, cocycle, mode), n_max, seed_state, max_cells,
                        max_atoms, prune_eps)
     rows = _trajectory(eng, targets, n_max)
     if _with_dropped:
@@ -547,16 +562,8 @@ def mass_trajectory(system, cocycle, targets, n_max, mode="float", seed_state=No
 
 def return_sequence(system, cocycle, n_max, mode="float", max_cells=DEFAULT_MAX_CELLS,
                     **kw):
-    """Identity-return masses for n = 0..n_max.
-
-    Bernoulli systems factorize into convolution powers of the one-step law,
-    which drops the state dimension from the table.
-    """
+    """Identity-return masses for n = 0..n_max."""
     e = cocycle.spec.identity()
-    if system.is_bernoulli:
-        eng = _make_engine(one_step_recursion(system, cocycle, mode), n_max,
-                           max_cells=max_cells, **kw)
-        return [row[0] for row in _trajectory(eng, [e], n_max)]
     return [row[0] for row in
             mass_trajectory(system, cocycle, [e], n_max, mode, max_cells=max_cells, **kw)]
 
@@ -690,9 +697,7 @@ def window_mass(system, cocycle, E, n, g_shift=None, mode="float", strict=False,
     """
     spec = cocycle.spec
     box = _as_box(E, spec)
-    eng = _make_engine(walk_recursion(system, cocycle, mode), n, **kw)
-    for _ in range(n):
-        eng.step_once()
+    eng = _stepped(marginal_recursion(system, cocycle, mode), n, **kw)
     val, flagged = eng.window_mass(box, tuple(g_shift) if g_shift is not None else None)
     if strict and flagged:
         raise ValidationError(f"{flagged} atoms within {BOUNDARY_ATOL} of the window boundary")
@@ -721,9 +726,7 @@ def window_pair_ratios(system, cocycle, E, shifts, n, mode="float", **kw) -> Win
     spec = cocycle.spec
     box = _as_box(E, spec)
     shifts = [tuple(s) for s in shifts]
-    eng = _make_engine(walk_recursion(system, cocycle, mode), n, **kw)
-    for _ in range(n):
-        eng.step_once()
+    eng = _stepped(marginal_recursion(system, cocycle, mode), n, **kw)
     needed = set(shifts)
     for g in shifts:
         for g1 in shifts:
@@ -759,9 +762,7 @@ def stone_ratio(system, cocycle, E, A, n, mode="float", **kw) -> StoneReport:
     spec = cocycle.spec
     boxE = _as_box(E, spec)
     boxA = _as_box(A, spec)
-    eng = _make_engine(walk_recursion(system, cocycle, mode), n, **kw)
-    for _ in range(n):
-        eng.step_once()
+    eng = _stepped(marginal_recursion(system, cocycle, mode), n, **kw)
     vE, fE = eng.window_mass(boxE)
     vA, fA = eng.window_mass(boxA)
     if vA == 0:
@@ -865,9 +866,7 @@ def check_condition_C(system, cocycle, E, g, n0, n1, n, mode="float",
     total_cyls = sum(system.m ** k for k in range(n0, n1 + 1))
     if total_cyls > max_cylinders:
         raise ResourceLimitError(f"{total_cyls} cylinders exceed the cap {max_cylinders}")
-    eng = _make_engine(walk_recursion(system, cocycle, mode), n, **kw)
-    for _ in range(n):
-        eng.step_once()
+    eng = _stepped(marginal_recursion(system, cocycle, mode), n, **kw)
     target, _ = eng.window_mass(box, g)
     target = float(target)
     # group cylinders by their last symbol: one seeded engine per state,
@@ -882,7 +881,7 @@ def check_condition_C(system, cocycle, E, g, n0, n1, n, mode="float",
     table = []
     worst = {}
     for s, items in by_state.items():
-        eng_s = _make_engine(walk_recursion(system, cocycle, mode), n - n0, seed_state=s,
+        eng_s = _make_engine(marginal_recursion(system, cocycle, mode), n - n0, seed_state=s,
                              **kw)
         for j in range(1, n - n0 + 1):
             eng_s.step_once()
@@ -922,10 +921,8 @@ def check_condition_CM(system, cocycle, a_word, F, A, E, g, n, mode="float",
     mu_a = cylinder_mass(system, a_word, mode="float")
     psi_a = cocycle.word_value(a_word)
     emb_a = spec.embed(psi_a)
-    eng_s = _make_engine(walk_recursion(system, cocycle, mode), n - k,
-                         seed_state=a_word[-1], **kw)
-    for _ in range(n - k):
-        eng_s.step_once()
+    eng_s = _stepped(marginal_recursion(system, cocycle, mode), n - k,
+                     seed_state=a_word[-1], **kw)
     # vectorized overlap volumes over the seeded engine's support
     if isinstance(eng_s, _DenseLatticeEngine):
         emb = eng_s._embed_grid()
@@ -944,9 +941,7 @@ def check_condition_CM(system, cocycle, a_word, F, A, E, g, n, mode="float",
             for j, ((flo, fhi), (alo, ahi)) in enumerate(zip(boxF, boxA)):
                 v *= max(0.0, min(fhi, ahi - x[j]) - max(flo, alo - x[j]))
             lhs += mu_a * float(w) * v
-    eng = _make_engine(walk_recursion(system, cocycle, mode), n, **kw)
-    for _ in range(n):
-        eng.step_once()
+    eng = _stepped(marginal_recursion(system, cocycle, mode), n, **kw)
     muE, _fl = eng.window_mass(boxE, g)
     rhs = mu_a * box_volume(boxF) * (box_volume(boxA) / box_volume(boxE)) * float(muE)
     ratio = lhs / rhs if rhs > 0 else math.inf
@@ -984,7 +979,10 @@ def finite_group_mixing(system, cocycle, n_max, mode="float") -> MixingReport:
     ap = check_aperiodicity_algebraic(system, cocycle)
     elements = spec.elements()
     uniform = 1.0 / spec.order
-    traj = mass_trajectory(system, cocycle, elements, n_max, mode)
+    # the m-state walk: the deviations subtract 1/|G| from masses near it,
+    # so the rounding of the group marginal shows
+    traj = _trajectory(_make_engine(walk_recursion(system, cocycle, mode), n_max), elements,
+                       n_max)
     ns = list(range(1, n_max + 1))
     devs = []
     for n in ns:

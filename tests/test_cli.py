@@ -394,6 +394,43 @@ def test_numpy_scalars_written_as_numbers(tmp_path):
     assert walkdist._csv_cell(np.int64(-3)) == "-3"
 
 
+def test_consistency_error_exits_one_with_manifest(tmp_path):
+    # +-1 steps on a two-state chain: the twisted eigenvalue at pi is not real
+    cfg = MARKOV_SCAN.replace("kind = spectral-scan\nresolution = 16\nepsilon = 0.1",
+                              "kind = local-limit\ng = 1\nn_grid = 20 40")
+    code = cli.main(["local-limit", "--config", _write(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    assert "run.exit_code = 1" in manifest
+    assert re.search(r"^run\.error = .*symmetry hypothesis fails", manifest, re.M)
+
+
+def test_bad_basis_is_a_config_error(tmp_path, capsys):
+    cfg = """
+[system]
+alphabet = 2
+order = 0
+weights = 1/2 1/2
+
+[cocycle]
+group = embedded
+basis = 1/0
+values = 1; -1
+
+[experiment]
+kind = window
+e = -1 1
+n = 2
+"""
+    code = cli.main(["window", "--config", _write(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: cocycle key 'basis' = '1/0': " in capsys.readouterr().err
+    # a config that does not parse writes no manifest
+    assert not (tmp_path / "out").exists()
+
+
 def test_import_does_not_load_scipy():
     code = "import sys, gmwalk.cli, gmwalk.presets; assert 'scipy' not in sys.modules"
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -1,8 +1,10 @@
 """Both kernels against a naive per-cell loop of the recursion they implement.
 
-Every input is dyadic (small multiples of powers of two), so every product
+Most inputs are dyadic (small multiples of powers of two), so every product
 and partial sum is exact in float64 and the kernels must match the loop with
-``==`` whatever order they add in.
+``==`` whatever order they add in.  The active-range tests use random inputs
+against one BLAS product over the whole box, which the kernels' product over
+the active range must match bit for bit, so they see any change of rounding.
 """
 
 import numpy as np
@@ -28,8 +30,13 @@ def _mixed_reference(W, P):
     return M
 
 
-def _lattice_reference(W, P, offs, tgt, wts):
-    M = _mixed_reference(W, P)
+def _whole_box_mixed(W, P):
+    S = W.shape[0]
+    return np.matmul(P.T, W.reshape(S, -1)).reshape(W.shape)
+
+
+def _lattice_reference(W, P, offs, tgt, wts, mix=_mixed_reference):
+    M = mix(W, P)
     out = np.zeros_like(W)
     L = W.shape[1]
     for off, t, w in zip(offs, tgt, wts):
@@ -39,8 +46,8 @@ def _lattice_reference(W, P, offs, tgt, wts):
     return out
 
 
-def _heis_reference(W, P, incs, tgt, wts, oy):
-    M = _mixed_reference(W, P)
+def _heis_reference(W, P, incs, tgt, wts, oy, mix=_mixed_reference):
+    M = mix(W, P)
     out = np.zeros_like(W)
     _, Nx, Ny, Nz = W.shape
     for (a, b, c), t, w in zip(incs, tgt, wts):
@@ -87,6 +94,46 @@ def test_heis_step_matches_reference(rec):
     spare[:, 2:7, 2:7, 9:16] = 7.0
     new, _ = _kernels.heis_step(W, spare, rec["P"], incs, rec["tgt"], rec["wts"], oy,
                                 ((2, 7), (2, 7), (9, 16)))
+    assert np.array_equal(new, want)
+
+
+def _random_walk(S, gen):
+    P = gen.random((S, S))
+    return P / P.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("S", [2, 4])
+@pytest.mark.parametrize("act", [(30, 31), (4095, 4096), (30, 32), (7, 3907)],
+                         ids=["one_col", "one_col_at_edge", "two_cols", "many_cols"])
+def test_lattice_mixing_over_active_range_is_bitwise_whole_box(S, act):
+    L = 4096
+    gen = np.random.default_rng(S)
+    P = _random_walk(S, gen)
+    offs = np.array([-3, 1, 0, 2][:S], dtype=np.int64)
+    tgt = np.arange(S)
+    wts = np.ones(S)
+    W = np.zeros((S, L))
+    W[:, act[0]:act[1]] = gen.random((S, act[1] - act[0]))
+    want = _lattice_reference(W, P, offs, tgt, wts, mix=_whole_box_mixed)
+    new, _ = _kernels.lattice_step(W, np.zeros_like(W), P, offs, tgt, wts, act)
+    assert np.array_equal(new, want)
+
+
+@pytest.mark.parametrize("S", [2, 4])
+@pytest.mark.parametrize("xs", [(4, 5), (4, 6), (1, 8)],
+                         ids=["one_slab", "two_slabs", "many_slabs"])
+def test_heis_mixing_over_active_slab_is_bitwise_whole_box(S, xs):
+    Nx, Ny, Nz, oy = 9, 7, 21, 3
+    gen = np.random.default_rng(S)
+    P = _random_walk(S, gen)
+    incs = np.array([[1, 0, 0], [0, -1, 1], [-1, 1, -2], [0, 1, 0]][:S], dtype=np.int64)
+    tgt = np.arange(S)
+    wts = np.ones(S)
+    act = (xs, (1, 6), (5, 16))
+    W = np.zeros((S, Nx, Ny, Nz))
+    W[:, xs[0]:xs[1], 1:6, 5:16] = gen.random((S, xs[1] - xs[0], 5, 11))
+    want = _heis_reference(W, P, incs, tgt, wts, oy, mix=_whole_box_mixed)
+    new, _ = _kernels.heis_step(W, np.zeros_like(W), P, incs, tgt, wts, oy, act)
     assert np.array_equal(new, want)
 
 

@@ -254,6 +254,30 @@ def test_fekete_limit_examples():
     assert not br2.holds and br2.violations
 
 
+def _fekete_pairs_loop(a_seq, log_c, ns, slack=1e-9):
+    # the scalar pair scan the vectorised one must reproduce bit for bit
+    vals = dict(zip(ns, a_seq))
+    return [(n, m, vals[n + m], vals[n] + vals[m] + log_c)
+            for n in ns for m in ns
+            if n + m in vals and vals[n + m] < vals[n] + vals[m] + log_c - slack]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fekete_limit_matches_pair_loop(seed):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 400))
+    ns = list(range(1, size + 1))
+    if seed % 2:          # gaps, and an order that is not sorted
+        ns = rng.permutation(np.arange(1, 2 * size + 1))[:size].tolist()
+    seq = [float(-0.3 * n + rng.normal(0.0, 0.5)) for n in ns]
+    log_c = [0.0, -0.7, -2.0 * math.log(1.37)][seed % 3]
+    br = pressure.fekete_limit(seq, log_c, ns)
+    want = _fekete_pairs_loop(seq, log_c, ns)
+    assert want and repr(br.violations) == repr(want)
+    assert br.lower == max((a + log_c) / n for n, a in zip(ns, seq))
+    assert br.estimate == seq[ns.index(max(ns))] / max(ns)
+
+
 def test_fekete_limit_trinomial_returns():
     from gmwalk import walkdist
 

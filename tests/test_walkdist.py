@@ -383,20 +383,89 @@ def _close(a, b, rel=1e-13):
     return abs(a - b) <= rel * max(abs(a), abs(b))
 
 
+def _agree(got, want, mode):
+    # exact in rational mode, 1e-13 relative in float mode
+    if mode == "rational":
+        return got == want
+    return len(got) == len(want) and all(_close(a, b) for a, b in zip(got, want))
+
+
+def _walk_trajectory(sys_, coc, targets, n, mode, seed_state=None):
+    # the m-state walk, stepped here
+    eng = walkdist._make_engine(walkdist.walk_recursion(sys_, coc, mode), n, seed_state)
+    return walkdist._trajectory(eng, targets, n)
+
+
 @pytest.mark.parametrize("name", sorted(n for n, mk in presets.ALL_EXAMPLES.items()
                                         if mk()[0].is_bernoulli))
 def test_one_state_and_m_state_recursions_agree(name):
-    # return_sequence steps the one-step law (S = 1); mass_trajectory steps
-    # the walk with its m states
+    # return_sequence steps the one-step law (S = 1); the walk has m states
     sys_, coc, _ = presets.ALL_EXAMPLES[name]()
     e = coc.spec.identity()
     n = 12 if isinstance(coc.spec, HeisenbergZ) else 30
-    exact = walkdist.return_sequence(sys_, coc, n, mode="rational")
-    assert exact == [row[0] for row in walkdist.mass_trajectory(sys_, coc, [e], n, "rational")]
-    fast = walkdist.return_sequence(sys_, coc, n, mode="float")
-    walk = [row[0] for row in walkdist.mass_trajectory(sys_, coc, [e], n, "float")]
-    assert all(_close(a, b) for a, b in zip(fast, walk))
-    assert len(fast) == len(walk) == n + 1
+    for mode in ("rational", "float"):
+        fast = walkdist.return_sequence(sys_, coc, n, mode=mode)
+        walk = [row[0] for row in _walk_trajectory(sys_, coc, [e], n, mode)]
+        assert len(fast) == n + 1
+        assert _agree(fast, walk, mode)
+
+
+BERNOULLI_LATTICES = ["asymmetric_z", "embedded4", "trinomial", "z2_lattice"]
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize("name", BERNOULLI_LATTICES)
+def test_one_state_mass_trajectory_matches_walk(name, mode):
+    sys_, coc, _ = presets.ALL_EXAMPLES[name]()
+    spec = coc.spec
+    steps = [coc.value(s) for s in range(sys_.m)]
+    targets = [spec.identity()] + steps + [spec.multiply(steps[0], steps[-1])]
+    n = 40 if mode == "float" else 16
+    for seed in [None] + list(range(sys_.m)):
+        got = walkdist.mass_trajectory(sys_, coc, targets, n, mode, seed_state=seed)
+        want = _walk_trajectory(sys_, coc, targets, n, mode, seed)
+        assert _agree(sum(got, []), sum(want, []), mode), seed
+
+
+def _pair_ratios(s, c, mode):
+    rep = walkdist.window_pair_ratios(s, c, (-1.0, 1.0), [(0, 0), (1, 0), (1, -1)], 16,
+                                      mode=mode)
+    return [r for _, _, r in rep.pairs]
+
+
+def _condition_values(rep):
+    return [x for row in rep.table for x in row[2:4]]
+
+
+# statistic -> (preset, the masses and ratios it reports); windows need embedded4
+_ONE_STATE_STATS = {
+    "stone_ratio": ("embedded4", lambda s, c, mode: [
+        walkdist.stone_ratio(s, c, (-1.0, 1.0), (-2.0, 2.0), 16, mode=mode).ratio]),
+    "window_pair_ratios": ("embedded4", _pair_ratios),
+    "check_condition_C": ("embedded4", lambda s, c, mode: _condition_values(
+        walkdist.check_condition_C(s, c, (-1.5, 1.5), (1, 0), 1, 2, 14, mode=mode))),
+    "check_condition_CM": ("embedded4", lambda s, c, mode: _condition_values(
+        walkdist.check_condition_CM(s, c, (0, 2), (-0.5, 0.5), (-1.0, 1.0), (-1.0, 1.0),
+                                    (0, 0), 14, mode=mode))),
+    **{f"check_condition_D-{name}": (name, lambda s, c, mode: _condition_values(
+        walkdist.check_condition_D(s, c, c.value(0), 1, 2, 14, mode=mode)))
+       for name in BERNOULLI_LATTICES},
+}
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize("stat", sorted(_ONE_STATE_STATS))
+def test_one_state_statistics_match_walk(stat, mode, monkeypatch):
+    name, run = _ONE_STATE_STATS[stat]
+    sys_, coc, _ = presets.ALL_EXAMPLES[name]()
+    got = run(sys_, coc, mode)
+    with monkeypatch.context() as m:
+        # the same statistic on the walk with its m state rows
+        m.setattr(walkdist, "marginal_recursion", walkdist.walk_recursion)
+        want = run(sys_, coc, mode)
+    assert got and len(got) == len(want)
+    # CM sums float products atom by atom in both modes, so rounding shows
+    assert _agree(got, want, "float" if stat == "check_condition_CM" else mode)
 
 
 @pytest.mark.parametrize("name", sorted(n for n, mk in presets.ALL_EXAMPLES.items()
