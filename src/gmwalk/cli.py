@@ -299,7 +299,7 @@ def _parse_params(kind, sec, cocycle, errors):
     if exp is None:
         return p
 
-    needs = exp.needs
+    needs, reads = exp.needs, exp.reads
     if exp.variants:
         variant = p.get("variant", next(iter(exp.variants))).upper()
         p["variant"] = variant
@@ -308,8 +308,13 @@ def _parse_params(kind, sec, cocycle, errors):
         else:
             errors.append(f"{kind} variant must be one of {', '.join(exp.variants)}, "
                           f"got {variant!r}")
+            reads += sum(exp.variants.values(), ())
+    used = _keys(needs + reads)
+    # a key the kind would ignore is refused rather than silently dropped
+    known = used | set(exp.defaults) | set(exp.caps) | {"kind"}
+    errors.extend(f"experiment kind {kind!r} does not read {key!r}"
+                  for key in sec if key not in known)
     # a window the kind reads (required, or optional and given) needs real coordinates
-    used = _keys(needs + exp.reads)
     windowed = any(k in needs or (k in sec and k in used) for k in _BOX_KEYS)
     embedded = cocycle is not None and isinstance(cocycle.spec, EmbeddedRealLattice)
     if windowed and not embedded:
@@ -510,7 +515,8 @@ class Experiment:
 
     ``run(config, params, kw)`` returns (exit code, CSV rows, CSV header,
     manifest results); ``kw`` holds ``max_cells`` when the config sets it.
-    ``needs`` are required keys ("g|e": either one), ``reads`` optional ones.
+    ``needs`` are required keys ("g|e": either one), ``reads`` optional ones;
+    a key outside both (and outside the defaults and caps) is a config error.
     ``variants`` maps each ``variant`` (upper case; the first is the default)
     to the keys it needs on top.  ``caps`` bounds integer keys.
     """
@@ -523,12 +529,15 @@ class Experiment:
     caps: dict = field(default_factory=dict)
 
 
+# the dense-cell guard, read by the kinds whose runners pass it on
+_GUARD = ("max_cells",)
+
 EXPERIMENTS = {
-    "ratio": Experiment(_run_ratio, needs=("g", "n_grid"), reads=("stride",)),
-    "cross-ratio": Experiment(_run_cross_ratio, needs=("g", "n")),
-    "stone": Experiment(_run_stone, needs=("e", "a_box", "n")),
-    "window": Experiment(_run_window, needs=("e", "n"), reads=("g",)),
-    "conditions": Experiment(_run_conditions, needs=("g", "n"), reads=("variant",),
+    "ratio": Experiment(_run_ratio, needs=("g", "n_grid"), reads=("stride",) + _GUARD),
+    "cross-ratio": Experiment(_run_cross_ratio, needs=("g", "n"), reads=_GUARD),
+    "stone": Experiment(_run_stone, needs=("e", "a_box", "n"), reads=_GUARD),
+    "window": Experiment(_run_window, needs=("e", "n"), reads=("g",) + _GUARD),
+    "conditions": Experiment(_run_conditions, needs=("g", "n"), reads=("variant",) + _GUARD,
                              variants={"D": ("n0", "n1"), "C": ("n0", "n1", "e"),
                                        "CM": ("cylinder", "f_box", "a_box", "e")}),
     "spectral-scan": Experiment(_run_spectral_scan,
@@ -537,10 +546,10 @@ EXPERIMENTS = {
     "local-limit": Experiment(_run_local_limit, needs=("n_grid", "g|e"),
                               defaults={"eta": 0.5}),
     "mixing": Experiment(_run_mixing, needs=("n_max",)),
-    "pressure": Experiment(_run_pressure, needs=("n_max",),
+    "pressure": Experiment(_run_pressure, needs=("n_max",), reads=_GUARD,
                            defaults={"variant": "extension", "base": 0}),
-    "kesten": Experiment(_run_kesten, reads=("stride",), defaults={"k_max": 30}),
-    "fekete": Experiment(_run_fekete, needs=("n_max",)),
+    "kesten": Experiment(_run_kesten, reads=("stride",) + _GUARD, defaults={"k_max": 30}),
+    "fekete": Experiment(_run_fekete, needs=("n_max",), reads=_GUARD),
     # the oracle enumerates m^n words at depth n
     "oracle-compare": Experiment(_run_oracle_compare, defaults={"n_max": 8},
                                  caps={"n_max": 10}),
@@ -551,7 +560,7 @@ KINDS = tuple(EXPERIMENTS)
 _KNOWN_KEYS = {
     "system": {"alphabet", "order", "weights", "mode"},
     "cocycle": {"group", "values", "involution", "basis"},
-    "experiment": {"kind", "max_cells"}.union(*(
+    "experiment": {"kind"}.union(*(
         _keys(e.needs + e.reads + sum(e.variants.values(), ())) | set(e.defaults) | set(e.caps)
         for e in EXPERIMENTS.values())),
     "output": {"dir"},

@@ -11,9 +11,7 @@ group marginal alone step ``marginal_recursion``, which for a Bernoulli
 system is the one-step law with one state instead of m.  Dense float engines
 (stride-indexed boxes) are selected automatically for integer-lattice and
 embedded-lattice targets and for the Heisenberg group; everything else, and
-all exact-rational work, runs on hash-keyed sparse tables.  No mass is ever
-pruned unless explicitly requested, and pruned mass is tracked and surfaced
-in every derived report.
+all exact-rational work, runs on hash-keyed sparse tables.
 """
 
 from __future__ import annotations
@@ -59,24 +57,53 @@ def box_volume(box):
     return v
 
 
+def _embed(spec, coords):
+    """Real embeddings, ambient axis first, of integer key coordinates (key axis first)."""
+    emb = np.zeros((spec.ambient_dim, len(coords[0])))
+    for i, ci in enumerate(coords):
+        ci = np.asarray(ci, dtype=np.float64)
+        for j in range(spec.ambient_dim):
+            b = spec.basis[i][j]
+            if b:
+                emb[j] += b * ci
+    return emb
+
+
+def _window(view, spec, box, shift=None):
+    """Mass of a group-marginal view inside the open box E + shift, and its flags.
+
+    ``view`` is an engine's ``group_view()``: the real embeddings of its
+    group cells and their masses (exact Fractions in rational mode).  A flag
+    is an occupied group cell within ``BOUNDARY_ATOL`` of a face, counted once
+    whatever states hold its mass and however many faces it is near.
+    """
+    emb, mass = view
+    sh = spec.embed(shift) if shift is not None else (0.0,) * spec.ambient_dim
+    inside = np.ones(mass.shape[0], dtype=bool)
+    near = np.zeros(mass.shape[0], dtype=bool)
+    for j, (lo, hi) in enumerate(box):
+        x = emb[j]
+        inside &= (x > lo + sh[j]) & (x < hi + sh[j])
+        near |= (np.abs(x - (lo + sh[j])) < BOUNDARY_ATOL) | (
+            np.abs(x - (hi + sh[j])) < BOUNDARY_ATOL
+        )
+    return mass[inside].sum(), int(np.count_nonzero(near & (mass > 0)))
+
+
 class MassTable:
     """Finitely supported mass on (state, group element) at step n."""
 
-    def __init__(self, n, mode, spec, data, dropped=0.0):
+    def __init__(self, n, mode, spec, data):
         self.n = n
         self.mode = mode
         self.spec = spec
         self.data = data                # dict[(state, gkey)] -> mass
-        self.dropped = dropped
 
     def total(self):
         return sum(self.data.values())
 
     def group_masses(self):
-        out = {}
-        for (_, g), w in self.data.items():
-            out[g] = out.get(g, 0) + w
-        return out
+        return _group_masses(self.data)
 
     def mass_at(self, g):
         zero = Fraction(0) if self.mode == "rational" else 0.0
@@ -95,6 +122,13 @@ class MassTable:
     def rows(self):
         """(n, key..., mass) rows of the group marginal, sorted by key."""
         return [(self.n,) + g + (w,) for g, w in sorted(self.group_masses().items())]
+
+
+def _group_masses(data):
+    out = {}
+    for (_, g), w in data.items():
+        out[g] = out.get(g, 0) + w
+    return out
 
 
 def write_distribution_csv(table: MassTable, path):
@@ -219,14 +253,12 @@ class _SparseEngine:
     """Dictionary-backed stepping on keys (s, g); exact in rational mode."""
 
     def __init__(self, rec, seed_state=None, seed_entry=None, max_atoms=DEFAULT_MAX_ATOMS,
-                 prune_eps=0.0, data=None, n=0):
+                 data=None, n=0):
         self.rec = rec
         self.spec = rec.spec
         self.mode = rec.mode
         self.max_atoms = max_atoms
-        self.prune_eps = prune_eps
         self.zero = Fraction(0) if rec.mode == "rational" else 0.0
-        self.dropped = self.zero
         self.n = n
         self.data = dict(data) if data is not None else rec.seed(seed_state, seed_entry)
         # per source state: (target, atom, P(s, target) * weight)
@@ -246,14 +278,6 @@ class _SparseEngine:
                 key = (t, mul(a, g))
                 old = get(key)
                 new[key] = w * c if old is None else old + w * c
-        if self.prune_eps:
-            kept = {}
-            for k, w in new.items():
-                if w < self.prune_eps:
-                    self.dropped += w
-                else:
-                    kept[k] = w
-            new = kept
         if len(new) > self.max_atoms:
             raise ResourceLimitError(
                 f"sparse support exceeded {self.max_atoms} atoms", completed=self.n
@@ -276,32 +300,16 @@ class _SparseEngine:
     def joint_mass_at(self, s, g):
         return self.data.get((s, g), self.zero)
 
-    def state_marginal(self):
-        out = [self.zero] * self.rec.S
-        for (s, _), w in self.data.items():
-            out[s] += w
-        return out
-
-    def window_mass(self, box, shift=None):
-        spec = self.spec
-        sh = spec.embed(shift) if shift is not None else (0.0,) * spec.ambient_dim
-        total = self.zero
-        flagged = 0
-        for (_, g), w in self.data.items():
-            emb = spec.embed(g)
-            inside = True
-            for j, (lo, hi) in enumerate(box):
-                x = emb[j]
-                if not (lo + sh[j] < x < hi + sh[j]):
-                    inside = False
-                if min(abs(x - lo - sh[j]), abs(x - hi - sh[j])) < BOUNDARY_ATOL:
-                    flagged += 1
-            if inside:
-                total += w
-        return total, flagged
+    def group_view(self):
+        """Real embeddings and masses of the group marginal's elements, in key order."""
+        marg = _group_masses(self.data)
+        keys = sorted(marg)
+        mass = np.array([marg[g] for g in keys],
+                        dtype=object if self.mode == "rational" else np.float64)
+        return _embed(self.spec, np.array(keys, dtype=np.int64).T), mass
 
     def to_table(self):
-        return MassTable(self.n, self.mode, self.spec, dict(self.data), self.dropped)
+        return MassTable(self.n, self.mode, self.spec, dict(self.data))
 
 
 class _DenseEngine:
@@ -317,7 +325,6 @@ class _DenseEngine:
         self.rec = rec
         self.spec = rec.spec
         self.mode = "float"
-        self.dropped = 0.0
         self.n = 0
         shifts = sorted(rec.shifts)     # a measure's atom order fixes its float sums
         self.atoms = [a for _, a, _ in shifts]
@@ -361,9 +368,6 @@ class _DenseEngine:
             return None
         return tuple(c - l for c, l in zip(g, self.lo))
 
-    def total(self):
-        return float(self.W.sum())
-
     def mass_at(self, g):
         idx = self._cell(g)
         if idx is None:
@@ -376,9 +380,6 @@ class _DenseEngine:
             return 0.0
         return float(self._grid()[(s,) + idx])
 
-    def state_marginal(self):
-        return self.W.reshape(self.rec.S, -1).sum(axis=1).tolist()
-
     def to_table(self):
         grid = self._grid()
         nz = np.nonzero(grid)
@@ -389,7 +390,7 @@ class _DenseEngine:
         keys = (np.stack(nz[1:], axis=1) + np.array(self.lo, dtype=np.int64)).tolist()
         data = {(s, tuple(g)): w
                 for s, g, w in zip(nz[0].tolist(), keys, grid[nz].tolist())}
-        return MassTable(self.n, "float", self.spec, data, self.dropped)
+        return MassTable(self.n, "float", self.spec, data)
 
 
 class _DenseLatticeEngine(_DenseEngine):
@@ -421,37 +422,12 @@ class _DenseLatticeEngine(_DenseEngine):
                                                   self.tgt, self.wts, act)
         self.n += 1
 
-    def _embed_grid(self):
-        # per-cell real embeddings, cached; ambient axis first
+    def group_view(self):
+        """Real embeddings (cached) and masses of every cell of the box."""
         if self._embed_cache is None:
-            spec = self.spec
             coords = np.unravel_index(np.arange(self.L), self.dims)
-            emb = np.zeros((spec.ambient_dim, self.L))
-            for i in range(spec.key_size):
-                ci = coords[i].astype(np.float64) + self.lo[i]
-                for j in range(spec.ambient_dim):
-                    b = spec.basis[i][j]
-                    if b:
-                        emb[j] += b * ci
-            self._embed_cache = emb
-        return self._embed_cache
-
-    def window_mass(self, box, shift=None):
-        spec = self.spec
-        emb = self._embed_grid()
-        sh = spec.embed(shift) if shift is not None else (0.0,) * spec.ambient_dim
-        marg = self.W.sum(axis=0)
-        mask = np.ones(self.L, dtype=bool)
-        flagged = 0
-        occupied = marg > 0.0
-        for j, (lo, hi) in enumerate(box):
-            x = emb[j]
-            mask &= (x > lo + sh[j]) & (x < hi + sh[j])
-            near = (np.abs(x - (lo + sh[j])) < BOUNDARY_ATOL) | (
-                np.abs(x - (hi + sh[j])) < BOUNDARY_ATOL
-            )
-            flagged += int(np.count_nonzero(near & occupied))
-        return float(marg[mask].sum()), flagged
+            self._embed_cache = _embed(self.spec, [c + l for c, l in zip(coords, self.lo)])
+        return self._embed_cache, self.W.sum(axis=0)
 
 
 class _DenseHeisEngine(_DenseEngine):
@@ -483,8 +459,8 @@ class _DenseHeisEngine(_DenseEngine):
 
 
 def _make_engine(rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
-                 max_atoms=DEFAULT_MAX_ATOMS, prune_eps=0.0, seed_entry=None):
-    """Engine for ``n_max`` steps of a recursion: dense in float mode where a layout fits.
+                 max_atoms=DEFAULT_MAX_ATOMS, seed_entry=None):
+    """Engine for ``n_max`` steps of a recursion: dense in float mode where a layout exists.
 
     ``max_cells`` bounds the float64 cells of every buffer a dense engine
     allocates: the table and the step buffer, which also receives the mixed
@@ -493,12 +469,12 @@ def _make_engine(rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
     step.
     """
     spec = rec.spec
-    if rec.mode == "float" and not prune_eps:
+    if rec.mode == "float":
         if isinstance(spec, (IntegerLattice, EmbeddedRealLattice)) and spec.key_size > 0:
             return _DenseLatticeEngine(rec, n_max, seed_state, max_cells, seed_entry)
         if isinstance(spec, HeisenbergZ):
             return _DenseHeisEngine(rec, n_max, seed_state, max_cells, seed_entry)
-    return _SparseEngine(rec, seed_state, seed_entry, max_atoms, prune_eps)
+    return _SparseEngine(rec, seed_state, seed_entry, max_atoms)
 
 
 def _stepped(rec, n, *args, **kw):
@@ -520,19 +496,17 @@ def step(table: MassTable, system, cocycle, max_atoms=DEFAULT_MAX_ATOMS) -> Mass
     """One left-increment step of a sparse table."""
     eng = _SparseEngine(walk_recursion(system, cocycle, table.mode), data=table.data,
                         n=table.n, max_atoms=max_atoms)
-    eng.dropped = table.dropped
     eng.step_once()
     return eng.to_table()
 
 
 def distribution(system, cocycle, n, mode="rational", seed_state=None,
-                 max_cells=DEFAULT_MAX_CELLS, max_atoms=DEFAULT_MAX_ATOMS,
-                 prune_eps=0.0) -> MassTable:
+                 max_cells=DEFAULT_MAX_CELLS, max_atoms=DEFAULT_MAX_ATOMS) -> MassTable:
     """Law of the n-step product (joint with the state), from the step-1 seed."""
     if n < 0:
         raise ValidationError("n must be >= 0")
     return _stepped(walk_recursion(system, cocycle, mode), n, seed_state, max_cells,
-                    max_atoms, prune_eps).to_table()
+                    max_atoms).to_table()
 
 
 def _trajectory(eng, targets, n_max):
@@ -544,8 +518,7 @@ def _trajectory(eng, targets, n_max):
 
 
 def mass_trajectory(system, cocycle, targets, n_max, mode="float", seed_state=None,
-                    max_cells=DEFAULT_MAX_CELLS, max_atoms=DEFAULT_MAX_ATOMS,
-                    prune_eps=0.0, _with_dropped=False):
+                    max_cells=DEFAULT_MAX_CELLS, max_atoms=DEFAULT_MAX_ATOMS):
     """Masses at fixed group elements for every n <= n_max (one forward pass).
 
     Returns a list of rows, row n holding the mass of each target at step n.
@@ -553,11 +526,8 @@ def mass_trajectory(system, cocycle, targets, n_max, mode="float", seed_state=No
     """
     targets = [tuple(t) for t in targets]
     eng = _make_engine(marginal_recursion(system, cocycle, mode), n_max, seed_state, max_cells,
-                       max_atoms, prune_eps)
-    rows = _trajectory(eng, targets, n_max)
-    if _with_dropped:
-        return rows, float(eng.dropped)
-    return rows
+                       max_atoms)
+    return _trajectory(eng, targets, n_max)
 
 
 def return_sequence(system, cocycle, n_max, mode="float", max_cells=DEFAULT_MAX_CELLS,
@@ -577,7 +547,6 @@ class RatioReport:
     stride: int
     first_valid_n: int | None
     periodic: bool
-    dropped: float = 0.0
     note: str = ""
 
     def worst(self):
@@ -599,9 +568,7 @@ def ratio_sequence(system, cocycle, g, ns, mode="float", stride=1, **kw) -> Rati
     g = tuple(g)
     ns = sorted(set(int(n) for n in ns))
     n_top = ns[-1] + stride
-    traj, dropped = mass_trajectory(system, cocycle, [g], n_top, mode,
-                                    _with_dropped=True, **kw)
-    seq = [row[0] for row in traj]
+    seq = [row[0] for row in mass_trajectory(system, cocycle, [g], n_top, mode, **kw)]
     first_valid = next((i for i, v in enumerate(seq) if i >= 1 and v > 0), None)
     ap = check_aperiodicity_algebraic(system, cocycle)
     periodic = not ap.full
@@ -614,16 +581,14 @@ def ratio_sequence(system, cocycle, g, ns, mode="float", stride=1, **kw) -> Rati
         r = float(r) if mode == "rational" else r
         kept.append(n)
         ratios.append(r)
-        # pruned mass widens every deviation as a certified error bound
-        devs.append(abs(r - 1.0) + (dropped / float(den) if dropped else 0.0))
+        devs.append(abs(r - 1.0))
     note = ""
     if periodic:
         note = (
             f"increment lattice has index {ap.index}: aperiodicity fails, "
             f"compare strides that are multiples of the period"
         )
-    return RatioReport(g, kept, ratios, devs, stride, first_valid, periodic,
-                       dropped=dropped, note=note)
+    return RatioReport(g, kept, ratios, devs, stride, first_valid, periodic, note=note)
 
 
 @dataclass
@@ -633,7 +598,6 @@ class CrossRatioReport:
     value: float
     clt_reference: float | None
     deviation: float
-    dropped: float = 0.0
 
     def rows(self):
         return [(self.n, "cross_ratio", self.value, 1.0, self.deviation)]
@@ -661,8 +625,7 @@ def cross_ratio(system, cocycle, g, n, mode="float", **kw) -> CrossRatioReport:
     """mu^n(g) / mu^n(e) with a local-CLT reference curve for lattice targets."""
     g = tuple(g)
     e = cocycle.spec.identity()
-    traj, dropped = mass_trajectory(system, cocycle, [g, e], n, mode,
-                                    _with_dropped=True, **kw)
+    traj = mass_trajectory(system, cocycle, [g, e], n, mode, **kw)
     num, den = traj[n]
     if den == 0:
         first = next((i for i, row in enumerate(traj) if i >= 1 and row[1] > 0), None)
@@ -670,9 +633,8 @@ def cross_ratio(system, cocycle, g, n, mode="float", **kw) -> CrossRatioReport:
             f"mu^{n}(e) = 0: no valid cross ratio at n={n} (first positive n: {first})"
         )
     value = float(num / den) if mode == "rational" else num / den
-    dev = abs(value - 1.0) + (dropped / float(den) if dropped else 0.0)
     return CrossRatioReport(g, n, value, _clt_reference(system, cocycle, g, n),
-                            dev, dropped)
+                            abs(value - 1.0))
 
 
 @dataclass
@@ -682,7 +644,6 @@ class WindowMassReport:
     n: int
     value: float
     boundary_atoms: int
-    dropped: float = 0.0
 
     def rows(self):
         return [(self.n, "window_mass", self.value, "", self.boundary_atoms)]
@@ -690,18 +651,19 @@ class WindowMassReport:
 
 def window_mass(system, cocycle, E, n, g_shift=None, mode="float", strict=False,
                 **kw) -> WindowMassReport:
-    """Mass of atoms whose real embedding lands in the open box E (+ shift).
+    """Mass of the group elements whose real embedding lands in the open box E (+ shift).
 
-    Atoms within 1e-9 of a face are counted by strict inequality but flagged;
-    in strict mode a flagged atom raises instead.
+    Group elements within 1e-9 of a face are counted by strict inequality but
+    flagged, each once; in strict mode a flag raises instead.
     """
     spec = cocycle.spec
     box = _as_box(E, spec)
     eng = _stepped(marginal_recursion(system, cocycle, mode), n, **kw)
-    val, flagged = eng.window_mass(box, tuple(g_shift) if g_shift is not None else None)
+    val, flagged = _window(eng.group_view(), spec, box,
+                           tuple(g_shift) if g_shift is not None else None)
     if strict and flagged:
         raise ValidationError(f"{flagged} atoms within {BOUNDARY_ATOL} of the window boundary")
-    return WindowMassReport(box, g_shift, n, float(val), flagged, getattr(eng, "dropped", 0.0))
+    return WindowMassReport(box, g_shift, n, float(val), flagged)
 
 
 @dataclass
@@ -726,12 +688,12 @@ def window_pair_ratios(system, cocycle, E, shifts, n, mode="float", **kw) -> Win
     spec = cocycle.spec
     box = _as_box(E, spec)
     shifts = [tuple(s) for s in shifts]
-    eng = _stepped(marginal_recursion(system, cocycle, mode), n, **kw)
+    view = _stepped(marginal_recursion(system, cocycle, mode), n, **kw).group_view()
     needed = set(shifts)
     for g in shifts:
         for g1 in shifts:
             needed.add(spec.multiply(g, spec.inverse(g1)))
-    masses = {t: float(eng.window_mass(box, t)[0]) for t in needed}
+    masses = {t: float(_window(view, spec, box, t)[0]) for t in needed}
     pairs = []
     worst = 0.0
     for g in shifts:
@@ -762,9 +724,9 @@ def stone_ratio(system, cocycle, E, A, n, mode="float", **kw) -> StoneReport:
     spec = cocycle.spec
     boxE = _as_box(E, spec)
     boxA = _as_box(A, spec)
-    eng = _stepped(marginal_recursion(system, cocycle, mode), n, **kw)
-    vE, fE = eng.window_mass(boxE)
-    vA, fA = eng.window_mass(boxA)
+    view = _stepped(marginal_recursion(system, cocycle, mode), n, **kw).group_view()
+    vE, fE = _window(view, spec, boxE)
+    vA, fA = _window(view, spec, boxA)
     if vA == 0:
         raise ValidationError(f"window A has zero mass at n={n}")
     target = box_volume(boxE) / box_volume(boxA)
@@ -799,8 +761,52 @@ def _mult_deviation(value, target):
     return float(max(r, 1 / r) - 1)
 
 
-def _cylinders(system, nprime):
-    return itertools.product(range(system.m), repeat=nprime)
+def _cylinder_check(condition_id, params, system, cocycle, mode, max_cylinders, observe,
+                    kw) -> ConditionReport:
+    """Cylinder-conditioned observables against the unconditioned one, per depth n'.
+
+    ``params`` holds g, n0, n1 and n (and is reported as given);
+    ``observe(eng, shifts)`` reads an engine's group marginal at each shift.
+    The target is observe(walk at step n, [g]).  For every depth n' in
+    [n0, n1] and every n'-cylinder b, the conditioned value is observe at
+    g * psi_b^{-1} of the walk seeded at b's last symbol after n - n' steps:
+    the product over the first n' symbols factors out.  One seeded engine per
+    state evaluates only the steps n - n1 .. n - n0.
+    """
+    g, n0, n1, n = (params[k] for k in ("g", "n0", "n1", "n"))
+    if not (1 <= n0 <= n1 < n):
+        raise ValidationError("need 1 <= n0 <= n1 < n")
+    total_cyls = sum(system.m ** k for k in range(n0, n1 + 1))
+    if total_cyls > max_cylinders:
+        raise ResourceLimitError(f"{total_cyls} cylinders exceed the cap {max_cylinders}")
+    spec = cocycle.spec
+    rec = marginal_recursion(system, cocycle, mode)
+    target = float(observe(_stepped(rec, n, **kw), [g])[0])
+    cylinders = [(nprime, word) for nprime in range(n0, n1 + 1)
+                 for word in itertools.product(range(system.m), repeat=nprime)]
+    # last symbol -> depth -> (word, shift)
+    by_state = {}
+    for nprime, word in cylinders:
+        shift = spec.multiply(g, spec.inverse(cocycle.word_value(word)))
+        by_state.setdefault(word[-1], {}).setdefault(nprime, []).append((word, shift))
+    values = {}
+    for s, by_depth in by_state.items():
+        eng = _make_engine(rec, n - n0, seed_state=s, **kw)
+        for j in range(1, n - n0 + 1):
+            eng.step_once()
+            items = by_depth.get(n - j, ())
+            if items:
+                vals = observe(eng, [shift for _, shift in items])
+                values.update(((n - j, word), float(v)) for (word, _), v in zip(items, vals))
+    table = []
+    worst = {}
+    for nprime, word in cylinders:
+        val = values[nprime, word]
+        dev = _mult_deviation(val, target)
+        table.append((nprime, word, val, target, dev))
+        worst[nprime] = max(worst.get(nprime, 0.0), dev)
+    best = min(worst, key=worst.get)
+    return ConditionReport(condition_id, params, table, worst, best, worst[best])
 
 
 def check_condition_D(system, cocycle, g, n0, n1, n, mode="float",
@@ -813,100 +819,32 @@ def check_condition_D(system, cocycle, g, n0, n1, n, mode="float",
     multiplicatively with mu^n(g).  The quantifier chain over (n0, n1, n) is
     sampled on this finite grid; the best depth is reported.
     """
-    if not (1 <= n0 <= n1 < n):
-        raise ValidationError("need 1 <= n0 <= n1 < n")
-    spec = cocycle.spec
-    g = tuple(g)
-    total_cyls = sum(system.m ** k for k in range(n0, n1 + 1))
-    if total_cyls > max_cylinders:
-        raise ResourceLimitError(f"{total_cyls} cylinders exceed the cap {max_cylinders}")
-    # group targets needed per seed state, plus the unconditioned target
-    needed = {}
-    cyl_info = []
-    for nprime in range(n0, n1 + 1):
-        for word in _cylinders(system, nprime):
-            psi_b = cocycle.word_value(word)
-            t = spec.multiply(g, spec.inverse(psi_b))
-            s_last = word[-1]
-            cyl_info.append((nprime, word, s_last, t))
-            needed.setdefault(s_last, set()).add(t)
-    target_traj = mass_trajectory(system, cocycle, [g], n, mode, **kw)
-    target = target_traj[n][0]
-    target = float(target) if mode == "rational" else target
-    seeded = {}
-    for s_last, tset in needed.items():
-        tlist = sorted(tset)
-        traj = mass_trajectory(system, cocycle, tlist, n - n0, mode,
-                               seed_state=s_last, **kw)
-        seeded[s_last] = (dict((t, i) for i, t in enumerate(tlist)), traj)
-    table = []
-    worst = {}
-    for nprime, word, s_last, t in cyl_info:
-        idx, traj = seeded[s_last]
-        val = traj[n - nprime][idx[t]]
-        val = float(val) if mode == "rational" else val
-        dev = _mult_deviation(val, target)
-        table.append((nprime, word, val, target, dev))
-        worst[nprime] = max(worst.get(nprime, 0.0), dev)
-    best = min(worst, key=worst.get) if worst else None
-    return ConditionReport(
-        "D", {"g": g, "n0": n0, "n1": n1, "n": n}, table, worst, best,
-        worst[best] if best is not None else math.inf,
-    )
+    return _cylinder_check("D", {"g": tuple(g), "n0": n0, "n1": n1, "n": n}, system, cocycle,
+                           mode, max_cylinders,
+                           lambda eng, shifts: [eng.mass_at(t) for t in shifts], kw)
 
 
 def check_condition_C(system, cocycle, E, g, n0, n1, n, mode="float",
                       max_cylinders=200_000, **kw) -> ConditionReport:
-    """Window version of the cylinder-conditioned check."""
-    if not (1 <= n0 <= n1 < n):
-        raise ValidationError("need 1 <= n0 <= n1 < n")
+    """Window version of the cylinder-conditioned check: mu(b and E + g) / mu(b)."""
     spec = cocycle.spec
-    g = tuple(g)
     box = _as_box(E, spec)
-    total_cyls = sum(system.m ** k for k in range(n0, n1 + 1))
-    if total_cyls > max_cylinders:
-        raise ResourceLimitError(f"{total_cyls} cylinders exceed the cap {max_cylinders}")
-    eng = _stepped(marginal_recursion(system, cocycle, mode), n, **kw)
-    target, _ = eng.window_mass(box, g)
-    target = float(target)
-    # group cylinders by their last symbol: one seeded engine per state,
-    # windows evaluated at the steps n - n' while passing through them
-    by_state = {}
-    for nprime in range(n0, n1 + 1):
-        for word in _cylinders(system, nprime):
-            psi_b = cocycle.word_value(word)
-            # product_n in E+g  <=>  tail product in E + g - psi_b (abelian)
-            shift = spec.multiply(g, spec.inverse(psi_b))
-            by_state.setdefault(word[-1], []).append((nprime, word, shift))
-    table = []
-    worst = {}
-    for s, items in by_state.items():
-        eng_s = _make_engine(marginal_recursion(system, cocycle, mode), n - n0, seed_state=s,
-                             **kw)
-        for j in range(1, n - n0 + 1):
-            eng_s.step_once()
-            if j < n - n1:
-                continue
-            nprime = n - j
-            for np_, word, shift in items:
-                if np_ != nprime:
-                    continue
-                val, _fl = eng_s.window_mass(box, shift)
-                dev = _mult_deviation(float(val), target)
-                table.append((np_, word, float(val), target, dev))
-                worst[np_] = max(worst.get(np_, 0.0), dev)
-    best = min(worst, key=worst.get) if worst else None
-    return ConditionReport(
-        "C", {"E": box, "g": g, "n0": n0, "n1": n1, "n": n}, table, worst, best,
-        worst[best] if best is not None else math.inf,
-    )
+
+    def window_masses(eng, shifts):
+        # product_n in E+g  <=>  tail product in E + g - psi_b (abelian)
+        view = eng.group_view()
+        return [_window(view, spec, box, t)[0] for t in shifts]
+
+    return _cylinder_check("C", {"E": box, "g": tuple(g), "n0": n0, "n1": n1, "n": n}, system,
+                           cocycle, mode, max_cylinders, window_masses, kw)
 
 
 def check_condition_CM(system, cocycle, a_word, F, A, E, g, n, mode="float",
                        **kw) -> ConditionReport:
-    """Skew-product correlation bound: exact LHS atom sums against the product RHS.
+    """Skew-product correlation bound: the LHS overlap sum against the product RHS.
 
-    LHS integrates, atom by atom, the overlap of the translated fibre window:
+    LHS sums the overlap of the translated fibre window over the group
+    elements h of the conditioned marginal:
     sum_h mu(a and {product_n = h}) * vol(F intersect (A - embed(h))).
     RHS = mu(a) * vol(F) * (vol(A)/vol(E)) * mu^n(E + g).
     """
@@ -921,28 +859,15 @@ def check_condition_CM(system, cocycle, a_word, F, A, E, g, n, mode="float",
     mu_a = cylinder_mass(system, a_word, mode="float")
     psi_a = cocycle.word_value(a_word)
     emb_a = spec.embed(psi_a)
-    eng_s = _stepped(marginal_recursion(system, cocycle, mode), n - k,
-                     seed_state=a_word[-1], **kw)
-    # vectorized overlap volumes over the seeded engine's support
-    if isinstance(eng_s, _DenseLatticeEngine):
-        emb = eng_s._embed_grid()
-        marg = eng_s.W.sum(axis=0)
-        vol = np.ones(eng_s.L)
-        for j, ((flo, fhi), (alo, ahi)) in enumerate(zip(boxF, boxA)):
-            x = emb[j] + emb_a[j]
-            vol *= np.clip(np.minimum(fhi, ahi - x) - np.maximum(flo, alo - x), 0.0, None)
-        lhs = mu_a * float(marg @ vol)
-    else:
-        lhs = 0.0
-        for (_, w_key), w in eng_s.data.items():
-            h = spec.multiply(w_key, psi_a)
-            x = spec.embed(h)
-            v = 1.0
-            for j, ((flo, fhi), (alo, ahi)) in enumerate(zip(boxF, boxA)):
-                v *= max(0.0, min(fhi, ahi - x[j]) - max(flo, alo - x[j]))
-            lhs += mu_a * float(w) * v
-    eng = _stepped(marginal_recursion(system, cocycle, mode), n, **kw)
-    muE, _fl = eng.window_mass(boxE, g)
+    rec = marginal_recursion(system, cocycle, mode)
+    # overlap volumes over the seeded engine's group marginal, shifted by psi_a
+    emb, mass = _stepped(rec, n - k, seed_state=a_word[-1], **kw).group_view()
+    vol = np.ones(mass.shape[0])
+    for j, ((flo, fhi), (alo, ahi)) in enumerate(zip(boxF, boxA)):
+        x = emb[j] + emb_a[j]
+        vol *= np.clip(np.minimum(fhi, ahi - x) - np.maximum(flo, alo - x), 0.0, None)
+    lhs = mu_a * float(mass @ vol)
+    muE, _fl = _window(_stepped(rec, n, **kw).group_view(), spec, boxE, g)
     rhs = mu_a * box_volume(boxF) * (box_volume(boxA) / box_volume(boxE)) * float(muE)
     ratio = lhs / rhs if rhs > 0 else math.inf
     holds = lhs <= rhs * (1 + 1e-12)

@@ -149,6 +149,24 @@ def test_readme_kind_table_and_shipped_configs():
         assert cli.parse_config(path.read_text()).kind in cli.KINDS
 
 
+def test_key_the_kind_does_not_read_is_a_config_error(tmp_path, capsys):
+    cfg = TRINOMIAL_RATIO.replace("kind = ratio\ng = 0\nn_grid = 4 8 16",
+                                  "kind = local-limit\ng = 1\nn_grid = 20 40\nmax_cells = 10")
+    code = cli.main(["local-limit", "--config", _write(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "does not read 'max_cells'" in capsys.readouterr().err
+    readers = {k for k, e in cli.EXPERIMENTS.items() if "max_cells" in e.reads}
+    assert readers == {"ratio", "cross-ratio", "stone", "window", "conditions", "pressure",
+                       "kesten", "fekete"}
+    # a variant reads only its own keys
+    with pytest.raises(ValidationError) as exc:
+        cli.parse_config(TRINOMIAL_RATIO.replace(
+            "kind = ratio\ng = 0\nn_grid = 4 8 16",
+            "kind = conditions\nvariant = D\ng = 0\nn0 = 1\nn1 = 2\nn = 9\ncylinder = 0"))
+    assert exc.value.errors == ["experiment kind 'conditions' does not read 'cylinder'"]
+
+
 def test_subcommand_kind_conflict():
     with pytest.raises(ValidationError) as exc:
         cli.parse_config(TRINOMIAL_RATIO, kind_override="stone")

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from gmwalk import oracle, presets, walkdist
 from gmwalk.errors import ResourceLimitError, ValidationError
 from gmwalk.gm_system import Cocycle, GibbsMarkovSystem
-from gmwalk.groups import FiniteGroup, HeisenbergZ, left_product
+from gmwalk.groups import EmbeddedRealLattice, FiniteGroup, HeisenbergZ, left_product
 from gmwalk.walkdist import heis_z_bound
 
 
@@ -169,10 +169,12 @@ def test_window_mass_examples():
     t2 = walkdist.distribution(sys_, coc, 2)
     spec = coc.spec
     expected = sum(
-        float(w) for g, w in t2.group_masses().items() if -3 < spec.embed(g)[0] < 3
+        w for g, w in t2.group_masses().items() if -3 < spec.embed(g)[0] < 3
     )
     got = walkdist.window_mass(sys_, coc, (-3.0, 3.0), 2).value
-    assert got == pytest.approx(expected, abs=1e-14)
+    assert got == pytest.approx(float(expected), abs=1e-14)
+    exact = walkdist.window_mass(sys_, coc, (-3.0, 3.0), 2, mode="rational").value
+    assert exact == float(expected)
 
 
 _WINDOW_OPS = {
@@ -205,6 +207,20 @@ def test_window_boundary_atom_flagged_and_strict():
     assert rep.value == 0.0          # open window: boundary atoms excluded
     with pytest.raises(ValidationError):
         walkdist.window_mass(sys_, coc, (-1.0, 1.0), 1, strict=True)
+    # a flag counts a group element once, whichever states hold its mass:
+    # -1 and 1 sit on the faces, each reached in both states at n = 3
+    markov = GibbsMarkovSystem.markov([[Fraction(1, 3), Fraction(2, 3)],
+                                       [Fraction(3, 5), Fraction(2, 5)]])
+    line = Cocycle(EmbeddedRealLattice([(1.0,), (math.sqrt(2),)]), ((1, 0), (-1, 0)))
+    # ... and however many faces it is near: the corners (+-1, +-1) of the
+    # plane walk's two-step support lie on two faces of (-1, 1)^2 each
+    plane = Cocycle(EmbeddedRealLattice([(1.0, 0.0), (0.0, 1.0)]),
+                    ((1, 0), (-1, 0), (0, 1), (0, -1)))
+    four = GibbsMarkovSystem.bernoulli([Fraction(1, 4)] * 4)
+    for mode in ("float", "rational"):
+        assert walkdist.window_mass(markov, line, (-1, 1), 3, mode=mode).boundary_atoms == 2
+        corners = walkdist.window_mass(four, plane, ((-1, 1), (-1, 1)), 2, mode=mode)
+        assert corners.boundary_atoms == 4
 
 
 def test_window_pair_ratios_sampled_uniformity():
@@ -344,13 +360,6 @@ def test_superadditivity_small_exact():
     assert rep2.holds and rep2.constant < 1.0
 
 
-def test_pruning_tracks_dropped_mass():
-    sys_, coc, _ = presets.trinomial()
-    t = walkdist.distribution(sys_, coc, 30, mode="float", prune_eps=1e-6)
-    assert t.dropped > 0
-    assert abs(t.total() + t.dropped - 1.0) <= 1e-9
-
-
 def test_sparse_guard_trips():
     sys_, coc, _ = presets.z2_lattice()
     with pytest.raises(ResourceLimitError) as exc:
@@ -464,8 +473,7 @@ def test_one_state_statistics_match_walk(stat, mode, monkeypatch):
         m.setattr(walkdist, "marginal_recursion", walkdist.walk_recursion)
         want = run(sys_, coc, mode)
     assert got and len(got) == len(want)
-    # CM sums float products atom by atom in both modes, so rounding shows
-    assert _agree(got, want, "float" if stat == "check_condition_CM" else mode)
+    assert _agree(got, want, mode)
 
 
 @pytest.mark.parametrize("name", sorted(n for n, mk in presets.ALL_EXAMPLES.items()
