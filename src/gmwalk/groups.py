@@ -15,6 +15,8 @@ variant fixes how such a tuple is interpreted:
 
 from __future__ import annotations
 
+import operator
+
 from .errors import EncodingError, ValidationError
 
 Element = tuple
@@ -73,7 +75,7 @@ class IntegerLattice(GroupSpec):
         return (0,) * self.d
 
     def multiply(self, g, h):
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(map(operator.add, g, h))
 
     def inverse(self, g):
         return tuple(-a for a in g)
@@ -306,7 +308,7 @@ class EmbeddedRealLattice(GroupSpec):
         return (0,) * self.rank
 
     def multiply(self, g, h):
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(map(operator.add, g, h))
 
     def inverse(self, g):
         return tuple(-a for a in g)

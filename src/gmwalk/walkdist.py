@@ -11,7 +11,9 @@ group marginal alone step ``marginal_recursion``, which for a Bernoulli
 system is the one-step law with one state instead of m.  Dense float engines
 (stride-indexed boxes) are selected automatically for integer-lattice and
 embedded-lattice targets and for the Heisenberg group; everything else, and
-all exact-rational work, runs on hash-keyed sparse tables.
+all exact-rational work, runs on hash-keyed sparse tables.  Exact work steps
+Python int numerators over one common denominator and builds a ``Fraction``
+only where a mass leaves the engine.
 """
 
 from __future__ import annotations
@@ -249,8 +251,20 @@ def marginal_recursion(system, cocycle, mode) -> Recursion:
 
 # ------------------------------------------------------------------ engines
 
+def _common_den(values):
+    return math.lcm(*(v.denominator for v in values))
+
+
 class _SparseEngine:
-    """Dictionary-backed stepping on keys (s, g); exact in rational mode."""
+    """Dictionary-backed stepping on keys (s, g); exact in rational mode.
+
+    Rational work steps Python int numerators over one common denominator:
+    with D the lcm of the denominators of the edge coefficients P(s, t) * w
+    and d0 that of the step-0 masses, ``data`` holds den * mass where
+    den = d0 * D^n, and nothing is reduced inside the step loop.  Masses,
+    totals, views and tables leave the engine as ``Fraction(num, den)``.
+    Float work steps the masses themselves (D = den = 1).
+    """
 
     def __init__(self, rec, seed_state=None, seed_entry=None, max_atoms=DEFAULT_MAX_ATOMS,
                  data=None, n=0):
@@ -258,15 +272,28 @@ class _SparseEngine:
         self.spec = rec.spec
         self.mode = rec.mode
         self.max_atoms = max_atoms
-        self.zero = Fraction(0) if rec.mode == "rational" else 0.0
+        self.zero = 0 if rec.mode == "rational" else 0.0     # a stepped zero
         self.n = n
-        self.data = dict(data) if data is not None else rec.seed(seed_state, seed_entry)
+        data = dict(data) if data is not None else rec.seed(seed_state, seed_entry)
         # per source state: (target, atom, P(s, target) * weight)
         if rec.P is None:
-            self._edges = [list(rec.shifts)]
+            edges = [list(rec.shifts)]
         else:
-            self._edges = [[(t, a, rec.P[s][t] * w) for t, a, w in rec.shifts]
-                           for s in range(rec.S)]
+            edges = [[(t, a, rec.P[s][t] * w) for t, a, w in rec.shifts]
+                     for s in range(rec.S)]
+        self._D = self.den = 1
+        if rec.mode == "rational":
+            self._D = _common_den(c for row in edges for _, _, c in row)
+            edges = [[(t, a, c.numerator * (self._D // c.denominator)) for t, a, c in row]
+                     for row in edges]
+            self.den = _common_den(data.values())
+            data = {k: w.numerator * (self.den // w.denominator) for k, w in data.items()}
+        self._edges = edges
+        self.data = data
+
+    def _out(self, num):
+        # a stepped number as it leaves the engine
+        return Fraction(num, self.den) if self.mode == "rational" else num
 
     def step_once(self):
         mul = self.spec.multiply
@@ -284,32 +311,38 @@ class _SparseEngine:
             )
         self.data = new
         self.n += 1
+        self.den *= self._D
+
+    def drop(self, g):
+        """Remove the mass at group element g, in every state."""
+        self.data = {k: w for k, w in self.data.items() if k[1] != g}
 
     def total(self):
-        return sum(self.data.values())
+        return self._out(sum(self.data.values()))
 
     def mass_at(self, g):
         if self.rec.S == 1:
-            return self.data.get((0, g), self.zero)
+            return self._out(self.data.get((0, g), self.zero))
         out = self.zero         # in table order, which fixes the float sum
         for (_, gg), w in self.data.items():
             if gg == g:
                 out += w
-        return out
+        return self._out(out)
 
     def joint_mass_at(self, s, g):
-        return self.data.get((s, g), self.zero)
+        return self._out(self.data.get((s, g), self.zero))
 
     def group_view(self):
         """Real embeddings and masses of the group marginal's elements, in key order."""
         marg = _group_masses(self.data)
         keys = sorted(marg)
-        mass = np.array([marg[g] for g in keys],
+        mass = np.array([self._out(marg[g]) for g in keys],
                         dtype=object if self.mode == "rational" else np.float64)
         return _embed(self.spec, np.array(keys, dtype=np.int64).T), mass
 
     def to_table(self):
-        return MassTable(self.n, self.mode, self.spec, dict(self.data))
+        data = {k: self._out(w) for k, w in self.data.items()}
+        return MassTable(self.n, self.mode, self.spec, data)
 
 
 class _DenseEngine:
@@ -847,6 +880,10 @@ def check_condition_CM(system, cocycle, a_word, F, A, E, g, n, mode="float",
     elements h of the conditioned marginal:
     sum_h mu(a and {product_n = h}) * vol(F intersect (A - embed(h))).
     RHS = mu(a) * vol(F) * (vol(A)/vol(E)) * mu^n(E + g).
+
+    The report is float-valued in every mode: mu(a) is taken in float and
+    the overlap volumes are real, so rational mode only steps the tables
+    exactly and its LHS and RHS are not ground truth.
     """
     spec = cocycle.spec
     g = tuple(g)
@@ -952,7 +989,7 @@ def return_time_tail(system, cocycle, n_max, mode="float") -> TailReport:
     tails = [one]
     for _ in range(n_max):
         eng.step_once()
-        eng.data = {k: w for k, w in eng.data.items() if k[1] != e}
+        eng.drop(e)
         tails.append(eng.total())
     ns = list(range(0, n_max + 1))
     pts = [(n, float(t)) for n, t in zip(ns, tails) if n >= 1 and t > 0]

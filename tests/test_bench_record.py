@@ -1,0 +1,56 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+_spec = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+
+def _result(root, workload, seed, trace, wall, failures=None):
+    metrics = {name: wall for name in bench_record.END_TO_END}
+    metrics["sparse.self_s"] = wall / 2
+    res = {"workload": workload, "seed": seed, "trace": trace, "attempted": 100,
+           "failed": len(failures or {}), "failures": failures or {}, "nproc": 2,
+           "blas_threads": 1, "kernel_backend": "numpy", "metrics": metrics}
+    out = root / "gmbench" / "out"
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"result-{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(res))
+
+
+def test_pairs_runs_by_workload_and_seed(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (p, c) in enumerate([(2.0, 1.0), (3.0, 1.5), (1.0, 1.2)], start=1):
+        _result(parent, "sparse_exact", seed, 0, p)
+        _result(change, "sparse_exact", seed, 0, c)
+    _result(parent, "sparse_exact", 9, 0, 5.0)         # no partner: left out
+    _result(parent, "sparse_exact", 1, 1, 4.0)
+    _result(change, "sparse_exact", 1, 1, 2.0,
+            {"op": {"known_fault": False, "count": 1, "message": "x"}})
+    out = tmp_path / "BENCH_1.json"
+    bench_record.main(["--pr", "1", "--title", "t", "--claim", "sparse_exact:wall_s",
+                       "--parent", str(parent), "--change", str(change),
+                       "--parent-rev", "abc", "--change-rev", "def", "--out", str(out)])
+    rec = json.loads(out.read_text())
+    assert rec["revisions"] == {"parent": "abc", "change": "def"}
+    w = rec["workloads"]["sparse_exact"]
+    assert w["seeds"] == [1, 2, 3] and w["pairs"] == 3 and w["correct"]
+    assert w["wall_s"]["parent"]["per_run"] == [2.0, 3.0, 1.0]
+    assert w["wall_s"]["parent"]["median"] == 2.0 and w["wall_s"]["change"]["median"] == 1.2
+    assert w["wall_s"]["change_lower_in"] == "2/3"
+    assert w["failed_share"] == {"parent": [0.0], "change": [0.0]}
+    traced = rec["traced_sparse_exact"]
+    assert traced["per_run"]["parent"]["sparse.self_s"] == [2.0]
+    assert traced["per_run"]["change"]["sparse.self_s"] == [1.0]
+
+
+def test_no_common_untraced_run_is_an_error(tmp_path):
+    _result(tmp_path / "parent", "sparse_exact", 1, 0, 1.0)
+    _result(tmp_path / "change", "sparse_exact", 2, 0, 1.0)
+    with pytest.raises(SystemExit):
+        bench_record.main(["--pr", "1", "--title", "t", "--claim", "sparse_exact:wall_s",
+                           "--parent", str(tmp_path / "parent"),
+                           "--change", str(tmp_path / "change")])

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gmwalk import oracle, presets, walkdist
+from gmwalk import oracle, presets, pressure, walkdist
 from gmwalk.errors import ResourceLimitError, ValidationError
 from gmwalk.gm_system import Cocycle, GibbsMarkovSystem
-from gmwalk.groups import EmbeddedRealLattice, FiniteGroup, HeisenbergZ, left_product
+from gmwalk.groups import (EmbeddedRealLattice, FiniteGroup, HeisenbergZ, IntegerLattice,
+                           cyclic_group, left_product)
 from gmwalk.walkdist import heis_z_bound
 
 
@@ -364,7 +365,10 @@ def test_sparse_guard_trips():
     sys_, coc, _ = presets.z2_lattice()
     with pytest.raises(ResourceLimitError) as exc:
         walkdist.distribution(sys_, coc, 40, mode="rational", max_atoms=50)
-    assert exc.value.completed is not None
+    done = exc.value.completed
+    assert isinstance(done, int) and 0 < done < 40
+    # the steps reported as completed fit the guard; one more does not
+    walkdist.distribution(sys_, coc, done, mode="rational", max_atoms=50)
 
 
 def test_dense_guard_trips():
@@ -512,3 +516,120 @@ def test_distribution_csv_round_trip(tmp_path):
     assert lines[0] == "n,key_0,mass"
     assert lines[1] == "2,-2,1/9"
     assert len(lines) == 6
+
+
+# ------------------------------------------- exact mode against plain Fractions
+
+def _coprime_markov():
+    # row denominators 7, 9 and 11: the step denominator is their product
+    sys_ = GibbsMarkovSystem.markov([[Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)],
+                                     [Fraction(4, 9), Fraction(4, 9), Fraction(1, 9)],
+                                     [Fraction(3, 11), Fraction(5, 11), Fraction(3, 11)]])
+    return sys_, Cocycle(IntegerLattice(1), ((-1,), (0,), (1,)))
+
+
+def _fraction_steps(sys_, coc, data, n, absorb=None):
+    """Reference walk: n steps on a dict of Fractions, reduced at every operation.
+
+    With ``absorb`` set, the mass at that group element is removed after every
+    step and the totals after each step are returned instead of the table.
+    """
+    mul = coc.spec.multiply
+    totals = []
+    for _ in range(n):
+        new = {}
+        for (s, g), w in data.items():
+            for t in range(sys_.m):
+                key = (t, mul(coc.value(t), g))
+                new[key] = new.get(key, Fraction(0)) + w * sys_.trans[s][t]
+        data = new
+        if absorb is not None:
+            data = {k: w for k, w in data.items() if k[1] != absorb}
+            totals.append(sum(data.values(), Fraction(0)))
+    return totals if absorb is not None else data
+
+
+def _all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+EXACT_CASES = [(presets.trinomial, 60), (presets.two_state_markov, 40), (_coprime_markov, 30),
+               (presets.z2_lattice, 20), (presets.heisenberg_symmetric, 8), (presets.cyclic3, 30)]
+
+
+@pytest.mark.parametrize("make,n", EXACT_CASES, ids=lambda x: getattr(x, "__name__", str(x)))
+def test_exact_tables_equal_fraction_reference(make, n):
+    sys_, coc = make()[:2]
+    init = {(s, coc.spec.identity()): sys_.pi[s] for s in range(sys_.m)}
+    want = _fraction_steps(sys_, coc, init, n)
+    table = walkdist.distribution(sys_, coc, n, mode="rational")
+    assert table.data == want
+    assert _all_fractions(table.data.values())
+    assert table.total() == 1
+    for s in range(sys_.m):
+        seed = {(s, coc.spec.identity()): Fraction(1)}
+        got = walkdist.distribution(sys_, coc, n // 2, mode="rational", seed_state=s)
+        assert got.data == _fraction_steps(sys_, coc, seed, n // 2)
+
+
+@pytest.mark.parametrize("make,n", EXACT_CASES, ids=lambda x: getattr(x, "__name__", str(x)))
+def test_exact_engine_outputs_are_fractions(make, n):
+    sys_, coc = make()[:2]
+    e = coc.spec.identity()
+    eng = walkdist._make_engine(walkdist.walk_recursion(sys_, coc, "rational"), n)
+    for _ in range(n // 3):
+        eng.step_once()
+    absent = (10 ** 6,) * coc.spec.key_size
+    outs = [eng.mass_at(e), eng.mass_at(absent), eng.joint_mass_at(0, absent),
+            eng.joint_mass_at(0, e), eng.total()]
+    assert _all_fractions(outs)
+    assert outs[1] == outs[2] == 0 and outs[4] == 1
+    assert _all_fractions(eng.to_table().data.values())
+    assert _all_fractions(walkdist.return_sequence(sys_, coc, n // 3, mode="rational"))
+
+
+def test_exact_group_view_equals_fraction_reference():
+    sys_, coc, _ = presets.embedded4()
+    init = {(s, coc.spec.identity()): sys_.pi[s] for s in range(sys_.m)}
+    want = walkdist._group_masses(_fraction_steps(sys_, coc, init, 10))
+    rec = walkdist.walk_recursion(sys_, coc, "rational")
+    _, mass = walkdist._stepped(rec, 10).group_view()
+    assert list(mass) == [want[g] for g in sorted(want)] and _all_fractions(mass)
+
+
+@pytest.mark.parametrize("make", [presets.two_state_markov, _coprime_markov])
+def test_exact_grouped_returns_equal_fraction_reference(make):
+    # seeded at one (state, element) entry
+    sys_, coc = make()[:2]
+    e = coc.spec.identity()
+    for a in range(sys_.m):
+        data = {(a, coc.value(a)): Fraction(1)}
+        want = []
+        for n in range(1, 13):
+            want.append(sum((data.get((s, e), Fraction(0)) * sys_.trans[s][a]
+                             for s in range(sys_.m)), Fraction(0)))
+            data = _fraction_steps(sys_, coc, data, 1)
+        got = pressure.grouped_return_sequence(sys_, coc, a, 12, mode="rational")
+        assert got == want and _all_fractions(got)
+
+
+def test_exact_step_of_a_mixed_denominator_table():
+    sys_, coc = _coprime_markov()
+    data = {(0, (0,)): Fraction(1, 6), (1, (2,)): Fraction(3, 10), (2, (-1,)): Fraction(8, 15)}
+    table = walkdist.MassTable(4, "rational", coc.spec, data)
+    for _ in range(3):
+        table = walkdist.step(table, sys_, coc)
+        data = _fraction_steps(sys_, coc, data, 1)
+        assert table.data == data and _all_fractions(table.data.values())
+    assert table.n == 7 and table.total() == 1
+
+
+@pytest.mark.parametrize("make", [presets.cyclic2, presets.cyclic3,
+                                  lambda: (_coprime_markov()[0],
+                                           Cocycle(cyclic_group(3), ((0,), (1,), (2,))))])
+def test_exact_return_time_tail_equals_fraction_reference(make):
+    sys_, coc = make()[:2]
+    init = {(s, coc.spec.identity()): sys_.pi[s] for s in range(sys_.m)}
+    want = _fraction_steps(sys_, coc, init, 40, absorb=coc.spec.identity())
+    rep = walkdist.return_time_tail(sys_, coc, 40, mode="rational")
+    assert rep.tail == [1] + want and _all_fractions(rep.tail)
