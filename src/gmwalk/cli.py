@@ -457,8 +457,7 @@ def _run_local_limit(c, p, kw):
 def _run_mixing(c, p, kw):
     rep = walkdist.finite_group_mixing(c.system, c.cocycle, p["n_max"], c.mode)
     tail = walkdist.return_time_tail(c.system, c.cocycle, p["n_max"], c.mode)
-    rows = rep.rows() + [(n, "tail", t, 0.0, 0.0) for n, t in zip(tail.ns, tail.tail)]
-    return (1 if rep.periodic else 0), rows, _STAT_HEADER, {
+    return (1 if rep.periodic else 0), rep.rows() + tail.rows(), _STAT_HEADER, {
         "rate": rep.rate, "tail_r_squared": tail.r_squared, "note": rep.note}
 
 
@@ -482,23 +481,23 @@ def _run_kesten(c, p, kw):
 
 
 def _run_fekete(c, p, kw):
-    system = c.system
-    seq = walkdist.return_sequence(system, c.cocycle, p["n_max"], c.mode, **kw)
-    valid = [(n, float(v)) for n, v in enumerate(seq) if n >= 1 and float(v) > 0]
-    log_c = 0.0 if system.is_bernoulli else -2.0 * math.log(float(system.gibbs_constant))
-    br = pressure.fekete_limit([math.log(v) for _, v in valid], log_c,
-                               [n for n, _ in valid], upper=0.0)
-    rows = [(n, math.log(v) / n, br.lower) for n, v in valid]
-    return (0 if br.holds else 1), rows, ("n", "log_mass_over_n", "fekete_lower"), {
-        "lower": br.lower, "estimate": br.estimate, "holds": br.holds,
-        "violations": len(br.violations)}
+    seq = walkdist.return_sequence(c.system, c.cocycle, p["n_max"], c.mode, **kw)
+    ns, rates, br, _ = pressure._fekete_rates(seq[1:], c.system.log_superadditivity_constant)
+    extra = {"lower": br.lower, "estimate": br.estimate, "holds": br.holds,
+             "violations": len(br.violations)}
+    if br.note:
+        extra["note"] = br.note
+    return (0 if br.holds else 1), [(n, r, br.lower) for n, r in zip(ns, rates)], \
+        ("n", "log_mass_over_n", "fekete_lower"), extra
 
 
 def _run_oracle_compare(c, p, kw):
     rows = []
     worst = 0.0
-    for n in range(1, p["n_max"] + 1):
-        ref = oracle.oracle_distribution(c.system, c.cocycle, n)
+    # one enumeration gives the laws of every depth 1..n_max
+    refs = oracle.oracle_distributions_upto(c.system, c.cocycle, p["n_max"]) \
+        if p["n_max"] >= 1 else []
+    for n, ref in enumerate(refs, 1):
         fast = walkdist.distribution(c.system, c.cocycle, n, mode="rational")
         keys = set(ref.data) | set(fast.data)
         dev = max(abs(float(ref.data.get(k, 0)) - float(fast.data.get(k, 0))) for k in keys)

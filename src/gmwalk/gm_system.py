@@ -13,6 +13,7 @@ representation (0.3 means 3/10), strings and Fractions are taken verbatim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,6 +119,11 @@ class GibbsMarkovSystem:
                 r = rows[s][t] / self.pi[t]
                 c = max(c, r, 1 / r)
         self.gibbs_constant = c
+        # superadditivity constant D = C^-2: identity-return masses satisfy
+        # a_{n+m} >= D a_n a_m, so (log a_p + log D)/p bounds their rate from
+        # below (Fekete); C = D = 1 for every Bernoulli system
+        self.superadditivity_constant = 1 / c ** 2
+        self.log_superadditivity_constant = -2.0 * math.log(float(c))
         self.trans_float = np.array([[float(x) for x in row] for row in rows])
         self.pi_float = np.array([float(x) for x in self.pi])
 
@@ -129,11 +135,6 @@ class GibbsMarkovSystem:
     @classmethod
     def markov(cls, rows):
         return cls(rows, order=1)
-
-    def weight(self, s, t, mode="rational"):
-        if mode == "rational":
-            return self.trans[s][t]
-        return self.trans_float[s, t]
 
     def __repr__(self):
         kind = "Bernoulli" if self.is_bernoulli else "Markov"

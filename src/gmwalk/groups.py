@@ -290,7 +290,9 @@ class EmbeddedRealLattice(GroupSpec):
     the declaration is trusted and recorded as metadata.
     """
 
-    def __init__(self, basis, independence_declared=True):
+    independence_declared = True
+
+    def __init__(self, basis):
         basis = tuple(tuple(float(x) for x in row) for row in basis)
         if not basis:
             raise ValidationError("embedded lattice needs at least one basis vector")
@@ -300,7 +302,6 @@ class EmbeddedRealLattice(GroupSpec):
         self.basis = basis
         self.rank = len(basis)
         self.ambient_dim = d
-        self.independence_declared = bool(independence_declared)
         self.key_size = self.rank
         self.ab_rank = self.rank
 

@@ -21,8 +21,17 @@ import numpy as np
 
 from .errors import ValidationError
 from .groups import IntegerLattice
-from .walkdist import (DEFAULT_MAX_CELLS, _make_engine, _SparseEngine, measure_recursion,
-                       one_step_recursion, return_sequence, walk_recursion)
+from .walkdist import (DEFAULT_MAX_CELLS, SUPERADDITIVITY_REL_SLACK, _make_engine,
+                       _SparseEngine, _trajectory, measure_recursion, one_step_recursion,
+                       return_sequence, walk_recursion)
+
+# steps scanned for identity returns when a generating period is reported
+RETURN_HORIZON = 16
+# gradient-norm target and iteration cap of the damped Newton minimization
+NEWTON_TOL = 1e-13
+NEWTON_MAX_ITER = 200
+# slack of the pair scan of an almost-superadditive log sequence
+FEKETE_SLACK = 1e-9
 
 
 @dataclass
@@ -79,12 +88,9 @@ def periodic_sum(system, a, n, mode="float"):
 
 
 def _grouped_engine(system, cocycle, a, n, mode, max_cells):
-    seed = (a, cocycle.value(a))
-    eng = _make_engine(walk_recursion(system, cocycle, mode), n, max_cells=max_cells,
-                       seed_entry=seed)
-    for _ in range(n - 1):
-        eng.step_once()
-    return eng
+    """Walk engine for words of length up to n that start with the symbol a."""
+    return _make_engine(walk_recursion(system, cocycle, mode), n, max_cells=max_cells,
+                        seed_entry=(a, cocycle.value(a)))
 
 
 def grouped_periodic_sum(system, cocycle, a, n, mode="rational",
@@ -93,6 +99,8 @@ def grouped_periodic_sum(system, cocycle, a, n, mode="rational",
     if n < 1:
         raise ValidationError("periodic sums need n >= 1")
     eng = _grouped_engine(system, cocycle, a, n, mode, max_cells)
+    for _ in range(n - 1):
+        eng.step_once()
     trans = system.trans if mode == "rational" else system.trans_float
     table = eng.to_table()
     out = {}
@@ -106,9 +114,7 @@ def grouped_return_sequence(system, cocycle, a, n_max, mode="float",
     """Z_{a,e}^n for n = 1..n_max in one forward pass."""
     e = cocycle.spec.identity()
     trans = system.trans if mode == "rational" else system.trans_float
-    seed = (a, cocycle.value(a))
-    eng = _make_engine(walk_recursion(system, cocycle, mode), n_max, max_cells=max_cells,
-                       seed_entry=seed)
+    eng = _grouped_engine(system, cocycle, a, n_max, mode, max_cells)
     out = []
     for n in range(1, n_max + 1):
         z = sum(eng.joint_mass_at(s, e) * trans[s][a] for s in range(system.m))
@@ -138,12 +144,13 @@ class PeriodReport:
     note: str = ""
 
 
-def generating_period(measures, gen_set, s_max, return_horizon=16) -> PeriodReport:
+def generating_period(measures, gen_set, s_max) -> PeriodReport:
     """Smallest s with supp(measure_s) covering a chosen semigroup generating set.
 
     ``measures`` maps s >= 1 to a WalkMeasure (callable or sequence).  The
     report also carries the return period (gcd of identity-return times) of
-    the found measure, since walks may hit the identity only along a stride.
+    the found measure, since walks may hit the identity only along a stride
+    (identity returns are scanned up to ``RETURN_HORIZON`` steps).
     """
     gen_set = [tuple(g) for g in gen_set]
     get = measures if callable(measures) else (lambda i: measures[i - 1])
@@ -162,12 +169,9 @@ def generating_period(measures, gen_set, s_max, return_horizon=16) -> PeriodRepo
                             note=f"no s <= {s_max} covers the generating set")
     m = get(found)
     e = m.spec.identity()
-    eng = _SparseEngine(measure_recursion(m.spec, m.masses, "float"))
-    returns = []
-    for k in range(1, return_horizon + 1):
-        eng.step_once()
-        if eng.mass_at(e) > 0:
-            returns.append(k)
+    rows = _trajectory(_SparseEngine(measure_recursion(m.spec, m.masses, "float")), [e],
+                       RETURN_HORIZON)
+    returns = [k for k, (r,) in enumerate(rows) if k >= 1 and r > 0]
     period = math.gcd(*returns) if returns else None
     return PeriodReport(found, missing_by_s, period)
 
@@ -201,32 +205,33 @@ def spectral_radius_convolution(measure, k_max, stride=None, mode="float",
     Returns r_k = measure^{*k}(e) are superadditive (r_{j+k} >= r_j r_k), so
     max_p log(r_p)/p is a rigorous lower bound for log of the spectral radius;
     the stride ratio (r_{k+s}/r_k)^{1/s} is the headline estimate since its
-    bias decays like 1/k instead of log(k)/k.
+    bias decays like 1/k instead of log(k)/k.  Without a return at k <= k_max
+    the estimate is nan and the note says so.
     """
+    if k_max < 1:
+        raise ValidationError("convolution spectral radii need k_max >= 1")
+    if stride is not None and stride < 1:
+        raise ValidationError("the stride must be >= 1")
     top = k_max + (stride or 2)
     eng = _make_engine(measure_recursion(measure.spec, measure.masses, mode), top,
                        max_cells=max_cells)
-    e = measure.spec.identity()
-    returns_all = []
-    for _ in range(top):
-        eng.step_once()
-        returns_all.append(float(eng.mass_at(e)))
-    positive = [k for k in range(1, top + 1) if returns_all[k - 1] > 0]
+    returns_all = [float(r) for (r,) in _trajectory(eng, [measure.spec.identity()], top)[1:]]
+    positive = [k for k, r in enumerate(returns_all, 1) if r > 0]
     if not positive:
         return ConvolutionReport([], [], [], [], 0, -math.inf, math.nan,
                                  note=f"no identity returns up to k={top}")
     s = stride if stride is not None else math.gcd(*positive)
-    ks = [k for k in positive if k <= k_max]
+    ks, _, bracket, _ = _fekete_rates(returns_all[:k_max], 0.0)
     rs = [returns_all[k - 1] for k in ks]
     roots = [r ** (1.0 / k) for k, r in zip(ks, rs)]
     ratios = []
     for k, r in zip(ks, rs):
         nxt = returns_all[k + s - 1] if k + s <= top else None
-        if nxt and r > 0:
+        if nxt:
             ratios.append((nxt / r) ** (1.0 / s))
-    lower = max(math.log(r) / k for k, r in zip(ks, rs))
-    estimate = ratios[-1] if ratios else roots[-1]
-    return ConvolutionReport(ks, rs, roots, ratios, s, math.exp(lower), estimate)
+    estimate = ratios[-1] if ratios else roots[-1] if roots else math.nan
+    return ConvolutionReport(ks, rs, roots, ratios, s, math.exp(bracket.lower), estimate,
+                             bracket.note)
 
 
 # ------------------------------------------------- moment generating function
@@ -259,11 +264,8 @@ class MinimizerResult:
     degenerate_directions: list = field(default_factory=list)
     note: str = ""
 
-    def rows(self):
-        return [tuple(self.x) + (self.phi, self.grad_norm)]
 
-
-def minimize_phi(mbar: WalkMeasure, tol=1e-13, max_iter=200) -> MinimizerResult:
+def minimize_phi(mbar: WalkMeasure) -> MinimizerResult:
     """Damped Newton minimization of the moment generating function.
 
     The minimum is attained iff 0 lies in the relative interior of the convex
@@ -307,12 +309,12 @@ def minimize_phi(mbar: WalkMeasure, tol=1e-13, max_iter=200) -> MinimizerResult:
             )
     xr = np.zeros(rank)
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         t = w * np.exp(Vr @ xr)
         val = t.sum()
         grad = Vr.T @ t
         gn = float(np.linalg.norm(grad))
-        if gn <= tol:
+        if gn <= NEWTON_TOL:
             break
         hess = (Vr.T * t) @ Vr
         try:
@@ -340,6 +342,7 @@ class FeketeBracket:
     holds: bool
     violations: list
     upper: float = math.inf
+    note: str = ""
 
     def contains(self, x):
         return self.lower - 1e-12 <= x <= self.upper + 1e-12
@@ -347,19 +350,17 @@ class FeketeBracket:
     def overlaps(self, other):
         return max(self.lower, other.lower) <= min(self.upper, other.upper) + 1e-12
 
-    def rows(self):
-        return [(0, "fekete_lower", self.lower, self.estimate, 0.0)]
 
-
-def fekete_limit(a_seq, log_c, ns=None, slack=1e-9, upper=math.inf) -> FeketeBracket:
+def fekete_limit(a_seq, log_c, ns=None, upper=math.inf) -> FeketeBracket:
     """Limit bracket for an almost-superadditive sequence.
 
     Requires a_{n+m} >= a_n + a_m + log_c on the index range (violations are
     collected and reported); each index then gives the rigorous lower bound
     (a_p + log_c)/p for the limit of a_n/n, and the largest index gives the
     running estimate.  An a-priori upper bound (e.g. 0 for log-masses) closes
-    the bracket from above.  The pair scan compares (a_n + a_m) + log_c - slack
-    in that order, in float64, and lists violations in (n, m) row-major order.
+    the bracket from above.  The pair scan compares
+    (a_n + a_m) + log_c - FEKETE_SLACK in that order, in float64, and lists
+    violations in (n, m) row-major order.
     """
     if ns is None:
         ns = list(range(1, len(a_seq) + 1))
@@ -375,12 +376,31 @@ def fekete_limit(a_seq, log_c, ns=None, slack=1e-9, upper=math.inf) -> FeketeBra
         pos = np.minimum(np.searchsorted(keys, nm), len(keys) - 1)
         lhs = at_key[pos]
         rhs = (v[i0:i0 + block, None] + v[None, :]) + log_c
-        rows, cols = np.nonzero((keys[pos] == nm) & (lhs < rhs - slack))
+        rows, cols = np.nonzero((keys[pos] == nm) & (lhs < rhs - FEKETE_SLACK))
         violations += [(ns[i0 + i], ns[j], float(lhs[i, j]), float(rhs[i, j]))
                        for i, j in zip(rows.tolist(), cols.tolist())]
     lower = max((vals[p] + log_c) / p for p in ns)
     top = max(ns)
     return FeketeBracket(lower, vals[top] / top, not violations, violations, upper)
+
+
+def _fekete_rates(masses, log_c):
+    """Rates and Fekete bracket of a mass sequence a_1, a_2, ...
+
+    Keeps the n whose term is > 0 in float and returns (kept n, their rates
+    log(a_n)/n, the ``fekete_limit`` bracket with the log superadditivity
+    constant ``log_c`` and upper bound 0, the rate at the largest kept n).
+    Masses never exceed 1, hence the upper bound.  With no term kept the
+    bracket is empty: lower -inf, estimate nan, not holding, with a note.
+    """
+    kept = [(n, v) for n, a in enumerate(masses, 1) if (v := float(a)) > 0]
+    if not kept:
+        note = f"no mass > 0 in float up to n = {len(masses)}"
+        return [], [], FeketeBracket(-math.inf, math.nan, False, [], note=note), math.nan
+    ns = [n for n, _ in kept]
+    logs = [math.log(v) for _, v in kept]
+    rates = [l / n for n, l in zip(ns, logs)]
+    return ns, rates, fekete_limit(logs, log_c, ns, upper=0.0), rates[-1]
 
 
 # --------------------------------------------------------- pressure estimates
@@ -415,38 +435,23 @@ def pressure_estimate(kind, system, cocycle, a, n_max, mode="float",
     """
     if kind not in ("base", "extension", "abelianized"):
         raise ValidationError(f"unknown pressure kind {kind!r}")
+    # estimator -> (sequence for n = 1..n_max, log superadditivity constant)
     seqs = {}
-    log_cs = {}
     if kind == "base":
-        zs = [periodic_sum(system, a, n, mode) for n in range(1, n_max + 1)]
-        seqs["periodic"] = zs
-        log_cs["periodic"] = 0.0
+        seqs["periodic"] = ([periodic_sum(system, a, n, mode) for n in range(1, n_max + 1)],
+                            0.0)
     else:
         coc = cocycle if kind == "extension" else cocycle.abelianized()
-        zs = grouped_return_sequence(system, coc, a, n_max, mode, max_cells)
-        seqs["grouped_periodic"] = zs
         # cycles through the same base concatenate with no loss
-        log_cs["grouped_periodic"] = 0.0
+        seqs["grouped_periodic"] = (
+            grouped_return_sequence(system, coc, a, n_max, mode, max_cells), 0.0)
         if kind == "extension":
             mu = return_sequence(system, coc, n_max, mode, max_cells=max_cells)[1:]
-            seqs["return_mass"] = mu
-            log_cs["return_mass"] = -2.0 * math.log(float(system.gibbs_constant))
-    transitive = any(float(v) > 0 for v in next(iter(seqs.values())))
+            seqs["return_mass"] = (mu, system.log_superadditivity_constant)
     ns, values, brackets, estimates = {}, {}, {}, {}
-    for name, zs in seqs.items():
-        valid = [(n, float(z)) for n, z in zip(range(1, n_max + 1), zs) if float(z) > 0]
-        if not valid:
-            ns[name], values[name] = [], []
-            brackets[name] = FeketeBracket(-math.inf, math.nan, False, [])
-            estimates[name] = math.nan
-            continue
-        nlist = [n for n, _ in valid]
-        logs = [math.log(z) for _, z in valid]
-        ns[name] = nlist
-        values[name] = [l / n for n, l in zip(nlist, logs)]
-        # masses and cycle weights never exceed 1, so the limit is <= 0
-        brackets[name] = fekete_limit(logs, log_cs[name], nlist, upper=0.0)
-        estimates[name] = values[name][-1]
+    for name, (zs, log_c) in seqs.items():
+        ns[name], values[name], brackets[name], estimates[name] = _fekete_rates(zs, log_c)
+    transitive = bool(next(iter(ns.values())))
     note = "" if transitive else "no identity returns found: extension may not be transitive"
     return PressureReport(kind, ns, values, brackets, estimates, transitive, note)
 
@@ -460,11 +465,6 @@ class KestenReport:
     difference: float
     bracket_width: float
     consistent: bool
-
-    def rows(self):
-        return [(self.convolution.ks[-1] if self.convolution.ks else 0,
-                 "kesten_difference", self.difference, self.bracket_width,
-                 0.0 if self.consistent else 1.0)]
 
 
 def kesten_identity_check(measure: WalkMeasure, k_max=30, stride=None,
@@ -496,19 +496,16 @@ class PhiTildeReport:
     violations: list
     holds: bool
 
-    def rows(self):
-        return [(n, "phi_min", p, r, 0.0) for n, p, r in
-                zip(self.n_list, self.phi_values, self.rate_sequence)]
-
 
 def phi_tilde_check(system, cocycle, a, i_range, s=1, mode="float",
-                    max_cells=DEFAULT_MAX_CELLS, rel_slack=1e-9) -> PhiTildeReport:
+                    max_cells=DEFAULT_MAX_CELLS) -> PhiTildeReport:
     """Superadditivity of the normalized minimized walk-measure transforms.
 
     For indices i in range, phi_i is the abelianized moment generating
     function of the walk measure at n_i = i*s and x_i its minimizer; the
-    products P_{n_i}(1) * phi_i(x_i) must be superadditive up to the squared
-    inverse Gibbs constant (exactly, with constant 1, for Bernoulli weights).
+    products P_{n_i}(1) * phi_i(x_i) must be superadditive up to the system's
+    superadditivity constant C^-2 (exactly, with constant 1, for Bernoulli
+    weights).
     """
     indices = sorted(int(i) for i in i_range)
     phis, pns = {}, {}
@@ -520,7 +517,7 @@ def phi_tilde_check(system, cocycle, a, i_range, s=1, mode="float",
             raise ValidationError(f"minimizer not attained at i={i}")
         phis[i] = res.phi
         pns[i] = float(periodic_sum(system, a, n, mode="float"))
-    const = 1.0 if system.is_bernoulli else float(1 / system.gibbs_constant ** 2)
+    const = float(system.superadditivity_constant)
     tilde = {i: pns[i] * phis[i] for i in indices}
     violations = []
     for i in indices:
@@ -528,7 +525,7 @@ def phi_tilde_check(system, cocycle, a, i_range, s=1, mode="float",
             if i + j in tilde:
                 lhs = tilde[i + j]
                 rhs = const * tilde[i] * tilde[j]
-                if lhs < rhs * (1 - rel_slack):
+                if lhs < rhs * (1 - SUPERADDITIVITY_REL_SLACK):
                     violations.append((i, j, lhs, rhs))
     rates = [math.log(phis[i]) / (i * s) for i in indices]
     return PhiTildeReport(indices, [i * s for i in indices],

@@ -32,6 +32,12 @@ from .groups import EmbeddedRealLattice, IntegerLattice
 from .walkdist import _as_box, box_volume, distribution, mass_trajectory, window_mass
 
 NEAR_DEGENERATE_GAP = 1e-6
+# largest disagreement of the matrix and table characteristic functions
+CHARFN_TOL = 1e-10
+# relative tolerance of the u_n quadrature (d = 1 and embedded lattices)
+U_N_REL_TOL = 1e-12
+# largest imaginary part of a leading eigenvalue that counts as real
+REALITY_TOL = 1e-10
 # complex matrix entries per stacked block (2 MiB): grids of any resolution
 # are evaluated block by block, so memory stays bounded
 _BLOCK_ENTRIES = 1 << 17
@@ -144,10 +150,6 @@ class ScanReport:
     passed: bool
     algebraic_full: bool | None = None
 
-    def rows(self):
-        return [(self.epsilon, "max_modulus_off_ball", self.max_modulus,
-                 1.0, 1.0 - self.max_modulus)]
-
 
 def _grid(cocycle, resolution):
     d = _lattice_dim(cocycle)
@@ -228,19 +230,19 @@ def _charfn_table(table, cocycle, theta):
     return out
 
 
-def characteristic_function(system, cocycle, theta, n, check=True, tol=1e-10,
-                            table=None) -> complex:
+def characteristic_function(system, cocycle, theta, n, check=True, table=None) -> complex:
     """E[character(n-step product)] via twisted matrix powers.
 
     With ``check`` the value is recomputed as a direct sum over the n-step
-    law; disagreement beyond ``tol`` raises, as the two paths are independent.
+    law; disagreement beyond ``CHARFN_TOL`` raises, as the two paths are
+    independent.
     """
     val = complex(_charfn_matrix(system, cocycle, _one_row(theta), n)[0])
     if check:
         if table is None:
             table = distribution(system, cocycle, n, mode="float")
         ref = _charfn_table(table, cocycle, theta)
-        if abs(val - ref) > tol:
+        if abs(val - ref) > CHARFN_TOL:
             raise ConsistencyError(
                 f"characteristic function paths disagree at theta={theta}: "
                 f"{val} vs {ref}"
@@ -271,6 +273,8 @@ def fourier_invert(system, cocycle, g, n, grid_size, compare=False) -> FourierIn
     uniform M-point rule is exact up to floating error once M > 2nR + 1;
     smaller grids are flagged as aliasing risks.
     """
+    if grid_size < 1:
+        raise ValidationError("Fourier inversion needs grid_size >= 1")
     d = _lattice_dim(cocycle)
     g = tuple(g)
     R = max(max(abs(c) for c in v) if v else 0 for v in cocycle.values)
@@ -310,7 +314,7 @@ def _adaptive_gl(f, a, b, rel_tol=1e-12, max_depth=48):
     return recurse(a, b, panel(a, b), 0)
 
 
-def u_n_integral(system, cocycle, eta, n, rel_tol=1e-12) -> float:
+def u_n_integral(system, cocycle, eta, n) -> float:
     """Integral of the n-th power of the leading eigenvalue over the eta-ball.
 
     Lattice targets (d = 1) use plain d(theta); embedded targets integrate
@@ -338,15 +342,15 @@ def u_n_integral(system, cocycle, eta, n, rel_tol=1e-12) -> float:
         if spec.ambient_dim != 1:
             raise ValidationError("embedded u_n integrals support ambient dimension 1")
         beta = np.array([row[0] for row in spec.basis])
-        return float(_adaptive_gl(lambda t: lead(np.outer(t, beta)), -eta, eta, rel_tol)
+        return float(_adaptive_gl(lambda t: lead(np.outer(t, beta)), -eta, eta, U_N_REL_TOL)
                      / (2 * math.pi))
     d = _lattice_dim(cocycle)
     if d == 1:
         if eta > math.pi + 1e-12:
             raise ValidationError("eta must be <= pi on the torus")
-        return float(_adaptive_gl(lambda t: lead(t[:, None]), -eta, eta, rel_tol))
+        return float(_adaptive_gl(lambda t: lead(t[:, None]), -eta, eta, U_N_REL_TOL))
     if d == 2:
-        tol = max(rel_tol, 1e-10)
+        tol = 1e-10     # both nested rules of the 2-d integral stop coarser
 
         def radial(r):
             return r * _adaptive_gl(lambda t: lead(r * np.stack([np.cos(t), np.sin(t)], axis=1)),
@@ -414,12 +418,8 @@ class RealityReport:
     passed: bool
     symmetry_ok: bool | None
 
-    def rows(self):
-        return [(0, "max_imag_lambda", self.max_imag, 0.0, self.max_imag)]
 
-
-def symmetry_reality_check(system, cocycle, involution=None, grid_size=128,
-                           tol=1e-10) -> RealityReport:
+def symmetry_reality_check(system, cocycle, involution=None, grid_size=128) -> RealityReport:
     """Largest imaginary part of the leading eigenvalue over a torus grid."""
     thetas = _grid(cocycle, grid_size)
     sym_ok = None
@@ -430,4 +430,4 @@ def symmetry_reality_check(system, cocycle, involution=None, grid_size=128,
     worst, argmax = 0.0, (0.0,) * thetas.shape[1]
     if imag[i] > 0:
         worst, argmax = float(imag[i]), tuple(thetas[i].tolist())
-    return RealityReport(worst, argmax, worst <= tol, sym_ok)
+    return RealityReport(worst, argmax, worst <= REALITY_TOL, sym_ok)

@@ -34,6 +34,8 @@ DEFAULT_MAX_CELLS = 80_000_000
 DEFAULT_MAX_ATOMS = 3_000_000
 EXPORT_MAX_ATOMS = 5_000_000
 BOUNDARY_ATOL = 1e-9
+# relative slack of a float superadditivity comparison (rational ones are exact)
+SUPERADDITIVITY_REL_SLACK = 1e-9
 
 
 def _as_box(E, spec):
@@ -600,6 +602,10 @@ def ratio_sequence(system, cocycle, g, ns, mode="float", stride=1, **kw) -> Rati
     """
     g = tuple(g)
     ns = sorted(set(int(n) for n in ns))
+    if stride < 1:
+        raise ValidationError("the stride must be >= 1")
+    if not ns or ns[0] < 0:
+        raise ValidationError("ratios need at least one n, each n >= 0")
     n_top = ns[-1] + stride
     seq = [row[0] for row in mass_trajectory(system, cocycle, [g], n_top, mode, **kw)]
     first_valid = next((i for i, v in enumerate(seq) if i >= 1 and v > 0), None)
@@ -656,6 +662,8 @@ def _clt_reference(system, cocycle, g, n):
 
 def cross_ratio(system, cocycle, g, n, mode="float", **kw) -> CrossRatioReport:
     """mu^n(g) / mu^n(e) with a local-CLT reference curve for lattice targets."""
+    if n < 1:
+        raise ValidationError("cross ratios need n >= 1")
     g = tuple(g)
     e = cocycle.spec.identity()
     traj = mass_trajectory(system, cocycle, [g, e], n, mode, **kw)
@@ -704,10 +712,6 @@ class WindowPairReport:
     n: int
     pairs: list                  # (g, g1, ratio)
     max_deviation: float
-
-    def rows(self):
-        return [(self.n, f"pair_ratio {g}/{g1}", r, 1.0, abs(r - 1.0))
-                for g, g1, r in self.pairs]
 
 
 def window_pair_ratios(system, cocycle, E, shifts, n, mode="float", **kw) -> WindowPairReport:
@@ -1013,23 +1017,16 @@ class SuperadditivityReport:
     violations: list
     holds: bool
 
-    def rows(self):
-        return [(self.n_max, "superadditivity_violations", len(self.violations), 0.0,
-                 0.0 if self.holds else 1.0)]
-
 
 def superadditivity_check(system, cocycle, n_max, mode="float",
-                          constant=None, rel_slack=1e-9, **kw) -> SuperadditivityReport:
+                          constant=None, **kw) -> SuperadditivityReport:
     """Check mu^{n+m}(e) >= D * mu^n(e) * mu^m(e) for all n, m <= n_max.
 
-    D defaults to the inverse square of the Gibbs constant; Bernoulli systems
-    satisfy the sharper D = 1, exactly in rational mode.
+    D defaults to the system's superadditivity constant C^-2 (1 for Bernoulli
+    systems), exactly in rational mode.
     """
     if constant is None:
-        if system.is_bernoulli:
-            constant = Fraction(1)
-        else:
-            constant = 1 / system.gibbs_constant ** 2
+        constant = system.superadditivity_constant
     seq = return_sequence(system, cocycle, 2 * n_max, mode, **kw)
     violations = []
     for nn in range(1, n_max + 1):
@@ -1039,7 +1036,7 @@ def superadditivity_check(system, cocycle, n_max, mode="float",
             if mode == "rational":
                 ok = lhs >= rhs
             else:
-                ok = float(lhs) >= float(rhs) * (1 - rel_slack)
+                ok = float(lhs) >= float(rhs) * (1 - SUPERADDITIVITY_REL_SLACK)
             if not ok:
                 violations.append((nn, mm, float(lhs), float(rhs)))
     return SuperadditivityReport(n_max, float(constant), violations, not violations)

@@ -256,6 +256,102 @@ n_max = 5
     assert "result.worst_deviation = 0.0" in manifest
 
 
+NO_RETURN_FEKETE = """
+[system]
+alphabet = 2
+order = 0
+weights = 1/2 1/2
+
+[cocycle]
+group = lattice 1
+values = 1; 2
+
+[experiment]
+kind = fekete
+n_max = 10
+"""
+
+
+@pytest.mark.parametrize("cfg", [
+    NO_RETURN_FEKETE,
+    TRINOMIAL_RATIO.replace("kind = ratio\ng = 0\nn_grid = 4 8 16", "kind = fekete\nn_max = 0"),
+], ids=["never-returns", "n_max-0"])
+def test_fekete_without_returns_exits_one_with_manifest(tmp_path, capsys, cfg):
+    out = tmp_path / "out"
+    code = cli.main(["fekete", "--config", _write(tmp_path, cfg), "--out", str(out)])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "fekete.csv").read_text() == "n,log_mass_over_n,fekete_lower\n"
+    manifest = (out / "manifest.txt").read_text()
+    assert "run.exit_code = 1" in manifest
+    assert re.search(r"^result\.note = no mass > 0 in float up to n = (10|0)$", manifest, re.M)
+    assert "result.holds = False" in manifest and "result.lower = -inf" in manifest
+
+
+def test_kesten_without_a_return_up_to_k_max_exits_one(tmp_path):
+    # the +-1 walk first returns at k = 2
+    cfg = SIMPLE_WALK_SCAN.replace("kind = spectral-scan\nresolution = 32\nepsilon = 0.1",
+                                   "kind = kesten\nk_max = 1")
+    out = tmp_path / "out"
+    assert cli.main(["kesten", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 1
+    assert (out / "kesten.csv").read_text() == "k,conv_return,kth_root,stride_ratio\n"
+    assert "result.estimate = nan" in (out / "manifest.txt").read_text()
+
+
+def test_fekete_rows_are_the_return_mass_estimator(tmp_path):
+    # the fekete kind and pressure_estimate read one growth-rate routine
+    from gmwalk import presets, pressure
+
+    cfg = TRINOMIAL_RATIO.replace("kind = ratio\ng = 0\nn_grid = 4 8 16",
+                                  "kind = fekete\nn_max = 30")
+    assert cli.main(["fekete", "--config", _write(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "fekete.csv").read_text().splitlines()[1:]
+    sys_, coc, _ = presets.trinomial()
+    rep = pressure.pressure_estimate("extension", sys_, coc, 0, 30, mode="rational")
+    br = rep.brackets["return_mass"]
+    assert rows == [f"{n},{v!r},{br.lower!r}"
+                    for n, v in zip(rep.ns["return_mass"], rep.values["return_mass"])]
+
+
+@pytest.mark.parametrize("kind, body, error", [
+    ("cross-ratio", "g = 0\nn = 0", "cross ratios need n >= 1"),
+    ("fourier-invert", "g = 0\nn = 4\ngrid = 0", "Fourier inversion needs grid_size >= 1"),
+    ("kesten", "k_max = 0", "convolution spectral radii need k_max >= 1"),
+    ("ratio", "g = 0\nn_grid = 4 8\nstride = -2", "the stride must be >= 1"),
+])
+def test_out_of_range_parameters_exit_two_with_manifest(tmp_path, kind, body, error):
+    cfg = TRINOMIAL_RATIO.replace("kind = ratio\ng = 0\nn_grid = 4 8 16",
+                                  f"kind = {kind}\n{body}")
+    out = tmp_path / "out"
+    code = cli.main([kind, "--config", _write(tmp_path, cfg), "--out", str(out)])
+    assert code == 2
+    assert list(out.iterdir()) == [out / "manifest.txt"]
+    manifest = (out / "manifest.txt").read_text()
+    assert "run.exit_code = 2" in manifest
+    assert f"run.error = {error}\n" in manifest
+
+
+def test_oracle_compare_enumerates_once(tmp_path, monkeypatch):
+    from gmwalk import oracle
+
+    depths = []
+    upto = oracle.oracle_distributions_upto
+
+    def counted(system, cocycle, n):
+        depths.append(n)
+        return upto(system, cocycle, n)
+
+    monkeypatch.setattr(oracle, "oracle_distributions_upto", counted)
+    cfg = TRINOMIAL_RATIO.replace("kind = ratio\ng = 0\nn_grid = 4 8 16",
+                                  "kind = oracle-compare\nn_max = 6")
+    assert cli.main(["oracle-compare", "--config", _write(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert depths == [6]
+    rows = (tmp_path / "out" / "oracle_compare.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == [str(n) for n in range(1, 7)]
+
+
 def test_embedded_group_and_product_parse():
     cfg = """
 [system]

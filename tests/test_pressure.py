@@ -337,6 +337,80 @@ def test_pressure_estimate_non_transitive_diagnostic():
     rep = pressure.pressure_estimate("extension", sys_, drift, 0, 20)
     assert not rep.transitive
     assert "transitive" in rep.note
+    for name in ("grouped_periodic", "return_mass"):
+        br = rep.brackets[name]
+        assert rep.ns[name] == [] and rep.values[name] == []
+        assert br.lower == -math.inf and math.isnan(br.estimate) and not br.holds
+        assert br.note == "no mass > 0 in float up to n = 20"
+        assert math.isnan(rep.estimates[name])
+
+
+def test_fekete_rates_without_a_positive_term_is_an_empty_bracket():
+    ns, rates, br, est = pressure._fekete_rates([0.0, Fraction(0), 1e-400], -0.5)
+    assert (ns, rates) == ([], [])
+    assert br.lower == -math.inf and math.isnan(br.estimate)
+    assert not br.holds and br.violations == [] and br.upper == math.inf
+    assert br.note == "no mass > 0 in float up to n = 3"
+    assert math.isnan(est)
+    assert pressure._fekete_rates([], 0.0)[2].note == "no mass > 0 in float up to n = 0"
+
+
+def test_fekete_rates_match_fekete_limit():
+    seq = [Fraction(1, 2), Fraction(0), Fraction(1, 5), Fraction(1, 9)]
+    ns, rates, br, est = pressure._fekete_rates(seq, -0.25)
+    assert ns == [1, 3, 4]
+    logs = [math.log(0.5), math.log(0.2), math.log(1 / 9)]
+    assert rates == [l / n for n, l in zip(ns, logs)]
+    want = pressure.fekete_limit(logs, -0.25, ns, upper=0.0)
+    assert (br.lower, br.estimate, br.holds, br.violations, br.upper, br.note) == \
+        (want.lower, want.estimate, want.holds, want.violations, 0.0, "")
+    assert est == rates[-1]
+
+
+def test_kesten_check_with_no_return_up_to_k_max():
+    # the simple walk first returns at k = 2, beyond k_max = 1
+    sys_, coc, _ = presets.simple_walk()
+    rep = pressure.kesten_identity_check(pressure.one_step_law(sys_, coc), k_max=1)
+    conv = rep.convolution
+    assert conv.ks == [] and conv.returns == [] and conv.kth_roots == []
+    assert conv.stride == 2 and conv.fekete_lower == 0.0
+    assert math.isnan(conv.estimate)
+    assert conv.note == "no mass > 0 in float up to n = 1"
+    assert not rep.consistent
+
+
+def test_spectral_radius_convolution_validates_k_max_and_stride():
+    sys_, coc, _ = presets.trinomial()
+    law = pressure.one_step_law(sys_, coc, mode="float")
+    for k_max in (0, -3):
+        with pytest.raises(ValidationError, match="k_max >= 1"):
+            pressure.spectral_radius_convolution(law, k_max)
+    with pytest.raises(ValidationError, match="stride must be >= 1"):
+        pressure.spectral_radius_convolution(law, 5, stride=0)
+
+
+def test_convolution_fekete_lower_is_the_largest_root():
+    sys_, coc, _ = presets.asymmetric_z()
+    rep = pressure.spectral_radius_convolution(pressure.one_step_law(sys_, coc, "float"), 20)
+    assert rep.ks == list(range(2, 21, 2))
+    assert rep.fekete_lower == math.exp(max(math.log(r) / k for k, r in zip(rep.ks, rep.returns)))
+
+
+def test_superadditivity_constant_on_the_system():
+    from gmwalk.gm_system import GibbsMarkovSystem
+
+    for mk in presets.ALL_EXAMPLES.values():
+        sys_, _, _ = mk()
+        if sys_.is_bernoulli:
+            assert sys_.superadditivity_constant == 1
+            assert sys_.log_superadditivity_constant == 0.0
+    markov = GibbsMarkovSystem.markov([["1/7", "2/7", "4/7"], ["1/3", "1/3", "1/3"],
+                                       ["5/11", "3/11", "3/11"]])
+    C = markov.gibbs_constant
+    assert C > 1
+    assert markov.superadditivity_constant == 1 / C ** 2
+    assert isinstance(markov.superadditivity_constant, Fraction)
+    assert markov.log_superadditivity_constant == -2.0 * math.log(float(C))
 
 
 def test_generating_period_exhaustion_diagnostic():

@@ -249,6 +249,13 @@ def test_fourier_invert_exact_band_limited():
     assert one.value == pytest.approx(1 / 3, abs=1e-12)
 
 
+@pytest.mark.parametrize("grid_size", [0, -4])
+def test_fourier_invert_needs_a_grid_point(grid_size):
+    sys_, coc, _ = presets.trinomial()
+    with pytest.raises(ValidationError, match="grid_size >= 1"):
+        spectral.fourier_invert(sys_, coc, (0,), 4, grid_size)
+
+
 def test_fourier_invert_aliasing_detected():
     sys_, coc, _ = presets.trinomial()
     rep = spectral.fourier_invert(sys_, coc, (0,), 10, 8, compare=True)

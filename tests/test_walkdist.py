@@ -155,6 +155,25 @@ def test_cross_ratio_identity_and_oracle():
     assert rep2.value == pytest.approx(float(expected), rel=1e-15)
 
 
+@pytest.mark.parametrize("ns, stride, error", [
+    ([4, 8], 0, "stride must be >= 1"),
+    ([4, 8], -2, "stride must be >= 1"),
+    ([-3, 2], 1, "each n >= 0"),
+    ([], 1, "at least one n"),
+])
+def test_ratio_sequence_validates_ns_and_stride(ns, stride, error):
+    sys_, coc, _ = presets.trinomial()
+    with pytest.raises(ValidationError, match=error):
+        walkdist.ratio_sequence(sys_, coc, (0,), ns, stride=stride)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_cross_ratio_needs_n_at_least_one(n):
+    sys_, coc, _ = presets.trinomial()
+    with pytest.raises(ValidationError, match="cross ratios need n >= 1"):
+        walkdist.cross_ratio(sys_, coc, (0,), n)
+
+
 def test_clt_reference_curve():
     sys_, coc, _ = presets.trinomial()
     rep = walkdist.cross_ratio(sys_, coc, (5,), 100)
