@@ -474,10 +474,12 @@ def _run_kesten(c, p, kw):
     law = pressure.one_step_law(c.system, c.cocycle, mode="float")
     rep = pressure.kesten_identity_check(law, p["k_max"], p.get("stride"), "float", **kw)
     header = ("k", "conv_return", "kth_root", "stride_ratio")
-    return (0 if rep.consistent else 1), rep.convolution.rows(), header, {
-        "estimate": rep.convolution.estimate, "abelianized_minimum": rep.minimizer.phi,
-        "difference": rep.difference, "bracket_width": rep.bracket_width,
-        "minimizer_x": tuple(rep.minimizer.x), "grad_norm": rep.minimizer.grad_norm}
+    extra = {"estimate": rep.convolution.estimate, "abelianized_minimum": rep.minimizer.phi,
+             "difference": rep.difference, "bracket_width": rep.bracket_width,
+             "minimizer_x": tuple(rep.minimizer.x), "grad_norm": rep.minimizer.grad_norm}
+    if rep.convolution.note:
+        extra["note"] = rep.convolution.note
+    return (0 if rep.consistent else 1), rep.convolution.rows(), header, extra
 
 
 def _run_fekete(c, p, kw):
@@ -497,8 +499,12 @@ def _run_oracle_compare(c, p, kw):
     # one enumeration gives the laws of every depth 1..n_max
     refs = oracle.oracle_distributions_upto(c.system, c.cocycle, p["n_max"]) \
         if p["n_max"] >= 1 else []
+    # and one rational engine pass the fast laws
+    eng = walkdist._make_engine(walkdist.walk_recursion(c.system, c.cocycle, "rational"),
+                                p["n_max"])
     for n, ref in enumerate(refs, 1):
-        fast = walkdist.distribution(c.system, c.cocycle, n, mode="rational")
+        eng.step_once()
+        fast = eng.to_table()
         keys = set(ref.data) | set(fast.data)
         dev = max(abs(float(ref.data.get(k, 0)) - float(fast.data.get(k, 0))) for k in keys)
         worst = max(worst, dev)

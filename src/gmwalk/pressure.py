@@ -77,14 +77,20 @@ def periodic_sum(system, a, n, mode="float"):
     if n < 1:
         raise ValidationError("periodic sums need n >= 1")
     if mode == "rational":
-        P = system.trans
-        m = system.m
-        acc = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-        for _ in range(n):
-            acc = [[sum(acc[i][k] * P[k][j] for k in range(m)) for j in range(m)]
-                   for i in range(m)]
-        return acc[a][a]
+        return _periodic_sums(system, a, n)[-1]
     return float(np.linalg.matrix_power(system.trans_float, n)[a, a])
+
+
+def _periodic_sums(system, a, n_max):
+    """Exact Z_a^1, ..., Z_a^{n_max}: entry a of the row e_a P^n, in one pass."""
+    P = system.trans
+    m = system.m
+    row = [Fraction(1) if j == a else Fraction(0) for j in range(m)]
+    out = []
+    for _ in range(n_max):
+        row = [sum(row[k] * P[k][j] for k in range(m)) for j in range(m)]
+        out.append(row[a])
+    return out
 
 
 def _grouped_engine(system, cocycle, a, n, mode, max_cells):
@@ -206,7 +212,7 @@ def spectral_radius_convolution(measure, k_max, stride=None, mode="float",
     max_p log(r_p)/p is a rigorous lower bound for log of the spectral radius;
     the stride ratio (r_{k+s}/r_k)^{1/s} is the headline estimate since its
     bias decays like 1/k instead of log(k)/k.  Without a return at k <= k_max
-    the estimate is nan and the note says so.
+    the estimate is nan, the lower bound 0 and the note says so.
     """
     if k_max < 1:
         raise ValidationError("convolution spectral radii need k_max >= 1")
@@ -217,9 +223,6 @@ def spectral_radius_convolution(measure, k_max, stride=None, mode="float",
                        max_cells=max_cells)
     returns_all = [float(r) for (r,) in _trajectory(eng, [measure.spec.identity()], top)[1:]]
     positive = [k for k, r in enumerate(returns_all, 1) if r > 0]
-    if not positive:
-        return ConvolutionReport([], [], [], [], 0, -math.inf, math.nan,
-                                 note=f"no identity returns up to k={top}")
     s = stride if stride is not None else math.gcd(*positive)
     ks, _, bracket, _ = _fekete_rates(returns_all[:k_max], 0.0)
     rs = [returns_all[k - 1] for k in ks]
@@ -438,8 +441,9 @@ def pressure_estimate(kind, system, cocycle, a, n_max, mode="float",
     # estimator -> (sequence for n = 1..n_max, log superadditivity constant)
     seqs = {}
     if kind == "base":
-        seqs["periodic"] = ([periodic_sum(system, a, n, mode) for n in range(1, n_max + 1)],
-                            0.0)
+        zs = (_periodic_sums(system, a, n_max) if mode == "rational"
+              else [periodic_sum(system, a, n, mode) for n in range(1, n_max + 1)])
+        seqs["periodic"] = (zs, 0.0)
     else:
         coc = cocycle if kind == "extension" else cocycle.abelianized()
         # cycles through the same base concatenate with no loss

@@ -9,11 +9,12 @@ The same recursion with one state and one shift per atom is the convolution
 power of a measure; ``Recursion`` holds either form.  Statistics of the
 group marginal alone step ``marginal_recursion``, which for a Bernoulli
 system is the one-step law with one state instead of m.  Dense float engines
-(stride-indexed boxes) are selected automatically for integer-lattice and
-embedded-lattice targets and for the Heisenberg group; everything else, and
-all exact-rational work, runs on hash-keyed sparse tables.  Exact work steps
-Python int numerators over one common denominator and builds a ``Fraction``
-only where a mass leaves the engine.
+(flat stride-indexed boxes, one kernel) are selected automatically for
+integer-lattice and embedded-lattice targets and for the Heisenberg group,
+whose box is stored y-slab by y-slab so that its shear is one flat offset per
+slab; everything else, and all exact-rational work, runs on hash-keyed
+sparse tables.  Exact work steps Python int numerators over one common
+denominator and builds a ``Fraction`` only where a mass leaves the engine.
 """
 
 from __future__ import annotations
@@ -347,22 +348,28 @@ class _SparseEngine:
         return MassTable(self.n, self.mode, self.spec, data)
 
 
-class _DenseEngine:
-    """Float stepping of a recursion on a dense box; subclasses fix the layout.
+class _DenseLatticeEngine:
+    """Float stepping of a recursion on a flat stride-indexed dense box.
 
-    The box is planned here for both layouts, and the ``max_cells`` guard
-    (see ``_make_engine``) is checked before anything is allocated.
+    Integer and embedded lattices use it as it is: every atom is one flat
+    offset and a step passes the kernel one flat source range.  The box is
+    planned here, and the ``max_cells`` guard (see ``_make_engine``) is
+    checked before anything is allocated.
     """
 
-    layout = ""
+    layout = "lattice"
+    order = None            # memory order of the key axes, slowest first (None: key order)
 
-    def __init__(self, rec, n_max, seed_state, max_cells, seed_entry):
+    def __init__(self, rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
+                 seed_entry=None):
         self.rec = rec
         self.spec = rec.spec
         self.mode = "float"
         self.n = 0
         shifts = sorted(rec.shifts)     # a measure's atom order fixes its float sums
         self.atoms = [a for _, a, _ in shifts]
+        # per axis, the lowest and highest coordinate of an atom or the identity
+        self._reach = [(min(0, *c), max(0, *c)) for c in zip(*self.atoms)]
         self._span0 = 1 if seed_entry is not None else 0
         lo, hi = self._span_box(n_max + self._span0)
         self.lo = tuple(lo)
@@ -374,49 +381,68 @@ class _DenseEngine:
                 f"over the {max_cells}-cell guard",
                 completed=0,
             )
-        self.tgt = np.array([t for t, _, _ in shifts], dtype=np.int64)
-        self.wts = np.array([float(w) for _, _, w in shifts])
-        self.W = np.zeros(self._table_shape())
-        grid = self._grid()
+        strides = [0] * len(self.dims)
+        acc = 1
+        for i in reversed(self.order or range(len(self.dims))):
+            strides[i] = acc
+            acc *= self.dims[i]
+        self.strides = tuple(strides)
+        self.offs = [self._flat(atom) for atom in self.atoms]
+        self.tgt = [t for t, _, _ in shifts]
+        self.wts = [float(w) for _, _, w in shifts]
+        self.W = np.zeros((rec.S, self.L))
         for (s, g), w in rec.seed(seed_state, seed_entry).items():
-            grid[(s,) + self._cell(g)] = float(w)
+            self.W[s, self._cell(g)] = float(w)
         self._buf = np.zeros_like(self.W)
+        self._embed_cache = None
 
     def _span_box(self, span):
         # corners of the box holding every product of ``span`` atoms
-        atoms = self.atoms
-        lo = [min(0, min(a[i] for a in atoms)) * span for i in range(len(atoms[0]))]
-        hi = [max(0, max(a[i] for a in atoms)) * span for i in range(len(atoms[0]))]
-        return lo, hi
+        return [l * span for l, _ in self._reach], [h * span for _, h in self._reach]
 
     def _active(self):
         # index corners (inclusive) of the box holding the current support
         lo, hi = self._span_box(self.n + self._span0)
         return ([l - o for l, o in zip(lo, self.lo)], [h - o for h, o in zip(hi, self.lo)])
 
-    def _grid(self):
-        # the table viewed as (S, key coordinates...)
-        return self.W.reshape((self.rec.S,) + self.dims)
+    def _flat(self, idx):
+        return sum(c * st for c, st in zip(idx, self.strides))
+
+    def _ranges(self, lo, hi):
+        # the kernel's flat source ranges with their per-shift offsets
+        return [(self._flat(lo), self._flat(hi) + 1, self.offs)]
 
     def _cell(self, g):
         if not all(l <= c < l + dim for c, l, dim in zip(g, self.lo, self.dims)):
             return None
-        return tuple(c - l for c, l in zip(g, self.lo))
+        return self._flat([c - l for c, l in zip(g, self.lo)])
+
+    def step_once(self):
+        self.W, self._buf = _kernels.lattice_step(self.W, self._buf, self.rec.P, self.tgt,
+                                                  self.wts, self._ranges(*self._active()))
+        self.n += 1
 
     def mass_at(self, g):
-        idx = self._cell(g)
-        if idx is None:
-            return 0.0
-        return float(self._grid()[(slice(None),) + idx].sum())
+        i = self._cell(g)
+        return 0.0 if i is None else float(self.W[:, i].sum())
 
     def joint_mass_at(self, s, g):
-        idx = self._cell(g)
-        if idx is None:
-            return 0.0
-        return float(self._grid()[(s,) + idx])
+        i = self._cell(g)
+        return 0.0 if i is None else float(self.W[s, i])
+
+    def group_view(self):
+        """Real embeddings (cached) and masses of every cell of the box, in memory order."""
+        if self._embed_cache is None:
+            flat = np.arange(self.L)
+            self._embed_cache = _embed(self.spec, [flat // st % dim + l for st, dim, l
+                                                   in zip(self.strides, self.dims, self.lo)])
+        return self._embed_cache, self.W.sum(axis=0)
 
     def to_table(self):
-        grid = self._grid()
+        # the table viewed as (S, key coordinates...), whatever the memory order
+        grid = np.lib.stride_tricks.as_strided(
+            self.W, (self.rec.S,) + self.dims,
+            (self.W.strides[0],) + tuple(self.W.itemsize * st for st in self.strides))
         nz = np.nonzero(grid)
         if nz[0].size > EXPORT_MAX_ATOMS:
             raise ResourceLimitError(
@@ -428,53 +454,15 @@ class _DenseEngine:
         return MassTable(self.n, "float", self.spec, data)
 
 
-class _DenseLatticeEngine(_DenseEngine):
-    """Flat stride-indexed box (integer and embedded lattices)."""
+class _DenseHeisEngine(_DenseLatticeEngine):
+    """Flat (y, x, z)-ordered Heisenberg box: one kernel range per y-slab.
 
-    layout = "lattice"
-
-    def __init__(self, rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
-                 seed_entry=None):
-        super().__init__(rec, n_max, seed_state, max_cells, seed_entry)
-        strides = [0] * len(self.dims)
-        acc = 1
-        for i in range(len(self.dims) - 1, -1, -1):
-            strides[i] = acc
-            acc *= self.dims[i]
-        self.strides = tuple(strides)
-        self.offs = np.array([sum(a * st for a, st in zip(atom, strides))
-                              for atom in self.atoms], dtype=np.int64)
-        self._embed_cache = None
-
-    def _table_shape(self):
-        return (self.rec.S, self.L)
-
-    def step_once(self):
-        lo, hi = self._active()
-        act = (sum(c * st for c, st in zip(lo, self.strides)),
-               sum(c * st for c, st in zip(hi, self.strides)) + 1)
-        self.W, self._buf = _kernels.lattice_step(self.W, self._buf, self.rec.P, self.offs,
-                                                  self.tgt, self.wts, act)
-        self.n += 1
-
-    def group_view(self):
-        """Real embeddings (cached) and masses of every cell of the box."""
-        if self._embed_cache is None:
-            coords = np.unravel_index(np.arange(self.L), self.dims)
-            self._embed_cache = _embed(self.spec, [c + l for c, l in zip(coords, self.lo)])
-        return self._embed_cache, self.W.sum(axis=0)
-
-
-class _DenseHeisEngine(_DenseEngine):
-    """Dense (x, y, z) box with the shear handled in-kernel."""
+    On the slab at coordinate y the increment (a, b, c) is the flat offset of
+    the lattice step (a, b, c) plus the shear a*y (z has stride 1).
+    """
 
     layout = "Heisenberg"
-
-    def __init__(self, rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
-                 seed_entry=None):
-        super().__init__(rec, n_max, seed_state, max_cells, seed_entry)
-        self.incs = np.array(self.atoms, dtype=np.int64)
-        self.oy = -self.lo[1]
+    order = (1, 0, 2)
 
     def _span_box(self, span):
         lo, hi = super()._span_box(span)
@@ -482,15 +470,13 @@ class _DenseHeisEngine(_DenseEngine):
         lo[2], hi[2] = -zb, zb
         return lo, hi
 
-    def _table_shape(self):
-        return (self.rec.S,) + self.dims
-
-    def step_once(self):
-        lo, hi = self._active()
-        act = tuple((l, h + 1) for l, h in zip(lo, hi))
-        self.W, self._buf = _kernels.heis_step(self.W, self._buf, self.rec.P, self.incs,
-                                               self.tgt, self.wts, self.oy, act)
-        self.n += 1
+    def _ranges(self, lo, hi):
+        # the active box cut into y-slabs; the slab at coordinate y adds the shear a*y
+        sy = self.strides[1]
+        first, last = self._flat(lo) - lo[1] * sy, self._flat(hi) - hi[1] * sy
+        return [(first + iy * sy, last + iy * sy + 1,
+                 [off + atom[0] * (iy + self.lo[1]) for off, atom in zip(self.offs, self.atoms)])
+                for iy in range(lo[1], hi[1] + 1)]
 
 
 def _make_engine(rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,

@@ -54,3 +54,14 @@ def test_no_common_untraced_run_is_an_error(tmp_path):
         bench_record.main(["--pr", "1", "--title", "t", "--claim", "sparse_exact:wall_s",
                            "--parent", str(tmp_path / "parent"),
                            "--change", str(tmp_path / "change")])
+
+
+def test_a_record_without_a_claim_claims_no_gain(tmp_path):
+    _result(tmp_path / "parent", "heis_returns", 1, 0, 1.0)
+    _result(tmp_path / "change", "heis_returns", 1, 0, 0.9)
+    out = tmp_path / "BENCH_1.json"
+    bench_record.main(["--pr", "1", "--title", "t", "--parent", str(tmp_path / "parent"),
+                       "--change", str(tmp_path / "change"), "--out", str(out)])
+    rec = json.loads(out.read_text())
+    assert rec["claim"] is None
+    assert rec["workloads"]["heis_returns"]["wall_s"]["change_lower_in"] == "1/1"

@@ -289,13 +289,17 @@ def test_fekete_without_returns_exits_one_with_manifest(tmp_path, capsys, cfg):
 
 
 def test_kesten_without_a_return_up_to_k_max_exits_one(tmp_path):
-    # the +-1 walk first returns at k = 2
-    cfg = SIMPLE_WALK_SCAN.replace("kind = spectral-scan\nresolution = 32\nepsilon = 0.1",
-                                   "kind = kesten\nk_max = 1")
-    out = tmp_path / "out"
-    assert cli.main(["kesten", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 1
-    assert (out / "kesten.csv").read_text() == "k,conv_return,kth_root,stride_ratio\n"
-    assert "result.estimate = nan" in (out / "manifest.txt").read_text()
+    # the +-1 walk first returns at k = 2; the drift walk never returns
+    late = SIMPLE_WALK_SCAN.replace("kind = spectral-scan\nresolution = 32\nepsilon = 0.1",
+                                    "kind = kesten\nk_max = 1")
+    never = NO_RETURN_FEKETE.replace("kind = fekete\nn_max = 10", "kind = kesten\nk_max = 5")
+    for i, (cfg, k_max) in enumerate(((late, 1), (never, 5))):
+        out = tmp_path / f"out{i}"
+        assert cli.main(["kesten", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 1
+        assert (out / "kesten.csv").read_text() == "k,conv_return,kth_root,stride_ratio\n"
+        manifest = (out / "manifest.txt").read_text()
+        assert "result.estimate = nan" in manifest
+        assert f"result.note = no mass > 0 in float up to n = {k_max}\n" in manifest
 
 
 def test_fekete_rows_are_the_return_mass_estimator(tmp_path):
@@ -343,11 +347,21 @@ def test_oracle_compare_enumerates_once(tmp_path, monkeypatch):
         return upto(system, cocycle, n)
 
     monkeypatch.setattr(oracle, "oracle_distributions_upto", counted)
+    # and one rational engine pass steps each depth once
+    steps = []
+    step_once = walkdist._SparseEngine.step_once
+
+    def counted_step(eng):
+        steps.append(eng.n)
+        step_once(eng)
+
+    monkeypatch.setattr(walkdist._SparseEngine, "step_once", counted_step)
     cfg = TRINOMIAL_RATIO.replace("kind = ratio\ng = 0\nn_grid = 4 8 16",
                                   "kind = oracle-compare\nn_max = 6")
     assert cli.main(["oracle-compare", "--config", _write(tmp_path, cfg),
                      "--out", str(tmp_path / "out")]) == 0
     assert depths == [6]
+    assert steps == [0, 1, 2, 3, 4, 5]
     rows = (tmp_path / "out" / "oracle_compare.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == [str(n) for n in range(1, 7)]
 

@@ -1,9 +1,12 @@
-"""Both kernels against a naive per-cell loop of the recursion they implement.
+"""The stepping kernel, on both layouts, against naive per-cell loops.
 
+The lattice loop steps a flat table; the Heisenberg loop steps an
+(S, Nx, Ny, Nz) table with the shear written out, and the kernel steps the
+same table flattened in (y, x, z) memory order with one range per y-slab.
 Most inputs are dyadic (small multiples of powers of two), so every product
-and partial sum is exact in float64 and the kernels must match the loop with
-``==`` whatever order they add in.  The active-range tests use random inputs
-against one BLAS product over the whole box, which the kernels' product over
+and partial sum is exact in float64 and the kernel must match the loop with
+``==`` whatever order it adds in.  The active-range tests use random inputs
+against one BLAS product over the whole box, which the kernel's product over
 the active range must match bit for bit, so they see any change of rounding.
 """
 
@@ -60,6 +63,35 @@ def _heis_reference(W, P, incs, tgt, wts, oy, mix=_mixed_reference):
     return out
 
 
+def _lattice_ranges(offs, act):
+    return [(act[0], act[1], [int(o) for o in offs])]
+
+
+def _to_flat(W):
+    # (S, Nx, Ny, Nz) -> flat (S, L) in (y, x, z) memory order
+    return np.ascontiguousarray(W.transpose(0, 2, 1, 3)).reshape(W.shape[0], -1)
+
+
+def _from_flat(F, shape):
+    S, Nx, Ny, Nz = shape
+    return F.reshape(S, Ny, Nx, Nz).transpose(0, 2, 1, 3)
+
+
+def _heis_ranges(incs, shape, oy, act):
+    # one flat range per active y-slab, each shift's offset plus its shear a * y
+    _, Nx, Ny, Nz = shape
+    (x0, x1), (y0, y1), (z0, z1) = act
+    return [(iy * Nx * Nz + x0 * Nz + z0, iy * Nx * Nz + (x1 - 1) * Nz + z1,
+             [int(b * Nx * Nz + a * Nz + c + a * (iy - oy)) for a, b, c in incs])
+            for iy in range(y0, y1)]
+
+
+def _heis_step(W, spare, P, incs, tgt, wts, oy, act):
+    new, _ = _kernels.lattice_step(_to_flat(W), _to_flat(spare), P, tgt, wts,
+                                   _heis_ranges(incs, W.shape, oy, act))
+    return _from_flat(new, W.shape)
+
+
 WALK = dict(S=3, P=np.array([[0.5, 0.25, 0.25], [0.125, 0.75, 0.125], [0.0, 0.5, 0.5]]),
             tgt=np.array([0, 1, 2]), wts=np.array([1.0, 1.0, 1.0]))
 MEASURE = dict(S=1, P=None, tgt=np.zeros(4, dtype=np.int64),
@@ -76,7 +108,8 @@ def test_lattice_step_matches_reference(rec):
     # the spare buffer may hold anything inside the active region
     spare = np.zeros_like(W)
     spare[:, 20:44] = 7.0
-    new, _ = _kernels.lattice_step(W, spare, rec["P"], offs, rec["tgt"], rec["wts"], (20, 44))
+    new, _ = _kernels.lattice_step(W, spare, rec["P"], rec["tgt"], rec["wts"],
+                                   _lattice_ranges(offs, (20, 44)))
     assert np.array_equal(new, want)
 
 
@@ -92,8 +125,8 @@ def test_heis_step_matches_reference(rec):
     want = _heis_reference(W, rec["P"], incs, rec["tgt"], rec["wts"], oy)
     spare = np.zeros_like(W)
     spare[:, 2:7, 2:7, 9:16] = 7.0
-    new, _ = _kernels.heis_step(W, spare, rec["P"], incs, rec["tgt"], rec["wts"], oy,
-                                ((2, 7), (2, 7), (9, 16)))
+    new = _heis_step(W, spare, rec["P"], incs, rec["tgt"], rec["wts"], oy,
+                     ((2, 7), (2, 7), (9, 16)))
     assert np.array_equal(new, want)
 
 
@@ -115,25 +148,26 @@ def test_lattice_mixing_over_active_range_is_bitwise_whole_box(S, act):
     W = np.zeros((S, L))
     W[:, act[0]:act[1]] = gen.random((S, act[1] - act[0]))
     want = _lattice_reference(W, P, offs, tgt, wts, mix=_whole_box_mixed)
-    new, _ = _kernels.lattice_step(W, np.zeros_like(W), P, offs, tgt, wts, act)
+    new, _ = _kernels.lattice_step(W, np.zeros_like(W), P, tgt, wts, _lattice_ranges(offs, act))
     assert np.array_equal(new, want)
 
 
 @pytest.mark.parametrize("S", [2, 4])
-@pytest.mark.parametrize("xs", [(4, 5), (4, 6), (1, 8)],
-                         ids=["one_slab", "two_slabs", "many_slabs"])
-def test_heis_mixing_over_active_slab_is_bitwise_whole_box(S, xs):
+@pytest.mark.parametrize("act", [((4, 5), (3, 4), (10, 11)), ((1, 8), (3, 4), (5, 16)),
+                                 ((1, 8), (3, 5), (5, 16)), ((1, 8), (1, 6), (5, 16))],
+                         ids=["one_cell", "one_slab", "two_slabs", "many_slabs"])
+def test_heis_mixing_over_active_slab_is_bitwise_whole_box(S, act):
     Nx, Ny, Nz, oy = 9, 7, 21, 3
     gen = np.random.default_rng(S)
     P = _random_walk(S, gen)
     incs = np.array([[1, 0, 0], [0, -1, 1], [-1, 1, -2], [0, 1, 0]][:S], dtype=np.int64)
     tgt = np.arange(S)
     wts = np.ones(S)
-    act = (xs, (1, 6), (5, 16))
+    (x0, x1), (y0, y1), (z0, z1) = act
     W = np.zeros((S, Nx, Ny, Nz))
-    W[:, xs[0]:xs[1], 1:6, 5:16] = gen.random((S, xs[1] - xs[0], 5, 11))
+    W[:, x0:x1, y0:y1, z0:z1] = gen.random((S, x1 - x0, y1 - y0, z1 - z0))
     want = _heis_reference(W, P, incs, tgt, wts, oy, mix=_whole_box_mixed)
-    new, _ = _kernels.heis_step(W, np.zeros_like(W), P, incs, tgt, wts, oy, act)
+    new = _heis_step(W, np.zeros_like(W), P, incs, tgt, wts, oy, act)
     assert np.array_equal(new, want)
 
 
@@ -143,8 +177,8 @@ def test_shear_moves_mass_where_expected():
     w = np.zeros((1, Nx, Ny, Nz))
     oy = 2
     w[0, 2, 3, 4] = 1.0       # coordinates (0, 1, 0)
-    out, _ = _kernels.heis_step(w, np.zeros_like(w), None, np.array([[1, 0, 0]]),
-                                np.array([0]), np.array([1.0]), oy, ((0, Nx), (0, Ny), (0, Nz)))
+    out = _heis_step(w, np.zeros_like(w), None, np.array([[1, 0, 0]]), np.array([0]),
+                     np.array([1.0]), oy, ((0, Nx), (0, Ny), (0, Nz)))
     assert out[0, 3, 3, 5] == 1.0
     assert out.sum() == 1.0
 
@@ -157,6 +191,6 @@ def test_mass_conservation_under_stepping():
     offs = np.array([1, -1], dtype=np.int64)
     spare = np.zeros_like(W)
     for _ in range(10):
-        W, spare = _kernels.lattice_step(W, spare, trans, offs, np.array([0, 1]),
-                                         np.array([1.0, 1.0]), (0, L))
+        W, spare = _kernels.lattice_step(W, spare, trans, np.array([0, 1]),
+                                         np.array([1.0, 1.0]), _lattice_ranges(offs, (0, L)))
     assert W.sum() == pytest.approx(1.0, abs=1e-14)

@@ -368,15 +368,20 @@ def test_fekete_rates_match_fekete_limit():
 
 
 def test_kesten_check_with_no_return_up_to_k_max():
-    # the simple walk first returns at k = 2, beyond k_max = 1
+    from gmwalk.gm_system import Cocycle
+
     sys_, coc, _ = presets.simple_walk()
-    rep = pressure.kesten_identity_check(pressure.one_step_law(sys_, coc), k_max=1)
-    conv = rep.convolution
-    assert conv.ks == [] and conv.returns == [] and conv.kth_roots == []
-    assert conv.stride == 2 and conv.fekete_lower == 0.0
-    assert math.isnan(conv.estimate)
-    assert conv.note == "no mass > 0 in float up to n = 1"
-    assert not rep.consistent
+    drift = Cocycle(IntegerLattice(1), ((1,), (2,)))
+    # the simple walk first returns at k = 2, beyond k_max = 1; the drift never
+    # returns, so no stride divides its return times and it reads 0
+    for cocycle, k_max, stride in ((coc, 1, 2), (drift, 5, 0)):
+        rep = pressure.kesten_identity_check(pressure.one_step_law(sys_, cocycle), k_max)
+        conv = rep.convolution
+        assert conv.ks == [] and conv.returns == [] and conv.kth_roots == []
+        assert conv.stride == stride and conv.fekete_lower == 0.0
+        assert math.isnan(conv.estimate)
+        assert conv.note == f"no mass > 0 in float up to n = {k_max}"
+        assert not rep.consistent
 
 
 def test_spectral_radius_convolution_validates_k_max_and_stride():

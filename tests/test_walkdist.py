@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -507,17 +508,23 @@ def test_dense_and_sparse_float_engines_agree(name):
     recs = [walkdist.walk_recursion(sys_, coc, "float")]
     if sys_.is_bernoulli:
         recs.append(walkdist.one_step_recursion(sys_, coc, "float"))
-    for rec in recs:
-        dense = walkdist._make_engine(rec, n)
-        sparse = walkdist._SparseEngine(rec)
+    # unseeded, seeded at a state, and seeded at an entry (a box one step wider)
+    seeds = [{}, {"seed_state": sys_.m - 1}, {"seed_entry": (sys_.m - 1, coc.value(0))}]
+    for rec, kw in itertools.product(recs, seeds):
+        if "seed_entry" in kw and rec.S == 1:
+            kw = {"seed_entry": (0, kw["seed_entry"][1])}
+        dense = walkdist._make_engine(rec, n, **kw)
+        sparse = walkdist._SparseEngine(rec, **kw)
         assert not isinstance(dense, walkdist._SparseEngine)
         for _ in range(n):
             dense.step_once()
             sparse.step_once()
-        a = dense.to_table().group_masses()
-        b = sparse.to_table().group_masses()
-        assert set(a) <= set(b)
-        assert all(_close(a.get(g, 0.0), w) for g, w in b.items())
+        a = dense.to_table()
+        b = sparse.to_table()
+        assert set(a.data) <= set(b.data)
+        assert all(_close(a.data.get(k, 0.0), w) for k, w in b.data.items())
+        assert all(_close(dense.joint_mass_at(s, g), w) for (s, g), w in b.data.items())
+        assert all(_close(dense.mass_at(g), w) for g, w in b.group_masses().items())
 
 
 def test_distribution_seeded_state():

@@ -1,6 +1,6 @@
 """Turn gmbench result files of a parent run and a change run into BENCH_<pr>.json.
 
-    python3 tools/bench_record.py --pr 10 --title "..." --claim sparse_exact:wall_s \\
+    python3 tools/bench_record.py --pr 10 --title "..." [--claim sparse_exact:wall_s] \\
         --parent <parent checkout> --change <change checkout> \\
         [--parent-rev REV] [--change-rev REV] [--out BENCH_10.json]
 
@@ -102,11 +102,14 @@ def build(args):
     common = sorted(set(parent) & set(change))
     if not any(t == 0 for _, _, t in common):
         raise SystemExit("no untraced (workload, seed) present in both checkouts")
-    workload, metric = args.claim.split(":")
+    claim = None                # a record of no regression claims no gain
+    if args.claim:
+        workload, metric = args.claim.split(":")
+        claim = {"workload": workload, "metric": metric, "better": "lower"}
     record = {
         "pr": args.pr,
         "title": args.title,
-        "claim": {"workload": workload, "metric": metric, "better": "lower"},
+        "claim": claim,
         "revisions": {"parent": revision(args.parent, args.parent_rev),
                       "change": revision(args.change, args.change_rev)},
         "backend": parent[common[0]]["kernel_backend"],
@@ -127,7 +130,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--title", required=True)
-    ap.add_argument("--claim", required=True, help="workload:metric, lower is better")
+    ap.add_argument("--claim", help="workload:metric, lower is better; none if left out")
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent run")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change run")
     ap.add_argument("--parent-rev")
