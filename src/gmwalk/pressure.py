@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .groups import IntegerLattice
-from .walkdist import (DEFAULT_MAX_CELLS, SUPERADDITIVITY_REL_SLACK, _make_engine,
-                       _SparseEngine, _trajectory, measure_recursion, one_step_recursion,
-                       return_sequence, walk_recursion)
+from .walkdist import (DEFAULT_MAX_CELLS, SUPERADDITIVITY_REL_SLACK, _identity_returns,
+                       _SparseEngine, _stepped, _trajectory, measure_recursion,
+                       one_step_recursion, return_sequence, walk_recursion)
 
 # steps scanned for identity returns when a generating period is reported
 RETURN_HORIZON = 16
@@ -93,20 +93,14 @@ def _periodic_sums(system, a, n_max):
     return out
 
 
-def _grouped_engine(system, cocycle, a, n, mode, max_cells):
-    """Walk engine for words of length up to n that start with the symbol a."""
-    return _make_engine(walk_recursion(system, cocycle, mode), n, max_cells=max_cells,
-                        seed_entry=(a, cocycle.value(a)))
-
-
 def grouped_periodic_sum(system, cocycle, a, n, mode="rational",
                          max_cells=DEFAULT_MAX_CELLS):
     """Per-element table Z_{a, g}^n of weighted period-n returns through a."""
     if n < 1:
         raise ValidationError("periodic sums need n >= 1")
-    eng = _grouped_engine(system, cocycle, a, n, mode, max_cells)
-    for _ in range(n - 1):
-        eng.step_once()
+    # words of length n that start with the symbol a: n - 1 steps after the entry (a, v(a))
+    eng = _stepped(walk_recursion(system, cocycle, mode), n - 1, max_cells=max_cells,
+                   seed_entry=(a, cocycle.value(a)))
     trans = system.trans if mode == "rational" else system.trans_float
     table = eng.to_table()
     out = {}
@@ -118,16 +112,13 @@ def grouped_periodic_sum(system, cocycle, a, n, mode="rational",
 def grouped_return_sequence(system, cocycle, a, n_max, mode="float",
                             max_cells=DEFAULT_MAX_CELLS):
     """Z_{a,e}^n for n = 1..n_max in one forward pass."""
-    e = cocycle.spec.identity()
+    if n_max < 1:
+        return []
     trans = system.trans if mode == "rational" else system.trans_float
-    eng = _grouped_engine(system, cocycle, a, n_max, mode, max_cells)
-    out = []
-    for n in range(1, n_max + 1):
-        z = sum(eng.joint_mass_at(s, e) * trans[s][a] for s in range(system.m))
-        out.append(z)
-        if n < n_max:
-            eng.step_once()
-    return out
+    # Z_{a,e}^n reads the walk n - 1 steps after the entry (a, v(a)), weighted by P(s, a)
+    return _identity_returns(walk_recursion(system, cocycle, mode), n_max - 1,
+                             [trans[s][a] for s in range(system.m)],
+                             seed_entry=(a, cocycle.value(a)), max_cells=max_cells)
 
 
 def walk_measure(system, cocycle, a, n, mode="rational",
@@ -191,7 +182,7 @@ class ConvolutionReport:
     returns: list                # the masses themselves
     kth_roots: list
     stride_ratios: list          # ((r_{k+s}/r_k))^{1/s} indexed like ks[:-1]
-    stride: int
+    stride: int | None           # None: no return up to the last step stepped
     fekete_lower: float
     estimate: float              # headline: last stride ratio
     note: str = ""
@@ -212,18 +203,18 @@ def spectral_radius_convolution(measure, k_max, stride=None, mode="float",
     max_p log(r_p)/p is a rigorous lower bound for log of the spectral radius;
     the stride ratio (r_{k+s}/r_k)^{1/s} is the headline estimate since its
     bias decays like 1/k instead of log(k)/k.  Without a return at k <= k_max
-    the estimate is nan, the lower bound 0 and the note says so.
+    the estimate is nan, the lower bound 0 and the note says so; without a
+    return at any step stepped and no stride given, the stride is None.
     """
     if k_max < 1:
         raise ValidationError("convolution spectral radii need k_max >= 1")
     if stride is not None and stride < 1:
         raise ValidationError("the stride must be >= 1")
     top = k_max + (stride or 2)
-    eng = _make_engine(measure_recursion(measure.spec, measure.masses, mode), top,
-                       max_cells=max_cells)
-    returns_all = [float(r) for (r,) in _trajectory(eng, [measure.spec.identity()], top)[1:]]
+    returns_all = [float(r) for r in _identity_returns(
+        measure_recursion(measure.spec, measure.masses, mode), top, max_cells=max_cells)[1:]]
     positive = [k for k, r in enumerate(returns_all, 1) if r > 0]
-    s = stride if stride is not None else math.gcd(*positive)
+    s = stride if stride is not None else math.gcd(*positive) if positive else None
     ks, _, bracket, _ = _fekete_rates(returns_all[:k_max], 0.0)
     rs = [returns_all[k - 1] for k in ks]
     roots = [r ** (1.0 / k) for k, r in zip(ks, rs)]
@@ -233,8 +224,10 @@ def spectral_radius_convolution(measure, k_max, stride=None, mode="float",
         if nxt:
             ratios.append((nxt / r) ** (1.0 / s))
     estimate = ratios[-1] if ratios else roots[-1] if roots else math.nan
-    return ConvolutionReport(ks, rs, roots, ratios, s, math.exp(bracket.lower), estimate,
-                             bracket.note)
+    note = bracket.note
+    if s is None:
+        note += f"; no return up to k = {top}: the stride is undetermined"
+    return ConvolutionReport(ks, rs, roots, ratios, s, math.exp(bracket.lower), estimate, note)
 
 
 # ------------------------------------------------- moment generating function

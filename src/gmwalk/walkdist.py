@@ -15,6 +15,8 @@ whose box is stored y-slab by y-slab so that its shear is one flat offset per
 slab; everything else, and all exact-rational work, runs on hash-keyed
 sparse tables.  Exact work steps Python int numerators over one common
 denominator and builds a ``Fraction`` only where a mass leaves the engine.
+Identity returns (``_identity_returns``) pair a half-depth table with walks
+seeded at each state where that shrinks the dense boxes.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ DEFAULT_MAX_CELLS = 80_000_000
 DEFAULT_MAX_ATOMS = 3_000_000
 EXPORT_MAX_ATOMS = 5_000_000
 BOUNDARY_ATOL = 1e-9
+# cells of a box whose inverse indices one gather step builds at once
+GATHER_CHUNK = 1 << 16
 # relative slack of a float superadditivity comparison (rational ones are exact)
 SUPERADDITIVITY_REL_SLACK = 1e-9
 
@@ -326,6 +330,8 @@ class _SparseEngine:
     def mass_at(self, g):
         if self.rec.S == 1:
             return self._out(self.data.get((0, g), self.zero))
+        if self.mode == "rational":     # an exact sum needs no table order: one read per state
+            return self._out(sum(self.data.get((s, g), 0) for s in range(self.rec.S)))
         out = self.zero         # in table order, which fixes the float sum
         for (_, gg), w in self.data.items():
             if gg == g:
@@ -368,12 +374,9 @@ class _DenseLatticeEngine:
         self.n = 0
         shifts = sorted(rec.shifts)     # a measure's atom order fixes its float sums
         self.atoms = [a for _, a, _ in shifts]
-        # per axis, the lowest and highest coordinate of an atom or the identity
-        self._reach = [(min(0, *c), max(0, *c)) for c in zip(*self.atoms)]
+        self._reach = self._reach_of(self.atoms)
         self._span0 = 1 if seed_entry is not None else 0
-        lo, hi = self._span_box(n_max + self._span0)
-        self.lo = tuple(lo)
-        self.dims = tuple(h - l + 1 for l, h in zip(lo, hi))
+        self.lo, self.dims, self.strides = self.box(self.atoms, n_max + self._span0)
         self.L = math.prod(self.dims)
         if 2 * rec.S * self.L > max_cells:
             raise ResourceLimitError(
@@ -381,12 +384,6 @@ class _DenseLatticeEngine:
                 f"over the {max_cells}-cell guard",
                 completed=0,
             )
-        strides = [0] * len(self.dims)
-        acc = 1
-        for i in reversed(self.order or range(len(self.dims))):
-            strides[i] = acc
-            acc *= self.dims[i]
-        self.strides = tuple(strides)
         self.offs = [self._flat(atom) for atom in self.atoms]
         self.tgt = [t for t, _, _ in shifts]
         self.wts = [float(w) for _, _, w in shifts]
@@ -396,14 +393,37 @@ class _DenseLatticeEngine:
         self._buf = np.zeros_like(self.W)
         self._embed_cache = None
 
-    def _span_box(self, span):
+    @staticmethod
+    def _reach_of(atoms):
+        # per axis, the lowest and highest coordinate of an atom or the identity
+        return [(min(0, *c), max(0, *c)) for c in zip(*atoms)]
+
+    @classmethod
+    def _span_box(cls, atoms, reach, span):
         # corners of the box holding every product of ``span`` atoms
-        return [l * span for l, _ in self._reach], [h * span for _, h in self._reach]
+        return [l * span for l, _ in reach], [h * span for _, h in reach]
+
+    @classmethod
+    def box(cls, atoms, span):
+        """(lowest corner, dims, flat strides) of the box for ``span`` atoms; allocates nothing."""
+        lo, hi = cls._span_box(atoms, cls._reach_of(atoms), span)
+        dims = tuple(h - l + 1 for l, h in zip(lo, hi))
+        strides = [0] * len(dims)
+        acc = 1
+        for i in reversed(cls.order or range(len(dims))):
+            strides[i] = acc
+            acc *= dims[i]
+        return tuple(lo), dims, tuple(strides)
 
     def _active(self):
         # index corners (inclusive) of the box holding the current support
-        lo, hi = self._span_box(self.n + self._span0)
+        lo, hi = self._span_box(self.atoms, self._reach, self.n + self._span0)
         return ([l - o for l, o in zip(lo, self.lo)], [h - o for h, o in zip(hi, self.lo)])
+
+    def _hull(self):
+        # the flat cells [a, b) that may hold the current support
+        lo, hi = self._active()
+        return self._flat(lo), self._flat(hi) + 1
 
     def _flat(self, idx):
         return sum(c * st for c, st in zip(idx, self.strides))
@@ -438,6 +458,27 @@ class _DenseLatticeEngine:
                                                    in zip(self.strides, self.dims, self.lo)])
         return self._embed_cache, self.W.sum(axis=0)
 
+    def at_inverses(self, box):
+        """The table at h^-1 for every cell h of ``box`` = (lo, dims, strides), as S rows.
+
+        Zero where h^-1 lies outside this engine's box, which holds every mass.
+        The index arrays of the gather are built ``GATHER_CHUNK`` cells at a time.
+        """
+        lo, dims, strides = box
+        L = math.prod(dims)
+        out = np.zeros((self.rec.S, L))
+        for a in range(0, L, GATHER_CHUNK):
+            flat = np.arange(a, min(a + GATHER_CHUNK, L))
+            inv = self.spec.inverse(tuple(flat // st % d + l
+                                          for st, d, l in zip(strides, dims, lo)))
+            inside = np.ones(flat.size, dtype=bool)
+            src = np.zeros(flat.size, dtype=np.int64)
+            for c, l, d, st in zip(inv, self.lo, self.dims, self.strides):
+                inside &= (c >= l) & (c < l + d)
+                src += (c - l) * st
+            out[:, a:a + flat.size][:, inside] = self.W[:, src[inside]]
+        return out
+
     def to_table(self):
         # the table viewed as (S, key coordinates...), whatever the memory order
         grid = np.lib.stride_tricks.as_strided(
@@ -464,9 +505,10 @@ class _DenseHeisEngine(_DenseLatticeEngine):
     layout = "Heisenberg"
     order = (1, 0, 2)
 
-    def _span_box(self, span):
-        lo, hi = super()._span_box(span)
-        zb = heis_z_bound(self.atoms, span)
+    @classmethod
+    def _span_box(cls, atoms, reach, span):
+        lo, hi = super()._span_box(atoms, reach, span)
+        zb = heis_z_bound(atoms, span)
         lo[2], hi[2] = -zb, zb
         return lo, hi
 
@@ -479,6 +521,17 @@ class _DenseHeisEngine(_DenseLatticeEngine):
                 for iy in range(lo[1], hi[1] + 1)]
 
 
+def _dense_layout(rec):
+    """The dense engine class of a recursion: float mode on a lattice or Heisenberg target."""
+    spec = rec.spec
+    if rec.mode == "float":
+        if isinstance(spec, (IntegerLattice, EmbeddedRealLattice)) and spec.key_size > 0:
+            return _DenseLatticeEngine
+        if isinstance(spec, HeisenbergZ):
+            return _DenseHeisEngine
+    return None
+
+
 def _make_engine(rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
                  max_atoms=DEFAULT_MAX_ATOMS, seed_entry=None):
     """Engine for ``n_max`` steps of a recursion: dense in float mode where a layout exists.
@@ -489,13 +542,96 @@ def _make_engine(rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
     2 S L cells.  ``max_atoms`` bounds the keys of a sparse table after every
     step.
     """
-    spec = rec.spec
-    if rec.mode == "float":
-        if isinstance(spec, (IntegerLattice, EmbeddedRealLattice)) and spec.key_size > 0:
-            return _DenseLatticeEngine(rec, n_max, seed_state, max_cells, seed_entry)
-        if isinstance(spec, HeisenbergZ):
-            return _DenseHeisEngine(rec, n_max, seed_state, max_cells, seed_entry)
+    dense = _dense_layout(rec)
+    if dense is not None:
+        return dense(rec, n_max, seed_state, max_cells, seed_entry)
     return _SparseEngine(rec, seed_state, seed_entry, max_atoms)
+
+
+def _pairing(rec, n_max, seed_entry=None):
+    """(K, K-step box, seeded box) when identity returns pair at half depth, else None.
+
+    The rule, stated once: a recursion on the Heisenberg layout pairs when its
+    S + 1 boxes of K = ceil(n_max / 2) steps hold fewer cells than its one box
+    of n_max steps (each engine holding S rows of its box).  Lattice layouts
+    and sparse engines are not paired.
+    """
+    if _dense_layout(rec) is not _DenseHeisEngine:
+        return None
+    atoms = [a for _, a, _ in rec.shifts]
+    span0 = 1 if seed_entry is not None else 0
+    K = (n_max + 1) // 2
+    half = _DenseHeisEngine.box(atoms, K + span0)
+    full = _DenseHeisEngine.box(atoms, n_max + span0)
+    if (rec.S + 1) * math.prod(half[1]) >= math.prod(full[1]):
+        return None
+    return K, half, _DenseHeisEngine.box(atoms, n_max - K)
+
+
+def _identity_returns(rec, n_max, weights=None, seed_state=None, seed_entry=None,
+                      max_cells=DEFAULT_MAX_CELLS, max_atoms=DEFAULT_MAX_ATOMS):
+    """sum_s c_s W_n(s, e) for n = 0..n_max, for the state ``weights`` c.
+
+    Without weights, the group marginal's mass at e.  Writing the
+    (K + k)-step product as Y * X_K, where Y is the product of the next k
+    increments and its law depends only on the state s at time K,
+
+        W_{K+k}(t, e) = sum_{s, g} W_K(s, g) * Q_k^{(s)}(t, g^-1),
+
+    with Q^{(s)} the walk seeded at (s, e); one state makes it the convolution
+    identity r_{K+k} = sum_g mu^K(g) mu^k(g^-1).  When ``_pairing`` admits
+    the recursion, one engine steps to K, its table is gathered at inverses
+    once, T_s(h) = W_K(s, h^-1), and S engines seeded at each state step the
+    remaining n_max - K steps; each value past K is one product Q_k^{(s)} T_s
+    per state over the active cells.  Every term is nonnegative, so exact
+    zeros stay exact.  ``max_cells`` then counts the float64 buffers held at
+    once, checked before anything is allocated: the K-step table with its
+    step buffer and T, then T and the seeded engines with their step
+    buffers.  Otherwise one engine steps to n_max.
+    """
+    e = rec.spec.identity()
+    S = rec.S
+
+    def weigh(masses):          # in the number type of the masses and weights
+        return sum(m * c for m, c in zip(masses, weights))
+
+    def read(eng):
+        if weights is None:
+            return eng.mass_at(e)
+        return weigh(eng.joint_mass_at(s, e) for s in range(S))
+
+    plan = _pairing(rec, n_max, seed_entry)
+    if plan is None:
+        K = n_max
+        eng = _make_engine(rec, n_max, seed_state, max_cells, max_atoms, seed_entry)
+    else:
+        K, half, box = plan
+        L_half, L = math.prod(half[1]), math.prod(box[1])
+        peak = max(2 * S * L_half + S * L, S * L + 2 * S * S * L)
+        if peak > max_cells:
+            raise ResourceLimitError(
+                f"paired dense {_DenseHeisEngine.layout} boxes need {peak} cells at once, "
+                f"over the {max_cells}-cell guard",
+                completed=0,
+            )
+        eng = _DenseHeisEngine(rec, K, seed_state, max_cells, seed_entry)
+    out = [read(eng)]
+    for _ in range(K):
+        eng.step_once()
+        out.append(read(eng))
+    if plan is None:
+        return out
+    T = eng.at_inverses(box)
+    del eng                     # the K-step buffers are not held with the seeded engines
+    seeded = [_DenseHeisEngine(rec, n_max - K, s, max_cells) for s in range(S)]
+    for _ in range(n_max - K):
+        row = np.zeros(S)
+        for s, q in enumerate(seeded):
+            q.step_once()
+            a, b = q._hull()
+            row += q.W[:, a:b] @ T[s, a:b]
+        out.append(float(row.sum()) if weights is None else weigh(row.tolist()))
+    return out
 
 
 def _stepped(rec, n, *args, **kw):
@@ -552,11 +688,10 @@ def mass_trajectory(system, cocycle, targets, n_max, mode="float", seed_state=No
 
 
 def return_sequence(system, cocycle, n_max, mode="float", max_cells=DEFAULT_MAX_CELLS,
-                    **kw):
-    """Identity-return masses for n = 0..n_max."""
-    e = cocycle.spec.identity()
-    return [row[0] for row in
-            mass_trajectory(system, cocycle, [e], n_max, mode, max_cells=max_cells, **kw)]
+                    seed_state=None, max_atoms=DEFAULT_MAX_ATOMS):
+    """Identity-return masses for n = 0..n_max (``_identity_returns`` of the marginal walk)."""
+    return _identity_returns(marginal_recursion(system, cocycle, mode), n_max,
+                             seed_state=seed_state, max_cells=max_cells, max_atoms=max_atoms)
 
 
 @dataclass

@@ -293,13 +293,17 @@ def test_kesten_without_a_return_up_to_k_max_exits_one(tmp_path):
     late = SIMPLE_WALK_SCAN.replace("kind = spectral-scan\nresolution = 32\nepsilon = 0.1",
                                     "kind = kesten\nk_max = 1")
     never = NO_RETURN_FEKETE.replace("kind = fekete\nn_max = 10", "kind = kesten\nk_max = 5")
-    for i, (cfg, k_max) in enumerate(((late, 1), (never, 5))):
+    # (without a return at all, the note also says that the stride is undetermined)
+    for i, (cfg, note) in enumerate((
+            (late, "no mass > 0 in float up to n = 1"),
+            (never, "no mass > 0 in float up to n = 5; no return up to k = 7: "
+                    "the stride is undetermined"))):
         out = tmp_path / f"out{i}"
         assert cli.main(["kesten", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 1
         assert (out / "kesten.csv").read_text() == "k,conv_return,kth_root,stride_ratio\n"
         manifest = (out / "manifest.txt").read_text()
         assert "result.estimate = nan" in manifest
-        assert f"result.note = no mass > 0 in float up to n = {k_max}\n" in manifest
+        assert f"result.note = {note}\n" in manifest
 
 
 def test_fekete_rows_are_the_return_mass_estimator(tmp_path):

@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gmwalk import oracle, presets, pressure
+from gmwalk import oracle, presets, pressure, walkdist
 from gmwalk.errors import ValidationError
-from gmwalk.groups import IntegerLattice
+from gmwalk.gm_system import GibbsMarkovSystem
+from gmwalk.groups import HeisenbergZ, IntegerLattice
+from pairing import HEIS_MARKOV, paired_agrees
 
 
 def test_periodic_sum_uniform_bernoulli():
@@ -373,15 +375,57 @@ def test_kesten_check_with_no_return_up_to_k_max():
     sys_, coc, _ = presets.simple_walk()
     drift = Cocycle(IntegerLattice(1), ((1,), (2,)))
     # the simple walk first returns at k = 2, beyond k_max = 1; the drift never
-    # returns, so no stride divides its return times and it reads 0
-    for cocycle, k_max, stride in ((coc, 1, 2), (drift, 5, 0)):
+    # returns, so its stride is undetermined: None, and the note says so
+    for cocycle, k_max, stride, note in (
+            (coc, 1, 2, "no mass > 0 in float up to n = 1"),
+            (drift, 5, None, "no mass > 0 in float up to n = 5; no return up to k = 7: "
+                             "the stride is undetermined")):
         rep = pressure.kesten_identity_check(pressure.one_step_law(sys_, cocycle), k_max)
         conv = rep.convolution
         assert conv.ks == [] and conv.returns == [] and conv.kth_roots == []
         assert conv.stride == stride and conv.fekete_lower == 0.0
         assert math.isnan(conv.estimate)
-        assert conv.note == f"no mass > 0 in float up to n = {k_max}"
+        assert conv.note == note
         assert not rep.consistent
+
+
+def _stepped_grouped(sys_, coc, a, n_max):
+    # the stepped reference: one engine from the entry (a, v(a)), contracted with P(., a)
+    rec = walkdist.walk_recursion(sys_, coc, "float")
+    eng = walkdist._make_engine(rec, n_max, seed_entry=(a, coc.value(a)))
+    e = coc.spec.identity()
+    out = []
+    for n in range(1, n_max + 1):
+        out.append(sum(eng.joint_mass_at(s, e) * sys_.trans_float[s][a] for s in range(sys_.m)))
+        eng.step_once()
+    return out
+
+
+def test_paired_grouped_return_sequence_matches_stepped():
+    sym, sym_c, _ = presets.heisenberg_symmetric()
+    for sys_, coc in ((sym, sym_c), (HEIS_MARKOV, sym_c), presets.two_state_markov()[:2]):
+        rec = walkdist.walk_recursion(sys_, coc, "float")
+        paired = walkdist._pairing(rec, 19, seed_entry=(0, coc.value(0))) is not None
+        assert paired == isinstance(coc.spec, HeisenbergZ)
+        for a in range(sys_.m):
+            for n_max in (1, 2, 7, 20):
+                assert paired_agrees(pressure.grouped_return_sequence(sys_, coc, a, n_max),
+                                      _stepped_grouped(sys_, coc, a, n_max)), (a, n_max)
+    assert pressure.grouped_return_sequence(sym, sym_c, 0, 0) == []
+
+
+def test_paired_convolution_returns_match_stepped():
+    sys_, coc, _ = presets.heisenberg_asymmetric()
+    law = pressure.one_step_law(sys_, coc, mode="float")
+    rep = pressure.spectral_radius_convolution(law, 30)
+    eng = walkdist._make_engine(walkdist.measure_recursion(law.spec, law.masses, "float"), 32)
+    want = [r for (r,) in walkdist._trajectory(eng, [(0, 0, 0)], 32)]
+    assert rep.ks == list(range(2, 31, 2)) and rep.stride == 2
+    assert paired_agrees(rep.returns, [want[k] for k in rep.ks])
+    assert all(want[k] == 0.0 for k in range(1, 33, 2))
+    # the stride ratios read r_{k+2} up to k = 32, past k_max
+    ref = [(want[k + 2] / want[k]) ** 0.5 for k in rep.ks]
+    assert paired_agrees(rep.stride_ratios, ref)
 
 
 def test_spectral_radius_convolution_validates_k_max_and_stride():

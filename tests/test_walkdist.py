@@ -11,6 +11,7 @@ from gmwalk.gm_system import Cocycle, GibbsMarkovSystem
 from gmwalk.groups import (EmbeddedRealLattice, FiniteGroup, HeisenbergZ, IntegerLattice,
                            cyclic_group, left_product)
 from gmwalk.walkdist import heis_z_bound
+from pairing import HEIS_MARKOV, paired_agrees
 
 
 def test_step_zero_seed_and_mass():
@@ -410,6 +411,123 @@ def test_dense_guard_counts_every_buffer():
     with pytest.raises(ResourceLimitError):
         walkdist.return_sequence(bern, bcoc, 100, max_cells=2 * 201 - 1)
     walkdist.return_sequence(bern, bcoc, 100, max_cells=2 * 201)
+
+
+@pytest.fixture
+def engines_built(monkeypatch):
+    """Class names of the engines built while the test runs, in order."""
+    built = []
+    for cls in (walkdist._DenseLatticeEngine, walkdist._SparseEngine):
+        def counted(self, *args, _init=cls.__init__, **kw):
+            _init(self, *args, **kw)
+            built.append(type(self).__name__)
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def test_paired_guard_counts_every_buffer(engines_built):
+    # heisenberg_asymmetric to n = 5 pairs at K = 3.  The 3-step box is
+    # 7 x 7 x 11 = 539 cells (x, y in [-3, 3], |z| <= 5); the walk seeded for
+    # the last 2 steps has a 5 x 5 x 7 = 175-cell box.  Held at once: the
+    # K-step table, its step buffer and the gathered T, 2 x 539 + 175 = 1253
+    # cells; then T and the seeded engine with its step buffer, 3 x 175.
+    # One full-depth engine would need 2 x 2783 (11 x 11 x 23).
+    sys_, coc, _ = presets.heisenberg_asymmetric()
+    with pytest.raises(ResourceLimitError) as exc:
+        walkdist.return_sequence(sys_, coc, 5, max_cells=1252)
+    assert exc.value.completed == 0
+    assert engines_built == []              # raised before allocating anything
+    got = walkdist.return_sequence(sys_, coc, 5, max_cells=1253)
+    assert engines_built == ["_DenseHeisEngine"] * 2
+    assert paired_agrees(got, _full_depth_returns(sys_, coc, 5))
+
+
+def test_paired_gather_in_chunks(monkeypatch):
+    # the gather builds its index arrays a few cells at a time, with the same table
+    sys_, coc, _ = presets.heisenberg_asymmetric()
+    want = walkdist.return_sequence(sys_, coc, 12)
+    monkeypatch.setattr(walkdist, "GATHER_CHUNK", 7)
+    assert walkdist.return_sequence(sys_, coc, 12) == want
+
+
+def _full_depth_returns(sys_, coc, n, mode="float"):
+    # the stepped reference: one engine stepped to n, read through _trajectory
+    eng = walkdist._make_engine(walkdist.marginal_recursion(sys_, coc, mode), n)
+    return [r for (r,) in walkdist._trajectory(eng, [coc.spec.identity()], n)]
+
+
+DENSE_BERNOULLI = ["asymmetric_z", "embedded4", "heisenberg_asymmetric",
+                   "heisenberg_symmetric", "trinomial", "z2_lattice"]
+
+
+@pytest.mark.parametrize("name", DENSE_BERNOULLI)
+def test_paired_return_sequence_matches_full_depth(name):
+    sys_, coc, _ = presets.ALL_EXAMPLES[name]()
+    rec = walkdist.marginal_recursion(sys_, coc, "float")
+    deep = 24 if isinstance(coc.spec, HeisenbergZ) else 60
+    for n in (1, 2, 3, 9, deep - 1, deep):
+        assert paired_agrees(walkdist.return_sequence(sys_, coc, n),
+                             _full_depth_returns(sys_, coc, n)), n
+    # the rule pairs the Heisenberg presets only
+    assert (walkdist._pairing(rec, deep) is None) != isinstance(coc.spec, HeisenbergZ)
+
+
+def test_paired_heisenberg_returns_match_full_depth():
+    sys_, coc, _ = presets.heisenberg_asymmetric()
+    assert paired_agrees(walkdist.return_sequence(sys_, coc, 40),
+                         _full_depth_returns(sys_, coc, 40))
+    # a 4-state Markov chain pairs on the state: one engine seeded at each state
+    heis = presets.heisenberg_symmetric()[1]
+    rec = walkdist.marginal_recursion(HEIS_MARKOV, heis, "float")
+    assert rec.S == 4 and walkdist._pairing(rec, 20) is not None
+    assert paired_agrees(walkdist.return_sequence(HEIS_MARKOV, heis, 20),
+                         _full_depth_returns(HEIS_MARKOV, heis, 20))
+    # per state (weights picking one state), and seeded at a state
+    for n in (7, 20):
+        eng = walkdist._make_engine(rec, n, seed_state=2)
+        want = [[eng.joint_mass_at(t, (0, 0, 0)) for t in range(4)]]
+        for _ in range(n):
+            eng.step_once()
+            want.append([eng.joint_mass_at(t, (0, 0, 0)) for t in range(4)])
+        for t in range(4):
+            got = walkdist._identity_returns(rec, n, [float(s == t) for s in range(4)],
+                                             seed_state=2)
+            assert paired_agrees(got, [row[t] for row in want]), (n, t)
+
+
+def test_pairing_rule_keeps_lattices_and_rational_work_stepped(engines_built):
+    for name in ("trinomial", "asymmetric_z", "two_state_markov", "z2_lattice", "embedded4"):
+        sys_, coc, _ = presets.ALL_EXAMPLES[name]()
+        for n in (1, 2, 9, 100):
+            engines_built.clear()
+            walkdist.return_sequence(sys_, coc, n)
+            assert engines_built == ["_DenseLatticeEngine"], (name, n)
+    for name, make in presets.ALL_EXAMPLES.items():
+        sys_, coc, _ = make()
+        calls = [lambda: walkdist.return_sequence(sys_, coc, 8, mode="rational"),
+                 lambda: pressure.grouped_return_sequence(sys_, coc, 0, 8, mode="rational"),
+                 lambda: pressure.spectral_radius_convolution(
+                     pressure.one_step_law(sys_, coc), 6, mode="rational")]
+        for call in calls:
+            engines_built.clear()
+            call()
+            assert engines_built == ["_SparseEngine"], name
+
+
+def test_return_sequence_takes_no_seed_entry():
+    sys_, coc, _ = presets.heisenberg_asymmetric()
+    with pytest.raises(TypeError):
+        walkdist.return_sequence(sys_, coc, 5, seed_entry=(0, coc.value(0)))
+
+
+def test_rational_markov_mass_at_sums_the_states():
+    # the per-state read equals the group marginal of the table
+    sys_, coc, _ = presets.two_state_markov()
+    eng = walkdist._stepped(walkdist.marginal_recursion(sys_, coc, "rational"), 9)
+    marg = eng.to_table().group_masses()
+    for g in list(marg) + [(99,)]:
+        assert eng.mass_at(g) == marg.get(g, 0)
+        assert isinstance(eng.mass_at(g), Fraction)
 
 
 def _close(a, b, rel=1e-13):
