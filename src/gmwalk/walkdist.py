@@ -12,9 +12,10 @@ system is the one-step law with one state instead of m.  Dense float engines
 (flat stride-indexed boxes, one kernel) are selected automatically for
 integer-lattice and embedded-lattice targets and for the Heisenberg group,
 whose box is stored y-slab by y-slab so that its shear is one flat offset per
-slab; everything else, and all exact-rational work, runs on hash-keyed
-sparse tables.  Exact work steps Python int numerators over one common
-denominator and builds a ``Fraction`` only where a mass leaves the engine.
+slab; everything else, and all exact-rational work, runs on sparse tables
+keyed by group element, each holding its S state masses.  Exact work steps
+Python int numerators over one common denominator and builds a ``Fraction``
+only where a mass leaves the engine.
 Identity returns (``_identity_returns``) pair a half-depth table with walks
 seeded at each state where that shrinks the dense boxes.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -258,19 +260,23 @@ def marginal_recursion(system, cocycle, mode) -> Recursion:
 
 # ------------------------------------------------------------------ engines
 
-def _common_den(values):
-    return math.lcm(*(v.denominator for v in values))
+def _numerators(values):
+    """The lcm d of the denominators of some Fractions, and their numerators over d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 class _SparseEngine:
-    """Dictionary-backed stepping on keys (s, g); exact in rational mode.
+    """Dictionary-backed stepping of ``data[g]``, the list of the S state masses at g.
 
-    Rational work steps Python int numerators over one common denominator:
-    with D the lcm of the denominators of the edge coefficients P(s, t) * w
-    and d0 that of the step-0 masses, ``data`` holds den * mass where
-    den = d0 * D^n, and nothing is reduced inside the step loop.  Masses,
-    totals, views and tables leave the engine as ``Fraction(num, den)``.
-    Float work steps the masses themselves (D = den = 1).
+    A step mixes M = P^T data[g] (data[g] itself without P) and adds w * M[t]
+    into slot t of data[atom * g] for each shift (t, atom, w), as
+    ``_kernels.lattice_step`` does: one group product per shift.  Keys (s, g)
+    enter through ``Recursion.seed`` or a table and leave through ``to_table``,
+    which exports the nonzero slots.  Exact work steps Python int numerators
+    over den = d0 * D^n, where D = dp * dw and d0, dp, dw are the lcms of the
+    denominators of the step-0 masses, of P and of the shift weights; a mass
+    leaves as ``Fraction(num, den)``.  Float work steps the masses (den = 1).
     """
 
     def __init__(self, rec, seed_state=None, seed_entry=None, max_atoms=DEFAULT_MAX_ATOMS,
@@ -279,24 +285,22 @@ class _SparseEngine:
         self.spec = rec.spec
         self.mode = rec.mode
         self.max_atoms = max_atoms
-        self.zero = 0 if rec.mode == "rational" else 0.0     # a stepped zero
+        self._blank = [0 if rec.mode == "rational" else 0.0] * rec.S   # stepped zeros
         self.n = n
-        data = dict(data) if data is not None else rec.seed(seed_state, seed_entry)
-        # per source state: (target, atom, P(s, target) * weight)
-        if rec.P is None:
-            edges = [list(rec.shifts)]
-        else:
-            edges = [[(t, a, rec.P[s][t] * w) for t, a, w in rec.shifts]
-                     for s in range(rec.S)]
+        table = data if data is not None else rec.seed(seed_state, seed_entry)
+        flat = [] if rec.P is None else list(itertools.chain(*rec.P))     # P, row by row
+        wts = [w for _, _, w in rec.shifts]
         self._D = self.den = 1
-        if rec.mode == "rational":
-            self._D = _common_den(c for row in edges for _, _, c in row)
-            edges = [[(t, a, c.numerator * (self._D // c.denominator)) for t, a, c in row]
-                     for row in edges]
-            self.den = _common_den(data.values())
-            data = {k: w.numerator * (self.den // w.denominator) for k, w in data.items()}
-        self._edges = edges
-        self.data = data
+        if rec.mode == "rational":      # numerators: P over dp, weights over dw, masses over den
+            dp, flat = _numerators(flat)
+            dw, wts = _numerators(wts)
+            self.den, nums = _numerators(table.values())
+            self._D, table = dp * dw, dict(zip(table, nums))
+        self._cols = [flat[t::rec.S] for t in range(rec.S)] if flat else None   # rows of P^T
+        self._shifts = [(t, a, w) for (t, a, _), w in zip(rec.shifts, wts)]
+        self.data = {}
+        for (s, g), w in table.items():
+            self.data.setdefault(g, self._blank.copy())[s] += w
 
     def _out(self, num):
         # a stepped number as it leaves the engine
@@ -304,53 +308,47 @@ class _SparseEngine:
 
     def step_once(self):
         mul = self.spec.multiply
-        edges = self._edges
+        cols, shifts, blank = self._cols, self._shifts, self._blank
         new = {}
         get = new.get
-        for (s, g), w in self.data.items():
-            for t, a, c in edges[s]:
-                key = (t, mul(a, g))
-                old = get(key)
-                new[key] = w * c if old is None else old + w * c
-        if len(new) > self.max_atoms:
-            raise ResourceLimitError(
-                f"sparse support exceeded {self.max_atoms} atoms", completed=self.n
-            )
+        for g, v in self.data.items():
+            mixed = v if cols is None else [sum(map(operator.mul, col, v)) for col in cols]
+            for t, a, c in shifts:
+                h = mul(a, g)
+                row = get(h)
+                if row is None:
+                    row = new[h] = blank.copy()
+                row[t] += mixed[t] * c
+        if self.rec.S * len(new) > self.max_atoms:
+            raise ResourceLimitError(f"sparse support exceeded {self.max_atoms} atoms",
+                                     completed=self.n)
         self.data = new
         self.n += 1
         self.den *= self._D
 
     def drop(self, g):
         """Remove the mass at group element g, in every state."""
-        self.data = {k: w for k, w in self.data.items() if k[1] != g}
+        self.data.pop(g, None)
 
     def total(self):
-        return self._out(sum(self.data.values()))
+        return self._out(sum(map(sum, self.data.values())))
 
     def mass_at(self, g):
-        if self.rec.S == 1:
-            return self._out(self.data.get((0, g), self.zero))
-        if self.mode == "rational":     # an exact sum needs no table order: one read per state
-            return self._out(sum(self.data.get((s, g), 0) for s in range(self.rec.S)))
-        out = self.zero         # in table order, which fixes the float sum
-        for (_, gg), w in self.data.items():
-            if gg == g:
-                out += w
-        return self._out(out)
+        return self._out(sum(self.data.get(g, self._blank)))
 
     def joint_mass_at(self, s, g):
-        return self._out(self.data.get((s, g), self.zero))
+        return self._out(self.data.get(g, self._blank)[s])
 
     def group_view(self):
         """Real embeddings and masses of the group marginal's elements, in key order."""
-        marg = _group_masses(self.data)
-        keys = sorted(marg)
-        mass = np.array([self._out(marg[g]) for g in keys],
+        keys = sorted(self.data)
+        mass = np.array([self._out(sum(self.data[g])) for g in keys],
                         dtype=object if self.mode == "rational" else np.float64)
         return _embed(self.spec, np.array(keys, dtype=np.int64).T), mass
 
     def to_table(self):
-        data = {k: self._out(w) for k, w in self.data.items()}
+        data = {(s, g): self._out(w) for g, row in self.data.items()
+                for s, w in enumerate(row) if w}
         return MassTable(self.n, self.mode, self.spec, data)
 
 
@@ -539,8 +537,8 @@ def _make_engine(rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
     ``max_cells`` bounds the float64 cells of every buffer a dense engine
     allocates: the table and the step buffer, which also receives the mixed
     table P^T W when states mix.  A box of S x L cells therefore needs
-    2 S L cells.  ``max_atoms`` bounds the keys of a sparse table after every
-    step.
+    2 S L cells.  ``max_atoms`` bounds the masses a sparse table holds after
+    every step: S per group element.
     """
     dense = _dense_layout(rec)
     if dense is not None:
@@ -737,8 +735,7 @@ def ratio_sequence(system, cocycle, g, ns, mode="float", stride=1, **kw) -> Rati
         den, num = seq[n], seq[n + stride]
         if den == 0:
             continue
-        r = num / den
-        r = float(r) if mode == "rational" else r
+        r = float(num / den)
         kept.append(n)
         ratios.append(r)
         devs.append(abs(r - 1.0))
@@ -794,7 +791,7 @@ def cross_ratio(system, cocycle, g, n, mode="float", **kw) -> CrossRatioReport:
         raise ValidationError(
             f"mu^{n}(e) = 0: no valid cross ratio at n={n} (first positive n: {first})"
         )
-    value = float(num / den) if mode == "rational" else num / den
+    value = float(num / den)
     return CrossRatioReport(g, n, value, _clt_reference(system, cocycle, g, n),
                             abs(value - 1.0))
 

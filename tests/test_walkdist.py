@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from gmwalk import oracle, presets, pressure, walkdist
 from gmwalk.errors import ResourceLimitError, ValidationError
 from gmwalk.gm_system import Cocycle, GibbsMarkovSystem
-from gmwalk.groups import (EmbeddedRealLattice, FiniteGroup, HeisenbergZ, IntegerLattice,
-                           cyclic_group, left_product)
+from gmwalk.groups import (DirectProduct, EmbeddedRealLattice, FiniteGroup, HeisenbergZ,
+                           IntegerLattice, cyclic_group, left_product)
 from gmwalk.walkdist import heis_z_bound
 from pairing import HEIS_MARKOV, paired_agrees
 
@@ -390,6 +390,16 @@ def test_sparse_guard_trips():
     assert isinstance(done, int) and 0 < done < 40
     # the steps reported as completed fit the guard; one more does not
     walkdist.distribution(sys_, coc, done, mode="rational", max_atoms=50)
+    # a Markov table holds S masses per group element, and the guard counts them all
+    msys, mcoc, _ = presets.two_state_markov()
+    with pytest.raises(ResourceLimitError) as exc:
+        walkdist.distribution(msys, mcoc, 40, mode="rational", max_atoms=20)
+    done = exc.value.completed
+    eng = walkdist._stepped(walkdist.walk_recursion(msys, mcoc, "rational"), done, max_atoms=20)
+    # the +-1 walk's support grows by one element per step
+    assert msys.m * len(eng.data) <= 20 < msys.m * (len(eng.data) + 1)
+    # what the benchmark's tracer reads as sparse.atoms_max: the group elements held
+    assert len(eng.data) == len(eng.to_table().group_masses()) == done + 1
 
 
 def test_dense_guard_trips():
@@ -777,3 +787,72 @@ def test_exact_return_time_tail_equals_fraction_reference(make):
     want = _fraction_steps(sys_, coc, init, 40, absorb=coc.spec.identity())
     rep = walkdist.return_time_tail(sys_, coc, 40, mode="rational")
     assert rep.tail == [1] + want and _all_fractions(rep.tail)
+
+
+def _product_counts(rec, n, monkeypatch):
+    # per sparse step from step 0 to n: (group elements before it, group products it takes)
+    calls = []
+    mul = rec.spec.multiply
+    monkeypatch.setattr(rec.spec, "multiply", lambda g, h: calls.append(1) or mul(g, h))
+    eng = walkdist._SparseEngine(rec)
+    out = []
+    for _ in range(n):
+        k = len(eng.to_table().group_masses())
+        calls.clear()
+        eng.step_once()
+        out.append((k, len(calls)))
+    return out
+
+
+@pytest.mark.parametrize("make", [presets.two_state_markov, _coprime_markov])
+def test_sparse_markov_step_takes_one_product_per_shift(make, monkeypatch):
+    # the S state masses at g are mixed first, so each of the m shifts moves them all at once
+    sys_, coc = make()[:2]
+    counts = _product_counts(walkdist.walk_recursion(sys_, coc, "rational"), 12, monkeypatch)
+    assert counts[-1][0] > 1
+    assert all(calls == sys_.m * k for k, calls in counts)
+
+
+@pytest.mark.parametrize("name", ["trinomial", "heisenberg_symmetric"])
+def test_sparse_one_state_step_takes_one_product_per_atom(name, monkeypatch):
+    sys_, coc, _ = presets.ALL_EXAMPLES[name]()
+    rec = walkdist.one_step_recursion(sys_, coc, "rational")
+    counts = _product_counts(rec, 6, monkeypatch)
+    assert all(calls == len(rec.shifts) * k for k, calls in counts)
+
+
+def _gamma(k):
+    # Higham's gamma_k = k u / (1 - k u) for the unit roundoff u of float64
+    u = 2.0 ** -53
+    return k * u / (1 - k * u)
+
+
+# 3-state chains whose float tables only the sparse engine steps
+_Z3 = Cocycle(cyclic_group(3), ((0,), (1,), (2,)))
+_Z3_Z = Cocycle(DirectProduct(cyclic_group(3), IntegerLattice(1)), ((1, -1), (0, 0), (2, 1)))
+
+
+def test_sparse_markov_float_tables_within_gamma_of_rational():
+    """m-state float sparse outputs against rational ones, within the gamma bound.
+
+    A step forms each mass from S nonnegative products P(s, t) * W(s, g), so
+    every term of an n-step mass carries at most n * S roundings from the
+    products and sums (the n S u bound of float mode), n from rounding P and
+    one from the step-0 mass: relative error gamma_K with K = n (S + 1) + 1.
+    """
+    sys_ = _coprime_markov()[0]
+    S, n = sys_.m, 40
+    K = n * (S + 1) + 1
+    # finite_group_mixing: |mass - 1/3| moves by at most the mass error plus two roundings
+    fl, ex = (walkdist.finite_group_mixing(sys_, _Z3, n, mode=m) for m in ("float", "rational"))
+    assert all(abs(a - b) <= _gamma(K + 3) for a, b in zip(fl.deviations, ex.deviations))
+    # return_time_tail: a total sums at most S * |G| masses
+    fl, ex = (walkdist.return_time_tail(sys_, _Z3, n, mode=m) for m in ("float", "rational"))
+    assert all(abs(a - float(b)) <= _gamma(K + S * 3) * float(b) for a, b in zip(fl.tail, ex.tail))
+    # mass_trajectory on Z/3 x Z: a group-marginal mass sums S state masses
+    targets = [(0, 0), (1, -1), (2, 1), (0, 3), (2, -2)]
+    fl, ex = (walkdist.mass_trajectory(sys_, _Z3_Z, targets, n, mode=m)
+              for m in ("float", "rational"))
+    pairs = [(a, float(b)) for rf, rx in zip(fl, ex) for a, b in zip(rf, rx)]
+    assert sum(b > 0 for _, b in pairs) > len(pairs) // 2
+    assert all(abs(a - b) <= _gamma(K + S) * b for a, b in pairs)
