@@ -16,8 +16,9 @@ slab; everything else, and all exact-rational work, runs on sparse tables
 keyed by group element, each holding its S state masses.  Exact work steps
 Python int numerators over one common denominator and builds a ``Fraction``
 only where a mass leaves the engine.
-Identity returns (``_identity_returns``) pair a half-depth table with walks
-seeded at each state where that shrinks the dense boxes.
+Identity returns (``_identity_returns``) pair a half-depth table with the
+time-reversed (dual) recursion, two engines for any S, where that shrinks
+the Heisenberg boxes.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ DEFAULT_MAX_CELLS = 80_000_000
 DEFAULT_MAX_ATOMS = 3_000_000
 EXPORT_MAX_ATOMS = 5_000_000
 BOUNDARY_ATOL = 1e-9
-# cells of a box whose inverse indices one gather step builds at once
-GATHER_CHUNK = 1 << 16
 # relative slack of a float superadditivity comparison (rational ones are exact)
 SUPERADDITIVITY_REL_SLACK = 1e-9
 
@@ -296,6 +295,8 @@ class _SparseEngine:
             dw, wts = _numerators(wts)
             self.den, nums = _numerators(table.values())
             self._D, table = dp * dw, dict(zip(table, nums))
+        else:                           # Python floats, not numpy scalars
+            flat, table = list(map(float, flat)), {k: float(w) for k, w in table.items()}
         self._cols = [flat[t::rec.S] for t in range(rec.S)] if flat else None   # rows of P^T
         self._shifts = [(t, a, w) for (t, a, _), w in zip(rec.shifts, wts)]
         self.data = {}
@@ -456,32 +457,8 @@ class _DenseLatticeEngine:
                                                    in zip(self.strides, self.dims, self.lo)])
         return self._embed_cache, self.W.sum(axis=0)
 
-    def at_inverses(self, box):
-        """The table at h^-1 for every cell h of ``box`` = (lo, dims, strides), as S rows.
-
-        Zero where h^-1 lies outside this engine's box, which holds every mass.
-        The index arrays of the gather are built ``GATHER_CHUNK`` cells at a time.
-        """
-        lo, dims, strides = box
-        L = math.prod(dims)
-        out = np.zeros((self.rec.S, L))
-        for a in range(0, L, GATHER_CHUNK):
-            flat = np.arange(a, min(a + GATHER_CHUNK, L))
-            inv = self.spec.inverse(tuple(flat // st % d + l
-                                          for st, d, l in zip(strides, dims, lo)))
-            inside = np.ones(flat.size, dtype=bool)
-            src = np.zeros(flat.size, dtype=np.int64)
-            for c, l, d, st in zip(inv, self.lo, self.dims, self.strides):
-                inside &= (c >= l) & (c < l + d)
-                src += (c - l) * st
-            out[:, a:a + flat.size][:, inside] = self.W[:, src[inside]]
-        return out
-
     def to_table(self):
-        # the table viewed as (S, key coordinates...), whatever the memory order
-        grid = np.lib.stride_tricks.as_strided(
-            self.W, (self.rec.S,) + self.dims,
-            (self.W.strides[0],) + tuple(self.W.itemsize * st for st in self.strides))
+        grid = _grid(self.W, self.dims, self.strides)
         nz = np.nonzero(grid)
         if nz[0].size > EXPORT_MAX_ATOMS:
             raise ResourceLimitError(
@@ -546,72 +523,84 @@ def _make_engine(rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
     return _SparseEngine(rec, seed_state, seed_entry, max_atoms)
 
 
-def _pairing(rec, n_max, seed_entry=None):
-    """(K, K-step box, seeded box) when identity returns pair at half depth, else None.
+def _grid(W, dims, strides):
+    """A flat (S, L) table viewed as (S, key coordinates...), whatever the memory order."""
+    return np.lib.stride_tricks.as_strided(
+        W, (W.shape[0],) + tuple(dims), (W.strides[0],) + tuple(W.itemsize * st for st in strides))
 
-    The rule, stated once: a recursion on the Heisenberg layout pairs when its
-    S + 1 boxes of K = ceil(n_max / 2) steps hold fewer cells than its one box
-    of n_max steps (each engine holding S rows of its box).  Lattice layouts
-    and sparse engines are not paired.
+
+def _dual(rec, weights=None):
+    """The time-reversed recursion of ``_identity_returns``: mixing P^T (a step mixes
+    by P), a shift (t, atom^-1, w) per shift (t, atom, w), and step-0 masses
+    c_t * w at (t, atom^-1) for the ``weights`` c (1 without).  Those masses
+    are one atom from e, so an engine stepping the dual starts at n = 1.
+    """
+    c = [1.0] * rec.S if weights is None else weights
+    shifts = tuple((t, rec.spec.inverse(a), w) for t, a, w in rec.shifts)
+    return Recursion(rec.spec, rec.mode, rec.S, None if rec.P is None else rec.P.T, shifts,
+                     tuple(((t, a), c[t] * w) for t, a, w in shifts))
+
+
+def _pairing(rec, n_max, seed_entry=None):
+    """(K, K-step box cells, dual box) when identity returns pair at half depth, else None.
+
+    The rule, stated once: a recursion on the Heisenberg layout pairs when the
+    box of its K = ceil(n_max / 2) steps plus the box of its dual's
+    n_max - K steps hold fewer cells than its one box of n_max steps (every
+    engine holds S rows of its box).  Lattice layouts and sparse engines are
+    not paired.
     """
     if _dense_layout(rec) is not _DenseHeisEngine:
         return None
     atoms = [a for _, a, _ in rec.shifts]
     span0 = 1 if seed_entry is not None else 0
     K = (n_max + 1) // 2
-    half = _DenseHeisEngine.box(atoms, K + span0)
-    full = _DenseHeisEngine.box(atoms, n_max + span0)
-    if (rec.S + 1) * math.prod(half[1]) >= math.prod(full[1]):
+    half = math.prod(_DenseHeisEngine.box(atoms, K + span0)[1])
+    dual = _DenseHeisEngine.box([rec.spec.inverse(a) for a in atoms], n_max - K)
+    if half + math.prod(dual[1]) >= math.prod(_DenseHeisEngine.box(atoms, n_max + span0)[1]):
         return None
-    return K, half, _DenseHeisEngine.box(atoms, n_max - K)
+    return K, half, dual
 
 
 def _identity_returns(rec, n_max, weights=None, seed_state=None, seed_entry=None,
                       max_cells=DEFAULT_MAX_CELLS, max_atoms=DEFAULT_MAX_ATOMS):
-    """sum_s c_s W_n(s, e) for n = 0..n_max, for the state ``weights`` c.
+    """sum_t c_t W_n(t, e) for n = 0..n_max, for the state ``weights`` c.
 
-    Without weights, the group marginal's mass at e.  Writing the
-    (K + k)-step product as Y * X_K, where Y is the product of the next k
-    increments and its law depends only on the state s at time K,
+    Without weights, the group marginal's mass at e (c = 1).  Write the
+    (K + k)-step product as Y * X_K, Y the product of the next k increments.
+    X_{K+k} = e exactly when X_K = Y^-1, the inverse increments in forward
+    order: a walk of the dual recursion (``_dual``).  Hence
 
-        W_{K+k}(t, e) = sum_{s, g} W_K(s, g) * Q_k^{(s)}(t, g^-1),
+        sum_t c_t W_{K+k}(t, e) = sum_{s, g} (P^T W_K)(s, g) * H_k(s, g),
 
-    with Q^{(s)} the walk seeded at (s, e); one state makes it the convolution
-    identity r_{K+k} = sum_g mu^K(g) mu^k(g^-1).  When ``_pairing`` admits
-    the recursion, one engine steps to K, its table is gathered at inverses
-    once, T_s(h) = W_K(s, h^-1), and S engines seeded at each state step the
-    remaining n_max - K steps; each value past K is one product Q_k^{(s)} T_s
-    per state over the active cells.  Every term is nonnegative, so exact
-    zeros stay exact.  ``max_cells`` then counts the float64 buffers held at
-    once, checked before anything is allocated: the K-step table with its
-    step buffer and T, then T and the seeded engines with their step
-    buffers.  Otherwise one engine steps to n_max.
+    with H_k the dual after k - 1 steps (P^T W_K is W_K without P).  When
+    ``_pairing`` admits the recursion, one engine steps to K, P^T W_K is laid
+    out once in the dual's box as T, and one dual engine gives each value
+    past K as one aligned product H_k . T over its active cells.  Every term
+    is nonnegative, so exact zeros stay exact.  ``max_cells`` then counts the
+    float64 buffers held at once, checked before anything is allocated: the
+    K-step table, its step buffer and T, then T and the dual's two buffers.
+    Otherwise one engine steps to n_max.
     """
     e = rec.spec.identity()
     S = rec.S
 
-    def weigh(masses):          # in the number type of the masses and weights
-        return sum(m * c for m, c in zip(masses, weights))
-
     def read(eng):
         if weights is None:
             return eng.mass_at(e)
-        return weigh(eng.joint_mass_at(s, e) for s in range(S))
+        return sum(eng.joint_mass_at(s, e) * c for s, c in enumerate(weights))
 
     plan = _pairing(rec, n_max, seed_entry)
     if plan is None:
         K = n_max
         eng = _make_engine(rec, n_max, seed_state, max_cells, max_atoms, seed_entry)
     else:
-        K, half, box = plan
-        L_half, L = math.prod(half[1]), math.prod(box[1])
-        peak = max(2 * S * L_half + S * L, S * L + 2 * S * S * L)
+        K, half, (lo, dims, strides) = plan
+        L = math.prod(dims)
+        peak = S * max(2 * half + L, 3 * L)
         if peak > max_cells:
-            raise ResourceLimitError(
-                f"paired dense {_DenseHeisEngine.layout} boxes need {peak} cells at once, "
-                f"over the {max_cells}-cell guard",
-                completed=0,
-            )
+            raise ResourceLimitError(f"paired dense Heisenberg boxes need {peak} cells at "
+                                     f"once, over the {max_cells}-cell guard", completed=0)
         eng = _DenseHeisEngine(rec, K, seed_state, max_cells, seed_entry)
     out = [read(eng)]
     for _ in range(K):
@@ -619,16 +608,23 @@ def _identity_returns(rec, n_max, weights=None, seed_state=None, seed_entry=None
         out.append(read(eng))
     if plan is None:
         return out
-    T = eng.at_inverses(box)
-    del eng                     # the K-step buffers are not held with the seeded engines
-    seeded = [_DenseHeisEngine(rec, n_max - K, s, max_cells) for s in range(S)]
-    for _ in range(n_max - K):
-        row = np.zeros(S)
-        for s, q in enumerate(seeded):
-            q.step_once()
-            a, b = q._hull()
-            row += q.W[:, a:b] @ T[s, a:b]
-        out.append(float(row.sum()) if weights is None else weigh(row.tolist()))
+    # T = P^T W_K in the dual's box; both boxes hold e, so they overlap
+    PW = eng.W if rec.P is None else np.matmul(rec.P.T, eng.W, out=eng._buf)
+    T = np.zeros((S, L))
+    ov = [(max(p, q), min(p + d, q + f)) for p, d, q, f in zip(eng.lo, eng.dims, lo, dims)]
+
+    def at(corner):             # the overlap in the indices of a box with this lowest corner
+        return (slice(None),) + tuple(slice(a - c, b - c) for (a, b), c in zip(ov, corner))
+
+    _grid(T, dims, strides)[at(lo)] = _grid(PW, eng.dims, eng.strides)[at(eng.lo)]
+    del eng, PW                 # the K-step buffers are not held with the dual engine
+    dual = _DenseHeisEngine(_dual(rec, weights), n_max - K, max_cells=max_cells)
+    dual.n = 1                  # its seed is H_1
+    for k in range(1, n_max - K + 1):
+        if k > 1:
+            dual.step_once()
+        a, b = dual._hull()
+        out.append(float(sum(h @ t for h, t in zip(dual.W[:, a:b], T[:, a:b]))))
     return out
 
 
@@ -926,7 +922,8 @@ def _cylinder_check(condition_id, params, system, cocycle, mode, max_cylinders, 
     [n0, n1] and every n'-cylinder b, the conditioned value is observe at
     g * psi_b^{-1} of the walk seeded at b's last symbol after n - n' steps:
     the product over the first n' symbols factors out.  One seeded engine per
-    state evaluates only the steps n - n1 .. n - n0.
+    state evaluates only the steps n - n1 .. n - n0; a one-state recursion
+    ignores the seed's state, so one engine serves every cylinder.
     """
     g, n0, n1, n = (params[k] for k in ("g", "n0", "n1", "n"))
     if not (1 <= n0 <= n1 < n):
@@ -939,11 +936,12 @@ def _cylinder_check(condition_id, params, system, cocycle, mode, max_cylinders, 
     target = float(observe(_stepped(rec, n, **kw), [g])[0])
     cylinders = [(nprime, word) for nprime in range(n0, n1 + 1)
                  for word in itertools.product(range(system.m), repeat=nprime)]
-    # last symbol -> depth -> (word, shift)
+    # seed state (the last symbol, or 0 for one state) -> depth -> (word, shift)
     by_state = {}
     for nprime, word in cylinders:
         shift = spec.multiply(g, spec.inverse(cocycle.word_value(word)))
-        by_state.setdefault(word[-1], {}).setdefault(nprime, []).append((word, shift))
+        by_state.setdefault(word[-1] if rec.S > 1 else 0, {}).setdefault(
+            nprime, []).append((word, shift))
     values = {}
     for s, by_depth in by_state.items():
         eng = _make_engine(rec, n - n0, seed_state=s, **kw)

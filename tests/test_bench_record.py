@@ -10,12 +10,13 @@ bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
 
-def _result(root, workload, seed, trace, wall, failures=None):
+def _result(root, workload, seed, trace, wall, failures=None, ops=None):
     metrics = {name: wall for name in bench_record.END_TO_END}
     metrics["sparse.self_s"] = wall / 2
     res = {"workload": workload, "seed": seed, "trace": trace, "attempted": 100,
            "failed": len(failures or {}), "failures": failures or {}, "nproc": 2,
-           "blas_threads": 1, "kernel_backend": "numpy", "metrics": metrics}
+           "blas_threads": 1, "kernel_backend": "numpy", "metrics": metrics,
+           "op_median_s": ops if ops is not None else {"op": wall / 25}}
     out = root / "gmbench" / "out"
     out.mkdir(parents=True, exist_ok=True)
     (out / f"result-{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(res))
@@ -65,3 +66,19 @@ def test_a_record_without_a_claim_claims_no_gain(tmp_path):
     rec = json.loads(out.read_text())
     assert rec["claim"] is None
     assert rec["workloads"]["heis_returns"]["wall_s"]["change_lower_in"] == "1/1"
+
+
+def test_per_operation_medians_are_copied_per_side(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, (p, c) in enumerate([(0.5, 0.125), (0.75, 0.25)], start=1):
+        _result(parent, "heis_returns", seed, 0, 1.0, ops={"a": p, "b": 2 * p})
+        _result(change, "heis_returns", seed, 0, 1.0, ops={"a": c, "c": 3 * c})
+    out = tmp_path / "BENCH_1.json"
+    bench_record.main(["--pr", "1", "--title", "t", "--parent", str(parent),
+                       "--change", str(change), "--out", str(out)])
+    ops = json.loads(out.read_text())["workloads"]["heis_returns"]["op_median_s"]
+    assert list(ops) == ["a", "b", "c"]
+    assert ops["a"] == {"parent": [0.5, 0.75], "change": [0.125, 0.25]}
+    # an operation one side did not run reads null there
+    assert ops["b"] == {"parent": [1.0, 1.5], "change": [None, None]}
+    assert ops["c"] == {"parent": [None, None], "change": [0.375, 0.75]}

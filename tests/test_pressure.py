@@ -8,7 +8,7 @@ from gmwalk import oracle, presets, pressure, walkdist
 from gmwalk.errors import ValidationError
 from gmwalk.gm_system import GibbsMarkovSystem
 from gmwalk.groups import HeisenbergZ, IntegerLattice
-from pairing import HEIS_MARKOV, paired_agrees
+from pairing import HEIS_MARKOV, HEIS_SHEARED, paired_agrees
 
 
 def test_periodic_sum_uniform_bernoulli():
@@ -412,6 +412,27 @@ def test_paired_grouped_return_sequence_matches_stepped():
                 assert paired_agrees(pressure.grouped_return_sequence(sys_, coc, a, n_max),
                                       _stepped_grouped(sys_, coc, a, n_max)), (a, n_max)
     assert pressure.grouped_return_sequence(sym, sym_c, 0, 0) == []
+
+
+def test_paired_sheared_returns_match_stepped():
+    # a*b != 0 atoms, where the dual's box differs from the forward one
+    inverse = HEIS_SHEARED.spec.inverse
+    for sys_ in (presets.heisenberg_asymmetric()[0], HEIS_MARKOV):
+        rec = walkdist.marginal_recursion(sys_, HEIS_SHEARED, "float")
+        atoms = [a for _, a, _ in rec.shifts]
+        assert (walkdist._DenseHeisEngine.box(atoms, 5)[1]
+                != walkdist._DenseHeisEngine.box([inverse(a) for a in atoms], 5)[1])
+        for n in (7, 20):
+            assert walkdist._pairing(rec, n) is not None
+            eng = walkdist._make_engine(rec, n)
+            want = [r for (r,) in walkdist._trajectory(eng, [(0, 0, 0)], n)]
+            assert sum(w > 0 for w in want) > n // 2
+            assert paired_agrees(walkdist.return_sequence(sys_, HEIS_SHEARED, n), want), n
+        for a in range(sys_.m):
+            for n_max in (2, 7, 20):
+                assert paired_agrees(
+                    pressure.grouped_return_sequence(sys_, HEIS_SHEARED, a, n_max),
+                    _stepped_grouped(sys_, HEIS_SHEARED, a, n_max)), (a, n_max)
 
 
 def test_paired_convolution_returns_match_stepped():

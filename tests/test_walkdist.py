@@ -289,6 +289,19 @@ def test_condition_d_input_validation():
         walkdist.check_condition_D(sys_, coc, (0,), 1, 9, 12, max_cylinders=100)
 
 
+def test_one_state_cylinder_check_steps_one_seeded_engine(engines_built):
+    # a one-state recursion ignores the seed's state: one engine for the
+    # target and one for every cylinder, not one per last symbol
+    sys_, coc, _ = presets.trinomial()
+    walkdist.check_condition_D(sys_, coc, (0,), 1, 2, 6)
+    assert engines_built == ["_DenseLatticeEngine"] * 2
+    # m states seed one engine per last symbol
+    msys, mcoc, _ = presets.two_state_markov()
+    engines_built.clear()
+    walkdist.check_condition_D(msys, mcoc, (0,), 1, 2, 6)
+    assert engines_built == ["_DenseLatticeEngine"] * (1 + msys.m)
+
+
 def test_condition_c_saturation_and_independence():
     sys_, coc, _ = presets.embedded4()
     # a window containing the whole support makes both sides 1
@@ -436,28 +449,23 @@ def engines_built(monkeypatch):
 
 
 def test_paired_guard_counts_every_buffer(engines_built):
-    # heisenberg_asymmetric to n = 5 pairs at K = 3.  The 3-step box is
-    # 7 x 7 x 11 = 539 cells (x, y in [-3, 3], |z| <= 5); the walk seeded for
-    # the last 2 steps has a 5 x 5 x 7 = 175-cell box.  Held at once: the
-    # K-step table, its step buffer and the gathered T, 2 x 539 + 175 = 1253
-    # cells; then T and the seeded engine with its step buffer, 3 x 175.
-    # One full-depth engine would need 2 x 2783 (11 x 11 x 23).
-    sys_, coc, _ = presets.heisenberg_asymmetric()
-    with pytest.raises(ResourceLimitError) as exc:
-        walkdist.return_sequence(sys_, coc, 5, max_cells=1252)
-    assert exc.value.completed == 0
-    assert engines_built == []              # raised before allocating anything
-    got = walkdist.return_sequence(sys_, coc, 5, max_cells=1253)
-    assert engines_built == ["_DenseHeisEngine"] * 2
-    assert paired_agrees(got, _full_depth_returns(sys_, coc, 5))
-
-
-def test_paired_gather_in_chunks(monkeypatch):
-    # the gather builds its index arrays a few cells at a time, with the same table
-    sys_, coc, _ = presets.heisenberg_asymmetric()
-    want = walkdist.return_sequence(sys_, coc, 12)
-    monkeypatch.setattr(walkdist, "GATHER_CHUNK", 7)
-    assert walkdist.return_sequence(sys_, coc, 12) == want
+    # heisenberg_asymmetric to n = 5 pairs at K = 3.  Per state, the 3-step box
+    # is 7 x 7 x 11 = 539 cells (x, y in [-3, 3], |z| <= 5) and the dual's
+    # 2-step box 5 x 5 x 7 = 175 cells.  Held at once: the K-step table, its
+    # step buffer and T (P^T W_K in the dual's box), 2 x 539 + 175 = 1253
+    # cells; then T and the dual's table and step buffer, 3 x 175.  One
+    # full-depth engine would need 2 x 2783 (11 x 11 x 23).  The 4-state
+    # chain holds 4 rows of every box, with the same two engines.
+    bern, coc, _ = presets.heisenberg_asymmetric()
+    for sys_, S in ((bern, 1), (HEIS_MARKOV, 4)):
+        engines_built.clear()
+        with pytest.raises(ResourceLimitError) as exc:
+            walkdist.return_sequence(sys_, coc, 5, max_cells=S * 1253 - 1)
+        assert exc.value.completed == 0
+        assert engines_built == []          # raised before allocating anything
+        got = walkdist.return_sequence(sys_, coc, 5, max_cells=S * 1253)
+        assert engines_built == ["_DenseHeisEngine"] * 2
+        assert paired_agrees(got, _full_depth_returns(sys_, coc, 5))
 
 
 def _full_depth_returns(sys_, coc, n, mode="float"):
@@ -482,16 +490,18 @@ def test_paired_return_sequence_matches_full_depth(name):
     assert (walkdist._pairing(rec, deep) is None) != isinstance(coc.spec, HeisenbergZ)
 
 
-def test_paired_heisenberg_returns_match_full_depth():
+def test_paired_heisenberg_returns_match_full_depth(engines_built):
     sys_, coc, _ = presets.heisenberg_asymmetric()
     assert paired_agrees(walkdist.return_sequence(sys_, coc, 40),
                          _full_depth_returns(sys_, coc, 40))
-    # a 4-state Markov chain pairs on the state: one engine seeded at each state
+    # a 4-state Markov chain pairs with two engines, the forward one and the dual
     heis = presets.heisenberg_symmetric()[1]
     rec = walkdist.marginal_recursion(HEIS_MARKOV, heis, "float")
     assert rec.S == 4 and walkdist._pairing(rec, 20) is not None
-    assert paired_agrees(walkdist.return_sequence(HEIS_MARKOV, heis, 20),
-                         _full_depth_returns(HEIS_MARKOV, heis, 20))
+    engines_built.clear()
+    got = walkdist.return_sequence(HEIS_MARKOV, heis, 20)
+    assert engines_built == ["_DenseHeisEngine"] * 2
+    assert paired_agrees(got, _full_depth_returns(HEIS_MARKOV, heis, 20))
     # per state (weights picking one state), and seeded at a state
     for n in (7, 20):
         eng = walkdist._make_engine(rec, n, seed_state=2)
@@ -830,6 +840,12 @@ def _gamma(k):
 # 3-state chains whose float tables only the sparse engine steps
 _Z3 = Cocycle(cyclic_group(3), ((0,), (1,), (2,)))
 _Z3_Z = Cocycle(DirectProduct(cyclic_group(3), IntegerLattice(1)), ((1, -1), (0, 0), (2, 1)))
+
+
+def test_sparse_float_masses_are_python_floats():
+    # P and the step-0 masses enter as Python floats, not numpy scalars
+    rows = walkdist.mass_trajectory(_coprime_markov()[0], _Z3, [(0,), (1,)], 5)
+    assert all(type(x) is float for row in rows for x in row)
 
 
 def test_sparse_markov_float_tables_within_gamma_of_rational():

@@ -8,8 +8,9 @@ Each checkout holds ``gmbench/out/result-<workload>-seed<n>-trace<t>.json``
 files written by ``python3 gmbench/run.py``.  Untraced runs (trace 0) of the
 same workload and seed in both checkouts form a pair; every workload with at
 least one pair gets per-run values, medians and quartiles of each end-to-end
-metric, the number of pairs in which the change is lower, the failed shares
-and whether any unexpected failure occurred.  Traced runs (trace 1) present
+metric, the number of pairs in which the change is lower, the failed shares,
+whether any unexpected failure occurred, and each operation's per-run
+medians (``op_median_s``) on both sides.  Traced runs (trace 1) present
 in both checkouts give per-run values of the layer metrics in ``TRACED``.  A
 revision defaults to ``git rev-parse HEAD`` in its checkout.  Standard
 library only.
@@ -73,10 +74,13 @@ def workload_record(pairs):
         rec[name] = {"parent": {"per_run": par, **summary(par)},
                      "change": {"per_run": chg, **summary(chg)},
                      "change_lower_in": f"{sum(c < p for p, c in zip(par, chg))}/{len(pairs)}"}
-    rec["failed_share"] = {
-        side: sorted({r["failed"] / r["attempted"] for r in rs})
-        for side, rs in (("parent", [p for p, _ in pairs]), ("change", [c for _, c in pairs]))}
+    sides = (("parent", [p for p, _ in pairs]), ("change", [c for _, c in pairs]))
+    rec["failed_share"] = {side: sorted({r["failed"] / r["attempted"] for r in rs})
+                           for side, rs in sides}
     rec["correct"] = all(correct(p) and correct(c) for p, c in pairs)
+    ops = dict.fromkeys(op for pair in pairs for r in pair for op in r["op_median_s"])
+    rec["op_median_s"] = {op: {side: [r["op_median_s"].get(op) for r in rs]
+                               for side, rs in sides} for op in ops}
     return rec
 
 
