@@ -12,7 +12,11 @@ system is the one-step law with one state instead of m.  Dense float engines
 (flat stride-indexed boxes, one kernel) are selected automatically for
 integer-lattice and embedded-lattice targets and for the Heisenberg group,
 whose box is stored y-slab by y-slab so that its shear is one flat offset per
-slab; everything else, and all exact-rational work, runs on sparse tables
+slab.  A lattice box is planned in the coordinates of the lattice that the
+differences of the atoms generate, shifted by one atom per step, where that
+box is smaller: the support after n steps lies on one coset of that lattice,
+so a walk with a period or a drift steps only the cells it can reach.
+Everything else, and all exact-rational work, runs on sparse tables
 keyed by group element, each holding its S state masses.  Exact work steps
 Python int numerators over one common denominator and builds a ``Fraction``
 only where a mass leaves the engine.
@@ -23,6 +27,7 @@ the Heisenberg boxes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -32,13 +37,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .errors import ResourceLimitError, ValidationError
+from .errors import EncodingError, ResourceLimitError, ValidationError
 from .gm_system import check_aperiodicity_algebraic, cylinder_mass
-from .groups import EmbeddedRealLattice, FiniteGroup, HeisenbergZ, IntegerLattice
+from .groups import EmbeddedRealLattice, FiniteGroup, HeisenbergZ, IntegerLattice, hermite_index
 
 DEFAULT_MAX_CELLS = 80_000_000
 DEFAULT_MAX_ATOMS = 3_000_000
 EXPORT_MAX_ATOMS = 5_000_000
+# candidate frames a lattice box planner enumerates at most (atoms x d-subsets of
+# their differences); recursions with more atoms keep the identity frame
+FRAME_MAX_CANDIDATES = 20_000
 BOUNDARY_ATOL = 1e-9
 # relative slack of a float superadditivity comparison (rational ones are exact)
 SUPERADDITIVITY_REL_SLACK = 1e-9
@@ -58,6 +66,16 @@ def _as_box(E, spec):
         if not lo < hi:
             raise ValidationError(f"degenerate window interval ({lo}, {hi})")
     return box
+
+
+def _element(spec, g):
+    """g as an element of ``spec``, or a ValidationError when it does not fit the group."""
+    g = tuple(g)
+    try:
+        spec.validate_element(g)
+    except EncodingError as exc:
+        raise ValidationError(str(exc)) from None
+    return g
 
 
 def box_volume(box):
@@ -353,6 +371,80 @@ class _SparseEngine:
         return MassTable(self.n, self.mode, self.spec, data)
 
 
+def _int_det(M):
+    """Determinant of a small square integer matrix (a list of rows), by Laplace expansion."""
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j] * _int_det([r[:j] + r[j + 1:] for r in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+def _adjugate(M):
+    """Integer adjugate of a small square integer matrix: adj(M) M = det(M) I."""
+    d = len(M)
+    return [[(-1) ** (i + j) * _int_det([r[:i] + r[i + 1:] for k, r in enumerate(M) if k != j])
+             for j in range(d)] for i in range(d)]
+
+
+class _Frame:
+    """Coordinates lam = B^-1 (g - n v0) of the depth-n coset n v0 + Lambda0.
+
+    v0 is an atom and the columns of the integer matrix B a basis of the
+    lattice Lambda0 that the atoms' differences generate, so after n steps
+    every atom product lies on the coset and has integer coordinates.
+    """
+
+    def __init__(self, v0, B):
+        self.v0 = v0
+        self.B = np.array(B, dtype=np.int64)
+        self.adj = _adjugate(B)
+        self.det = _int_det(B)
+        self._adj_v0 = [sum(map(operator.mul, row, v0)) for row in self.adj]
+
+    def coords(self, g, n):
+        """lam of the group element g at depth n, or None off the coset."""
+        lam = []
+        for row, a in zip(self.adj, self._adj_v0):
+            q, r = divmod(sum(map(operator.mul, row, g)) - n * a, self.det)
+            if r:
+                return None
+            lam.append(q)
+        return lam
+
+    def keys(self, lam, n):
+        """Group elements n v0 + B lam of the rows of an integer array lam."""
+        return lam @ self.B.T + n * np.array(self.v0, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=256)
+def _frames(pts):
+    """(lam widths, frame) of every candidate frame of distinct lattice atoms ``pts``.
+
+    A candidate takes v0 = one atom and d differences p - v0 as the columns
+    of B, with |det B| the index of the difference lattice Lambda0, so B is
+    a basis of it.  Its widths are the per-axis spans of the atoms' lam
+    coordinates, whose box at span n has prod(n w + 1) cells.  Empty when
+    Lambda0 has rank below d or the atoms are too many to enumerate.
+    """
+    d = len(pts[0])
+    if len(pts) <= d or len(pts) * math.comb(len(pts) - 1, d) > FRAME_MAX_CANDIDATES:
+        return ()
+    _, index = hermite_index([tuple(map(operator.sub, p, pts[0])) for p in pts[1:]])
+    if index is None:
+        return ()
+    out = []
+    for v0 in pts:
+        diffs = [tuple(map(operator.sub, p, v0)) for p in pts if p != v0]
+        for cols in itertools.combinations(diffs, d):
+            B = [list(row) for row in zip(*cols)]
+            if abs(_int_det(B)) != index:
+                continue
+            frame = _Frame(v0, B)
+            lam = [frame.coords(p, 1) for p in pts]
+            out.append((tuple(max(c) - min(c) for c in zip(*lam)), frame))
+    return tuple(out)
+
+
 class _DenseLatticeEngine:
     """Float stepping of a recursion on a flat stride-indexed dense box.
 
@@ -360,6 +452,16 @@ class _DenseLatticeEngine:
     offset and a step passes the kernel one flat source range.  The box is
     planned here, and the ``max_cells`` guard (see ``_make_engine``) is
     checked before anything is allocated.
+
+    The box is planned in a frame (v0, B) (``_frame``): at depth n the masses
+    sit at lam = B^-1 (g - n v0), so a walk whose atoms' differences span a
+    sublattice Lambda0 of index k, or that drifts, steps a box up to k times
+    smaller.  The shifts keep their order in group coordinates, so every cell
+    receives its terms in the same order as in the identity frame (v0 = 0,
+    B = I; ``frame`` is None).  Reads map g to lam, and an element off the
+    coset n v0 + Lambda0 reads 0.0; ``to_table`` and ``group_view`` map the
+    cells back to group elements.  With ``seed_entry`` the step-0 masses
+    count as one step.
     """
 
     layout = "lattice"
@@ -372,9 +474,11 @@ class _DenseLatticeEngine:
         self.mode = "float"
         self.n = 0
         shifts = sorted(rec.shifts)     # a measure's atom order fixes its float sums
-        self.atoms = [a for _, a, _ in shifts]
-        self._reach = self._reach_of(self.atoms)
+        atoms = [a for _, a, _ in shifts]
         self._span0 = 1 if seed_entry is not None else 0
+        self.frame = self._frame(atoms, n_max + self._span0)
+        self.atoms = atoms if self.frame is None else [self.frame.coords(a, 1) for a in atoms]
+        self._reach = self._reach_of(self.atoms)
         self.lo, self.dims, self.strides = self.box(self.atoms, n_max + self._span0)
         self.L = math.prod(self.dims)
         if 2 * rec.S * self.L > max_cells:
@@ -390,7 +494,24 @@ class _DenseLatticeEngine:
         for (s, g), w in rec.seed(seed_state, seed_entry).items():
             self.W[s, self._cell(g)] = float(w)
         self._buf = np.zeros_like(self.W)
-        self._embed_cache = None
+        self._cell_keys = self._embed_cache = None
+
+    @classmethod
+    def _frame(cls, atoms, span):
+        """The frame of a box for ``span`` steps of these atoms; None keeps the identity frame.
+
+        The rule, stated once: of the candidate frames of ``_frames`` (an atom
+        v0 and a basis B of Lambda0 made of differences from it), take the
+        first whose box holds the fewest cells, and only when it holds
+        strictly fewer than the identity frame's box.
+        """
+        best = math.prod(cls.box(atoms, span)[1])
+        frame = None
+        for widths, cand in _frames(tuple(sorted(set(atoms)))):
+            cells = math.prod(span * w + 1 for w in widths)
+            if cells < best:
+                best, frame = cells, cand
+        return frame
 
     @staticmethod
     def _reach_of(atoms):
@@ -432,9 +553,16 @@ class _DenseLatticeEngine:
         return [(self._flat(lo), self._flat(hi) + 1, self.offs)]
 
     def _cell(self, g):
-        if not all(l <= c < l + dim for c, l, dim in zip(g, self.lo, self.dims)):
-            return None
-        return self._flat([c - l for c, l in zip(g, self.lo)])
+        if self.frame is not None:
+            g = self.frame.coords(g, self.n + self._span0)
+            if g is None:
+                return None
+        i = 0
+        for c, l, dim, st in zip(g, self.lo, self.dims, self.strides):
+            if not 0 <= c - l < dim:
+                return None
+            i += (c - l) * st
+        return i
 
     def step_once(self):
         self.W, self._buf = _kernels.lattice_step(self.W, self._buf, self.rec.P, self.tgt,
@@ -450,11 +578,21 @@ class _DenseLatticeEngine:
         return 0.0 if i is None else float(self.W[s, i])
 
     def group_view(self):
-        """Real embeddings (cached) and masses of every cell of the box, in memory order."""
-        if self._embed_cache is None:
+        """Real embeddings and masses of every cell of the box, in memory order.
+
+        The integer keys B lam of the cells are cached; the identity frame
+        also caches their embedding, a folded one embeds n v0 + B lam.
+        """
+        if self._cell_keys is None:
             flat = np.arange(self.L)
-            self._embed_cache = _embed(self.spec, [flat // st % dim + l for st, dim, l
-                                                   in zip(self.strides, self.dims, self.lo)])
+            lam = np.stack([flat // st % dim + l
+                            for st, dim, l in zip(self.strides, self.dims, self.lo)], axis=1)
+            self._cell_keys = lam if self.frame is None else self.frame.keys(lam, 0)
+        if self.frame is not None:
+            keys = self._cell_keys + (self.n + self._span0) * np.array(self.frame.v0)
+            return _embed(self.spec, keys.T), self.W.sum(axis=0)
+        if self._embed_cache is None:
+            self._embed_cache = _embed(self.spec, self._cell_keys.T)
         return self._embed_cache, self.W.sum(axis=0)
 
     def to_table(self):
@@ -464,9 +602,14 @@ class _DenseLatticeEngine:
             raise ResourceLimitError(
                 f"table export would produce {nz[0].size} atoms", completed=self.n
             )
-        keys = (np.stack(nz[1:], axis=1) + np.array(self.lo, dtype=np.int64)).tolist()
+        states, vals = nz[0], grid[nz]
+        keys = np.stack(nz[1:], axis=1) + np.array(self.lo, dtype=np.int64)
+        if self.frame is not None:  # group elements, in the identity frame's (s, g) order
+            keys = self.frame.keys(keys, self.n + self._span0)
+            order = np.lexsort(np.vstack([keys.T[::-1], states]))
+            states, keys, vals = states[order], keys[order], vals[order]
         data = {(s, tuple(g)): w
-                for s, g, w in zip(nz[0].tolist(), keys, grid[nz].tolist())}
+                for s, g, w in zip(states.tolist(), keys.tolist(), vals.tolist())}
         return MassTable(self.n, "float", self.spec, data)
 
 
@@ -479,6 +622,10 @@ class _DenseHeisEngine(_DenseLatticeEngine):
 
     layout = "Heisenberg"
     order = (1, 0, 2)
+
+    @staticmethod
+    def _frame(atoms, span):
+        return None             # the shear acts on group coordinates: no fold
 
     @classmethod
     def _span_box(cls, atoms, reach, span):
@@ -675,7 +822,7 @@ def mass_trajectory(system, cocycle, targets, n_max, mode="float", seed_state=No
     Returns a list of rows, row n holding the mass of each target at step n.
     Bernoulli systems step one state row (``marginal_recursion``).
     """
-    targets = [tuple(t) for t in targets]
+    targets = [_element(cocycle.spec, t) for t in targets]
     eng = _make_engine(marginal_recursion(system, cocycle, mode), n_max, seed_state, max_cells,
                        max_atoms)
     return _trajectory(eng, targets, n_max)
@@ -715,7 +862,7 @@ def ratio_sequence(system, cocycle, g, ns, mode="float", stride=1, **kw) -> Rati
     Walks with a degenerate increment lattice never return at odd steps; they
     are accepted with stride 2 and flagged as periodic rather than rejected.
     """
-    g = tuple(g)
+    g = _element(cocycle.spec, g)
     ns = sorted(set(int(n) for n in ns))
     if stride < 1:
         raise ValidationError("the stride must be >= 1")
@@ -778,7 +925,7 @@ def cross_ratio(system, cocycle, g, n, mode="float", **kw) -> CrossRatioReport:
     """mu^n(g) / mu^n(e) with a local-CLT reference curve for lattice targets."""
     if n < 1:
         raise ValidationError("cross ratios need n >= 1")
-    g = tuple(g)
+    g = _element(cocycle.spec, g)
     e = cocycle.spec.identity()
     traj = mass_trajectory(system, cocycle, [g, e], n, mode, **kw)
     num, den = traj[n]
@@ -813,9 +960,10 @@ def window_mass(system, cocycle, E, n, g_shift=None, mode="float", strict=False,
     """
     spec = cocycle.spec
     box = _as_box(E, spec)
+    if g_shift is not None:
+        g_shift = _element(spec, g_shift)
     eng = _stepped(marginal_recursion(system, cocycle, mode), n, **kw)
-    val, flagged = _window(eng.group_view(), spec, box,
-                           tuple(g_shift) if g_shift is not None else None)
+    val, flagged = _window(eng.group_view(), spec, box, g_shift)
     if strict and flagged:
         raise ValidationError(f"{flagged} atoms within {BOUNDARY_ATOL} of the window boundary")
     return WindowMassReport(box, g_shift, n, float(val), flagged)
@@ -838,7 +986,7 @@ def window_pair_ratios(system, cocycle, E, shifts, n, mode="float", **kw) -> Win
     """
     spec = cocycle.spec
     box = _as_box(E, spec)
-    shifts = [tuple(s) for s in shifts]
+    shifts = [_element(spec, s) for s in shifts]
     view = _stepped(marginal_recursion(system, cocycle, mode), n, **kw).group_view()
     needed = set(shifts)
     for g in shifts:
@@ -926,6 +1074,7 @@ def _cylinder_check(condition_id, params, system, cocycle, mode, max_cylinders, 
     ignores the seed's state, so one engine serves every cylinder.
     """
     g, n0, n1, n = (params[k] for k in ("g", "n0", "n1", "n"))
+    _element(cocycle.spec, g)
     if not (1 <= n0 <= n1 < n):
         raise ValidationError("need 1 <= n0 <= n1 < n")
     total_cyls = sum(system.m ** k for k in range(n0, n1 + 1))
@@ -1006,7 +1155,7 @@ def check_condition_CM(system, cocycle, a_word, F, A, E, g, n, mode="float",
     exactly and its LHS and RHS are not ground truth.
     """
     spec = cocycle.spec
-    g = tuple(g)
+    g = _element(spec, g)
     boxF = _as_box(F, spec)
     boxA = _as_box(A, spec)
     boxE = _as_box(E, spec)

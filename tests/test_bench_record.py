@@ -13,6 +13,8 @@ _spec.loader.exec_module(bench_record)
 def _result(root, workload, seed, trace, wall, failures=None, ops=None):
     metrics = {name: wall for name in bench_record.END_TO_END}
     metrics["sparse.self_s"] = wall / 2
+    if trace:
+        metrics["engines.box_cells_max"] = int(100 * wall)
     res = {"workload": workload, "seed": seed, "trace": trace, "attempted": 100,
            "failed": len(failures or {}), "failures": failures or {}, "nproc": 2,
            "blas_threads": 1, "kernel_backend": "numpy", "metrics": metrics,
@@ -46,6 +48,9 @@ def test_pairs_runs_by_workload_and_seed(tmp_path):
     traced = rec["traced_sparse_exact"]
     assert traced["per_run"]["parent"]["sparse.self_s"] == [2.0]
     assert traced["per_run"]["change"]["sparse.self_s"] == [1.0]
+    # the largest dense box a traced run built, per side
+    assert traced["per_run"]["parent"]["engines.box_cells_max"] == [400]
+    assert traced["per_run"]["change"]["engines.box_cells_max"] == [200]
 
 
 def test_no_common_untraced_run_is_an_error(tmp_path):

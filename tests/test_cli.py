@@ -340,6 +340,24 @@ def test_out_of_range_parameters_exit_two_with_manifest(tmp_path, kind, body, er
     assert f"run.error = {error}\n" in manifest
 
 
+@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize("kind, body", [("ratio", "g = 1\nn_grid = 4 8"),
+                                        ("cross-ratio", "g = 1\nn = 6"),
+                                        ("conditions", "g = 1\nn0 = 1\nn1 = 1\nn = 4")])
+def test_an_element_that_does_not_fit_the_group_exits_two(tmp_path, kind, body, mode):
+    # g = 1 names no element of Z^2: a config error, not a CSV
+    cfg = TRINOMIAL_RATIO.replace("group = lattice 1\nvalues = -1; 0; 1\ninvolution = 2 1 0",
+                                  "group = lattice 2\nvalues = 1,0; 0,1; 0,0")
+    cfg = cfg.replace("kind = ratio\ng = 0\nn_grid = 4 8 16", f"kind = {kind}\n{body}")
+    cfg = cfg.replace("mode = rational", f"mode = {mode}")
+    out = tmp_path / "out"
+    assert cli.main([kind, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert list(out.iterdir()) == [out / "manifest.txt"]
+    manifest = (out / "manifest.txt").read_text()
+    assert "run.exit_code = 2" in manifest
+    assert "run.error = element (1,) does not fit IntegerLattice(2)\n" in manifest
+
+
 def test_oracle_compare_enumerates_once(tmp_path, monkeypatch):
     from gmwalk import oracle
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from gmwalk import oracle, presets, pressure, walkdist
 from gmwalk.errors import ResourceLimitError, ValidationError
-from gmwalk.gm_system import Cocycle, GibbsMarkovSystem
+from gmwalk.gm_system import Cocycle, GibbsMarkovSystem, check_aperiodicity_algebraic
 from gmwalk.groups import (DirectProduct, EmbeddedRealLattice, FiniteGroup, HeisenbergZ,
                            IntegerLattice, cyclic_group, left_product)
 from gmwalk.walkdist import heis_z_bound
@@ -221,6 +221,38 @@ def test_window_requires_embedded_lattice(op, preset, mode):
         _WINDOW_OPS[op](sys_, coc, E, coc.spec.identity(), mode)
 
 
+# every statistic that reads the walk at group elements, at the element g
+_ELEMENT_OPS = {
+    "mass_trajectory": lambda s, c, E, g, mode: walkdist.mass_trajectory(s, c, [g], 4, mode),
+    "ratio_sequence": lambda s, c, E, g, mode: walkdist.ratio_sequence(s, c, g, [2], mode),
+    "cross_ratio": lambda s, c, E, g, mode: walkdist.cross_ratio(s, c, g, 4, mode),
+    "check_condition_D": lambda s, c, E, g, mode: walkdist.check_condition_D(
+        s, c, g, 1, 1, 3, mode=mode),
+    **_WINDOW_OPS,
+    "window_mass": lambda s, c, E, g, mode: walkdist.window_mass(s, c, E, 3, g, mode=mode),
+}
+del _ELEMENT_OPS["stone_ratio"]         # reads no group element
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+@pytest.mark.parametrize("g", [(1,), (1, 0, 0), (1.0, 0)])
+@pytest.mark.parametrize("op", sorted(_ELEMENT_OPS))
+def test_elements_that_do_not_fit_the_group_are_rejected(op, g, mode):
+    sys_, coc, _ = presets.embedded4()
+    with pytest.raises(ValidationError, match="does not fit|non-integer"):
+        _ELEMENT_OPS[op](sys_, coc, (-1.0, 1.0), g, mode)
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_a_target_of_the_wrong_length_is_not_read_from_another_cell(mode):
+    # a short key must not be read from the cell its leading coordinates name
+    sys_, coc, _ = presets.z2_lattice()
+    with pytest.raises(ValidationError, match=r"\(1,\) does not fit IntegerLattice\(2\)"):
+        walkdist.ratio_sequence(sys_, coc, (1,), [10], mode)
+    with pytest.raises(ValidationError):
+        walkdist.cross_ratio(sys_, coc, (1,), 10, mode)
+
+
 def test_window_boundary_atom_flagged_and_strict():
     sys_, coc, _ = presets.embedded4()
     # the atom embedded exactly at 1.0 sits on the face of (-1, 1)
@@ -421,19 +453,32 @@ def test_dense_guard_trips():
         walkdist.distribution(sys_, coc, 60, mode="float", max_cells=10_000)
 
 
+# a 3-state chain on Z^2: the differences of its steps (1,0), (0,1), (-1,-1)
+# span the index-3 lattice x + y = 0 mod 3
+MARKOV3 = GibbsMarkovSystem.markov([[Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)],
+                                    [Fraction(1, 3)] * 3,
+                                    [Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)]])
+Z2_CHAIN = Cocycle(IntegerLattice(2), ((1, 0), (0, 1), (-1, -1)))
+
+
 def test_dense_guard_counts_every_buffer():
-    # 2 states x 201 cells: the table and the step buffer (which also takes
-    # the mixed table) are 2 x 402 float64 cells, so 402 alone does not fit 500
+    # +-1 steps fold to n + 1 = 101 cells per state.  2 states: the table and
+    # the step buffer (which also takes the mixed table) are 2 x 2 x 101 cells
     sys_, coc, _ = presets.two_state_markov()
     with pytest.raises(ResourceLimitError) as exc:
-        walkdist.distribution(sys_, coc, 100, mode="float", max_cells=500)
+        walkdist.distribution(sys_, coc, 100, mode="float", max_cells=2 * 2 * 101 - 1)
     assert exc.value.completed == 0
-    walkdist.distribution(sys_, coc, 100, mode="float", max_cells=2 * 402)
-    # one state: the table and the step buffer, 2 x 201 cells
+    walkdist.distribution(sys_, coc, 100, mode="float", max_cells=2 * 2 * 101)
+    # one state: the table and the step buffer, 2 x 101 cells
     bern, bcoc, _ = presets.asymmetric_z()
     with pytest.raises(ResourceLimitError):
-        walkdist.return_sequence(bern, bcoc, 100, max_cells=2 * 201 - 1)
-    walkdist.return_sequence(bern, bcoc, 100, max_cells=2 * 201)
+        walkdist.return_sequence(bern, bcoc, 100, max_cells=2 * 101 - 1)
+    walkdist.return_sequence(bern, bcoc, 100, max_cells=2 * 101)
+    # the 3-state chain on Z^2 with steps (1,0), (0,1), (-1,-1): (n + 1)^2 cells per state
+    with pytest.raises(ResourceLimitError):
+        walkdist.distribution(MARKOV3, Z2_CHAIN, 100, mode="float",
+                              max_cells=2 * 3 * 101 ** 2 - 1)
+    walkdist.distribution(MARKOV3, Z2_CHAIN, 100, mode="float", max_cells=2 * 3 * 101 ** 2)
 
 
 @pytest.fixture
@@ -872,3 +917,96 @@ def test_sparse_markov_float_tables_within_gamma_of_rational():
     pairs = [(a, float(b)) for rf, rx in zip(fl, ex) for a, b in zip(rf, rx)]
     assert sum(b > 0 for _, b in pairs) > len(pairs) // 2
     assert all(abs(a - b) <= _gamma(K + S) * b for a, b in pairs)
+
+
+# ------------------------------------------------------------------ folded boxes
+
+# walks whose dense box is planned in a folded frame, as (system, cocycle)
+FOLDED = {
+    "embedded4": presets.embedded4()[:2],
+    "asymmetric_z": presets.asymmetric_z()[:2],
+    "two_state_markov": presets.two_state_markov()[:2],
+    "fault_1_100": (GibbsMarkovSystem.bernoulli([Fraction(1, 100), Fraction(99, 100)]),
+                    Cocycle(IntegerLattice(1), ((1,), (-1,)))),
+    "z2_chain": (MARKOV3, Z2_CHAIN),
+    "drift_z": (GibbsMarkovSystem.bernoulli([Fraction(1, 3), Fraction(2, 3)]),
+                Cocycle(IntegerLattice(1), ((1,), (2,)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLDED))
+def test_folded_outputs_within_gamma_of_rational(name):
+    """Folded float tables, trajectories and point masses against rational ones.
+
+    A step forms a mass from at most m nonnegative products, one rounding
+    each, plus one rounding of P (or of the weights), so after n steps a
+    state mass is within gamma_K, K = n (m + 1) + 1, and a group-marginal
+    mass, a sum of at most m of them, within gamma_{K + m}.
+    """
+    sys_, coc = FOLDED[name]
+    m, n = sys_.m, 30 if coc.spec.key_size == 1 else 16
+    K = n * (m + 1) + 1
+    fl, ex = (walkdist.distribution(sys_, coc, n, mode) for mode in ("float", "rational"))
+    assert set(fl.data) == set(ex.data)
+    assert all(abs(fl.data[k] - w) <= _gamma(K) * w for k, w in ex.data.items())
+    eng = walkdist._stepped(walkdist.walk_recursion(sys_, coc, "float"), n)
+    assert eng.frame is not None
+    assert all(abs(eng.joint_mass_at(s, g) - w) <= _gamma(K) * w for (s, g), w in ex.data.items())
+    assert all(abs(eng.mass_at(g) - w) <= _gamma(K + m) * w
+               for g, w in ex.group_masses().items())
+    spec = coc.spec
+    steps = [coc.value(s) for s in range(m)]
+    targets = [spec.identity()] + steps + [spec.multiply(steps[0], steps[-1])]
+    fl, ex = (walkdist.mass_trajectory(sys_, coc, targets, n, mode)
+              for mode in ("float", "rational"))
+    pairs = [(a, b) for rf, rx in zip(fl, ex) for a, b in zip(rf, rx)]
+    assert any(b == 0 for _, b in pairs) and any(b > 0 for _, b in pairs)
+    assert all((a == 0) == (b == 0) and abs(a - b) <= _gamma(K + m) * b for a, b in pairs)
+
+
+def test_folded_reads_off_the_coset_are_exact_zeros():
+    # after n steps of Z2_CHAIN, x + y = n mod 3 on the support
+    eng = walkdist._make_engine(walkdist.walk_recursion(MARKOV3, Z2_CHAIN, "float"), 12)
+    for n in range(1, 13):
+        eng.step_once()
+        on = [g for g in itertools.product(range(-n - 1, n + 2), repeat=2)
+              if (g[0] + g[1] - n) % 3 == 0]
+        off = [g for g in itertools.product(range(-n - 1, n + 2), repeat=2)
+               if (g[0] + g[1] - n) % 3]
+        assert all(type(eng.mass_at(g)) is float and eng.mass_at(g) == 0.0 for g in off)
+        assert all(eng.joint_mass_at(s, g) == 0.0 for g in off for s in range(3))
+        assert sum(eng.mass_at(g) for g in on) == pytest.approx(1.0, rel=1e-13)
+        assert all((g[0] + g[1] - n) % 3 == 0 for g in eng.to_table().support())
+    # +-1 steps never reach 0 at odd n
+    sys_, coc = FOLDED["asymmetric_z"]
+    traj = walkdist.mass_trajectory(sys_, coc, [(0,), (1,)], 9)
+    assert all(row[1 - n % 2] == 0.0 and row[n % 2] > 0 for n, row in enumerate(traj))
+
+
+@pytest.mark.parametrize("name", sorted(FOLDED))
+def test_frame_determinant_is_the_aperiodicity_index(name):
+    sys_, coc = FOLDED[name]
+    index = check_aperiodicity_algebraic(sys_, coc).index
+    for make in (walkdist.walk_recursion, walkdist.marginal_recursion):
+        assert abs(walkdist._make_engine(make(sys_, coc, "float"), 10).frame.det) == index
+
+
+@pytest.mark.parametrize("name", ["trinomial", "z2_lattice", "heisenberg_symmetric",
+                                  "heisenberg_asymmetric", "one_atom"])
+def test_identity_frame_is_kept(name):
+    if name == "one_atom":
+        sys_, coc = (GibbsMarkovSystem.bernoulli([Fraction(1, 2)] * 2),
+                     Cocycle(IntegerLattice(2), ((1, 2), (1, 2))))
+    else:
+        sys_, coc, _ = presets.ALL_EXAMPLES[name]()
+    for make in (walkdist.walk_recursion, walkdist.marginal_recursion):
+        assert walkdist._make_engine(make(sys_, coc, "float"), 6).frame is None
+
+
+def test_folded_boxes_hold_n_plus_one_cells_per_axis():
+    n = 50
+    for name in ("embedded4", "z2_chain", "asymmetric_z", "two_state_markov", "drift_z"):
+        sys_, coc = FOLDED[name]
+        for make in (walkdist.walk_recursion, walkdist.marginal_recursion):
+            eng = walkdist._make_engine(make(sys_, coc, "float"), n)
+            assert eng.dims == (n + 1,) * coc.spec.key_size, name
