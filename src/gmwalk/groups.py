@@ -369,15 +369,16 @@ def left_product(values, spec: GroupSpec) -> Element:
     return acc
 
 
-def hermite_index(rows, torsion=()):
-    """Index data of the subgroup of Z^k x prod(Z/q) generated by ``rows``.
+def hermite_basis(rows, torsion=()):
+    """Upper-triangular basis of the lattice in Z^k generated by ``rows``.
 
     Each row is a coordinate tuple (free coords first, then one coordinate per
-    torsion factor).  Returns (full, index) where ``index`` is the order of the
-    quotient by the generated subgroup (None when the quotient is infinite).
+    torsion factor); q_i times the i-th torsion unit vector joins the rows.
+    Returns k rows, the i-th with zeros before its pivot at column i, or None
+    when the rows span less than rank k.
 
-    Works by integer row reduction (Hermite form) on the rows together with
-    q_i times the i-th torsion unit vector.
+    Works by integer row reduction (Hermite form); all operations are
+    unimodular, so the returned rows generate the same lattice.
     """
     k = None
     mats = [list(r) for r in rows]
@@ -395,11 +396,8 @@ def hermite_index(rows, torsion=()):
         row = [0] * k
         row[free + i] = int(q)
         mats.append(row)
-    if k == 0:
-        return True, 1
-    # column-by-column Euclidean elimination to an upper-triangular form;
-    # all operations are unimodular, so the pivot product is the lattice index
-    pivots = []
+    # column-by-column Euclidean elimination to an upper-triangular form
+    basis = []
     rows_active = [r for r in mats if any(r)]
     for col in range(k):
         live = [r for r in rows_active if r[col] != 0]
@@ -417,11 +415,25 @@ def hermite_index(rows, torsion=()):
                 elif any(r):
                     rest.append(r)
             live = new_live
-        pivots.append(abs(live[0][col]) if live else 0)
+        if not live:
+            return None
+        basis.append(live[0])
         rows_active = rest
-    if any(p == 0 for p in pivots):
+    return basis
+
+
+def hermite_index(rows, torsion=()):
+    """Index data of the subgroup of Z^k x prod(Z/q) generated by ``rows``.
+
+    Each row is a coordinate tuple (free coords first, then one coordinate per
+    torsion factor).  Returns (full, index) where ``index`` is the order of the
+    quotient by the generated subgroup (None when the quotient is infinite):
+    the product of the pivots of ``hermite_basis``.
+    """
+    basis = hermite_basis(rows, torsion)
+    if basis is None:
         return False, None
     index = 1
-    for p in pivots:
-        index *= p
+    for i, r in enumerate(basis):
+        index *= abs(r[i])
     return index == 1, index

@@ -20,7 +20,10 @@ Normalization conventions used throughout:
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -28,8 +31,9 @@ import numpy as np
 
 from .errors import ConsistencyError, ValidationError
 from .gm_system import check_aperiodicity_algebraic, check_symmetry
-from .groups import EmbeddedRealLattice, IntegerLattice
-from .walkdist import _as_box, box_volume, distribution, mass_trajectory, window_mass
+from .groups import EmbeddedRealLattice, IntegerLattice, hermite_basis
+from .walkdist import (_adjugate, _as_box, _int_det, box_volume, distribution,
+                       mass_trajectory, window_mass)
 
 NEAR_DEGENERATE_GAP = 1e-6
 # largest disagreement of the matrix and table characteristic functions
@@ -158,20 +162,69 @@ def _grid(cocycle, resolution):
     return _torus_grid(resolution, d)
 
 
+def _grid_leading(system, cocycle, resolution):
+    """Torus grid and its leading eigenvalues and runner-up ratios, half evaluated.
+
+    The cocycle is integer and P real, so B(-theta) = conj B(theta) and
+    lambda(-theta) = conj lambda(theta).  Only the rows whose mirror index
+    (-k mod N per axis) is at least their own are evaluated, the
+    self-conjugate ones (every coordinate 0 or pi) among them; every other
+    row takes its partner's ratio and conjugate eigenvalue, with imaginary
+    part 0.0 - Im so that a real eigenvalue keeps +0.0.
+    """
+    thetas = _grid(cocycle, resolution)
+    d = thetas.shape[1]
+    idx = np.arange(len(thetas))
+    digits = np.unravel_index(idx, (resolution,) * d)
+    mirror = np.ravel_multi_index([(-k) % resolution for k in digits], (resolution,) * d)
+    own = mirror >= idx
+    half_lam, half_ratio = leading_stack(system, cocycle, thetas[own])
+    lam = np.empty(len(thetas), dtype=complex)
+    ratio = np.empty(len(thetas))
+    lam[own], ratio[own] = half_lam, half_ratio
+    partner = mirror[~own]
+    lam.real[~own] = lam.real[partner]
+    lam.imag[~own] = 0.0 - lam.imag[partner]
+    ratio[~own] = ratio[partner]
+    return thetas, lam, ratio
+
+
+def _forced_characters(cocycle):
+    """The nonzero characters at which the difference lattice forces |lambda| = 1.
+
+    They annihilate Lambda0, the lattice the differences v(s) - v(0)
+    generate: theta = 2 pi H^-1 k mod 2 pi for H an upper-triangular basis
+    of Lambda0 (``hermite_basis``, one basis vector per row) and k over the
+    representatives 0 <= k_i < |H_ii| of Z^d / H Z^d, index - 1 of them
+    without k = 0.  There, every twisted phase is the same, so B(theta) is a
+    unimodular multiple of P^T.  Empty when Lambda0 has rank below d.
+    """
+    d = _lattice_dim(cocycle)
+    v0 = cocycle.values[0]
+    H = hermite_basis([tuple(map(operator.sub, v, v0)) for v in cocycle.values[1:]])
+    if H is None or len(H) != d:
+        return np.empty((0, d))
+    det = _int_det(H)
+    ks = np.array(list(itertools.product(*(range(abs(H[i][i])) for i in range(d)))),
+                  dtype=np.int64).reshape(-1, d)[1:]
+    num = (ks @ np.array(_adjugate(H), dtype=np.int64).T) * (1 if det > 0 else -1) % abs(det)
+    return 2 * math.pi * num / abs(det)
+
+
 def _scan(system, cocycle, resolution, eps):
     """Scan report, grid and leading eigenvalues from one evaluation of the grid."""
     if resolution < 16:
         raise ValidationError("resolution must be >= 16 per dimension")
-    thetas = _grid(cocycle, resolution)
-    lam, ratio = leading_stack(system, cocycle, thetas)
+    thetas, lam, ratio = _grid_leading(system, cocycle, resolution)
     off = np.linalg.norm(np.where(thetas > math.pi, thetas - 2 * math.pi, thetas), axis=1) >= eps
     if thetas.shape[1] == 1:
         sphere = np.array([[eps], [2 * math.pi - eps]])
     else:
         t = np.linspace(0, 2 * math.pi, 4 * resolution, endpoint=False)
         sphere = np.stack([eps * np.cos(t), eps * np.sin(t)], axis=1) % (2 * math.pi)
-    pts = np.concatenate([thetas[off], sphere])
-    mods = _modulus(np.concatenate([lam[off], leading_stack(system, cocycle, sphere)[0]]))
+    extra = np.concatenate([sphere, _forced_characters(cocycle)])
+    pts = np.concatenate([thetas[off], extra])
+    mods = _modulus(np.concatenate([lam[off], leading_stack(system, cocycle, extra)[0]]))
     imax = int(np.argmax(mods))
     alg = None
     try:
@@ -184,15 +237,16 @@ def _scan(system, cocycle, resolution, eps):
 
 
 def _grid_rows(thetas, lam, ratio):
-    return [tuple(t) + (z.real, z.imag, r)
-            for t, z, r in zip(thetas.tolist(), lam.tolist(), ratio.tolist())]
+    return list(zip(*thetas.T.tolist(), lam.real.tolist(), lam.imag.tolist(), ratio.tolist()))
 
 
 def aperiodicity_scan(system, cocycle, resolution=64, eps=0.1) -> ScanReport:
     """Max twisted leading-eigenvalue modulus outside the eps-ball around 0.
 
     The torus grid is augmented with exact points on the eps-sphere (d <= 2),
-    so the reported maximum includes the boundary of the excluded ball.
+    so the reported maximum includes the boundary of the excluded ball, and
+    with the nonzero characters that annihilate the difference lattice
+    (``_forced_characters``), so a lattice-periodic walk never passes.
     Passes iff the maximum stays below 1 - 1e-9.
     """
     return _scan(system, cocycle, resolution, eps)[0]
@@ -200,8 +254,7 @@ def aperiodicity_scan(system, cocycle, resolution=64, eps=0.1) -> ScanReport:
 
 def eigenvalue_grid(system, cocycle, resolution=64):
     """Rows (theta..., Re lambda, Im lambda, runner-up ratio) over the torus grid."""
-    thetas = _grid(cocycle, resolution)
-    return _grid_rows(thetas, *leading_stack(system, cocycle, thetas))
+    return _grid_rows(*_grid_leading(system, cocycle, resolution))
 
 
 def spectral_scan(system, cocycle, resolution=64, eps=0.1):
@@ -292,26 +345,76 @@ def fourier_invert(system, cocycle, g, n, grid_size, compare=False) -> FourierIn
 
 # ------------------------------------------------------------- u_n integrals
 
-def _adaptive_gl(f, a, b, rel_tol=1e-12, max_depth=48):
-    """Adaptive 15-point Gauss-Legendre bisection; ``f`` maps node arrays to values."""
-    nodes, weights = np.polynomial.legendre.leggauss(15)
+# open panels one quadrature level may hold: a level holds all of them at
+# once, so an integrand that never settles raises here instead of doubling
+# its memory up to max_depth
+_MAX_OPEN_PANELS = 1 << 16
 
-    def panel(lo, hi):
+
+@functools.cache
+def _gauss_legendre():
+    """15-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    Computed on first use, not at import: numpy.polynomial costs a process
+    about 1.7 MB, which callers that never integrate should not pay.
+    """
+    rule = np.polynomial.legendre.leggauss(15)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _batched_gl(f, a, b, rel_tol, max_depth=48):
+    """Adaptive 15-point Gauss-Legendre bisection of many integrals at once.
+
+    Integral j runs over [a[j], b[j]]; ``f(x, owner)`` maps node arrays to
+    integrand values, ``owner`` naming each node's integral.  The top panels
+    are evaluated once, then every level evaluates the halves of all open
+    panels in one ``f`` call.  A panel is accepted when its halves change it
+    by at most ``rel_tol`` times its integral's top-panel modulus, or at
+    ``max_depth``; else both halves stay open.  Accepted values are summed
+    back up the bisection tree, left before right, as a recursive bisection
+    adds them.
+    """
+    nodes, weights = _gauss_legendre()
+
+    def panels(lo, hi, owner):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        return half * float(weights @ f(mid + half * nodes))
+        x = mid[:, None] + half[:, None] * nodes
+        vals = f(x.ravel(), np.repeat(owner, len(nodes))).reshape(x.shape)
+        # one dot product per panel, as the recursive rule takes it
+        return half * np.array([weights @ v for v in vals])
 
-    scale = abs(panel(a, b)) + 1e-300
-
-    def recurse(lo, hi, whole, depth):
+    lo, hi = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    owner = np.arange(len(lo))
+    whole = panels(lo, hi, owner)
+    scale = np.abs(whole) + 1e-300
+    levels = []                 # (left + right, accepted) of each level's open panels
+    for depth in itertools.count():
         mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        if depth >= max_depth or abs(left + right - whole) <= rel_tol * scale:
-            return left + right
-        return recurse(lo, mid, left, depth + 1) + recurse(mid, hi, right, depth + 1)
-
-    return recurse(a, b, panel(a, b), 0)
+        halves = panels(np.concatenate([lo, mid]), np.concatenate([mid, hi]),
+                        np.concatenate([owner, owner]))
+        left, right = np.split(halves, 2)
+        both = left + right
+        done = np.abs(both - whole) <= rel_tol * scale[owner]
+        if depth >= max_depth:
+            done[:] = True
+        levels.append((both, done))
+        if done.all():
+            break
+        keep = ~done
+        if 2 * keep.sum() > _MAX_OPEN_PANELS:
+            raise ConsistencyError(
+                f"quadrature does not settle: {2 * keep.sum()} open panels at depth {depth + 1}")
+        lo, hi = np.concatenate([lo[keep], mid[keep]]), np.concatenate([mid[keep], hi[keep]])
+        owner = np.concatenate([owner[keep], owner[keep]])
+        whole = np.concatenate([left[keep], right[keep]])
+    value = levels[-1][0]
+    for both, done in reversed(levels[:-1]):
+        value, sub = both.copy(), value
+        value[~done] = np.add(*np.split(sub, 2))
+    return value
 
 
 def u_n_integral(system, cocycle, eta, n) -> float:
@@ -342,21 +445,24 @@ def u_n_integral(system, cocycle, eta, n) -> float:
         if spec.ambient_dim != 1:
             raise ValidationError("embedded u_n integrals support ambient dimension 1")
         beta = np.array([row[0] for row in spec.basis])
-        return float(_adaptive_gl(lambda t: lead(np.outer(t, beta)), -eta, eta, U_N_REL_TOL)
-                     / (2 * math.pi))
+        return float(_batched_gl(lambda t, _: lead(np.outer(t, beta)), [-eta], [eta],
+                                 U_N_REL_TOL)[0] / (2 * math.pi))
     d = _lattice_dim(cocycle)
     if d == 1:
         if eta > math.pi + 1e-12:
             raise ValidationError("eta must be <= pi on the torus")
-        return float(_adaptive_gl(lambda t: lead(t[:, None]), -eta, eta, U_N_REL_TOL))
+        return float(_batched_gl(lambda t, _: lead(t[:, None]), [-eta], [eta], U_N_REL_TOL)[0])
     if d == 2:
         tol = 1e-10     # both nested rules of the 2-d integral stop coarser
 
-        def radial(r):
-            return r * _adaptive_gl(lambda t: lead(r * np.stack([np.cos(t), np.sin(t)], axis=1)),
-                                    0.0, 2 * math.pi, tol)
+        def radial(r, _):
+            # one batched angular integral for every open radial node
+            def angular(t, owner):
+                return lead(r[owner][:, None] * np.stack([np.cos(t), np.sin(t)], axis=1))
 
-        return float(_adaptive_gl(np.vectorize(radial, otypes=[float]), 0.0, eta, tol))
+            return r * _batched_gl(angular, np.zeros_like(r), np.full_like(r, 2 * math.pi), tol)
+
+        return float(_batched_gl(radial, [0.0], [eta], tol)[0])
     raise ValidationError("u_n integrals are implemented for d <= 2")
 
 

@@ -175,6 +175,8 @@ def _write_csv(path, header, rows):
 
 def _csv_cell(x):
     """One CSV or manifest cell: exact fractions as p/q, floats by shortest repr."""
+    if type(x) is float:        # most cells; isinstance(x, Fraction) is an ABC check
+        return repr(x)
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, (float, np.floating)):

@@ -15,6 +15,8 @@ def _result(root, workload, seed, trace, wall, failures=None, ops=None):
     metrics["sparse.self_s"] = wall / 2
     if trace:
         metrics["engines.box_cells_max"] = int(100 * wall)
+        metrics["stats.u_n_integral_s"] = wall / 4
+        metrics["stats.eigenvalue_grid_s"] = wall / 8
     res = {"workload": workload, "seed": seed, "trace": trace, "attempted": 100,
            "failed": len(failures or {}), "failures": failures or {}, "nproc": 2,
            "blas_threads": 1, "kernel_backend": "numpy", "metrics": metrics,
@@ -51,6 +53,11 @@ def test_pairs_runs_by_workload_and_seed(tmp_path):
     # the largest dense box a traced run built, per side
     assert traced["per_run"]["parent"]["engines.box_cells_max"] == [400]
     assert traced["per_run"]["change"]["engines.box_cells_max"] == [200]
+    # the spectral statistics' traced times, per side; a metric the run did
+    # not record reads null
+    assert traced["per_run"]["parent"]["stats.u_n_integral_s"] == [1.0]
+    assert traced["per_run"]["change"]["stats.eigenvalue_grid_s"] == [0.25]
+    assert traced["per_run"]["change"]["stats.aperiodicity_scan_s"] == [None]
 
 
 def test_no_common_untraced_run_is_an_error(tmp_path):

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -542,6 +543,10 @@ def test_numpy_scalars_written_as_numbers(tmp_path):
         [float(c) for c in line.split(",")]
     assert walkdist._csv_cell(np.float64(0.25)) == "0.25"
     assert walkdist._csv_cell(np.int64(-3)) == "-3"
+    # plain floats take a fast path to the same shortest repr
+    assert [walkdist._csv_cell(x) for x in (0.1, -0.0, 1e300, float("inf"), 2, True)] == \
+        ["0.1", "-0.0", "1e+300", "inf", "2", "True"]
+    assert walkdist._csv_cell((0.5, Fraction(-1, 3))) == "0.5 -1/3"
 
 
 def test_consistency_error_exits_one_with_manifest(tmp_path):

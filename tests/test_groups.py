@@ -14,6 +14,7 @@ from gmwalk.groups import (
     abelianize,
     cyclic_group,
     embed_real,
+    hermite_basis,
     hermite_index,
     inverse,
     left_product,
@@ -179,3 +180,17 @@ def test_hermite_index_examples():
     assert not full and idx == 3
     full, idx = hermite_index([(0, 0)], torsion=())
     assert not full and idx is None
+
+
+def test_hermite_basis_is_triangular_and_spans_the_rows():
+    rows = [(-1, 1), (-2, -1), (3, 6)]
+    basis = hermite_basis(rows)
+    assert len(basis) == 2 and basis[1][0] == 0
+    assert abs(basis[0][0] * basis[1][1]) == hermite_index(rows)[1] == 3
+    # every row is an integer combination of the basis (triangular solve)
+    for r in rows:
+        c0, rem0 = divmod(r[0], basis[0][0])
+        assert rem0 == 0
+        assert (r[1] - c0 * basis[0][1]) % basis[1][1] == 0
+    assert hermite_basis([(1, 1), (2, 2)]) is None
+    assert hermite_basis([]) == []

@@ -350,3 +350,220 @@ def test_u_n_integral_inversion_identity_bernoulli():
         mass = walkdist.distribution(sys_, coc, n, mode="rational").mass_at((0,))
         want = 2 * math.pi * float(mass)
         assert spectral.u_n_integral(sys_, coc, math.pi, n) == pytest.approx(want, rel=1e-12)
+
+
+# ------------------------------------------------------ the half-evaluated grid
+
+def _mirror_rows(resolution, d):
+    """Flat index of -theta (index -k mod N per axis) for every row of the grid."""
+    shape = (resolution,) * d
+    return np.array([np.ravel_multi_index(tuple((-k) % resolution for k in idx), shape)
+                     for idx in np.ndindex(*shape)])
+
+
+def _tie_chain():
+    # runner-up ratio 1 at (0, pi/2) and (0, 3pi/2): two eigenvalues of one modulus
+    return _markov3_z2()[0], Cocycle(IntegerLattice(2), ((3, -5), (0, 7), (-1, 1)))
+
+
+def _grid_systems():
+    out = dict(_lattice_systems())
+    out["tie_chain"] = _tie_chain()
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_grid_systems()))
+def test_half_grid_evaluates_one_row_per_conjugate_pair(name):
+    sys_, coc = _grid_systems()[name]
+    d = coc.spec.key_size
+    resolution = 64 if d == 1 else 32
+    thetas, lam, ratio = spectral._grid_leading(sys_, coc, resolution)
+    assert np.array_equal(thetas, spectral._torus_grid(resolution, d))
+    mirror = _mirror_rows(resolution, d)
+    rows = np.arange(len(thetas))
+    own = mirror >= rows
+    # self-conjugate rows (every coordinate 0 or pi) are among the evaluated ones
+    assert own[mirror == rows].all()
+    assert own.sum() == (len(thetas) + (mirror == rows).sum()) // 2
+    # evaluated rows: bitwise what leading_stack gives on the same characters
+    want_lam, want_ratio = spectral.leading_stack(sys_, coc, thetas[own])
+    assert repr(lam[own].tolist()) == repr(want_lam.tolist())
+    assert repr(ratio[own].tolist()) == repr(want_ratio.tolist())
+    # mirrored rows: bitwise the partner's conjugate, +0.0 where lambda is real
+    for i in rows[~own]:
+        p = mirror[i]
+        assert repr((lam[i].real, ratio[i])) == repr((lam[p].real, ratio[p]))
+        assert repr(float(lam[i].imag)) == repr(0.0 - float(lam[p].imag))
+        if lam[i].imag == 0.0:
+            assert repr(float(lam[i].imag)) == "0.0"
+    # and a maximal-modulus eigenvalue of the twisted matrix at -theta (a
+    # Bernoulli lambda is the trace, which conjugates exactly)
+    for i in rows[~own] if not sys_.is_bernoulli else ():
+        eig = np.linalg.eigvals(spectral.perturbed_matrix(sys_, coc, thetas[i]))
+        assert np.abs(eig - lam[i]).min() <= 1e-12, thetas[i]
+        assert abs(abs(lam[i]) - np.abs(eig).max()) <= 1e-12, thetas[i]
+
+
+@pytest.mark.parametrize("name", sorted(_lattice_systems()))
+def test_mirrored_rows_agree_with_direct_evaluation(name):
+    sys_, coc = _lattice_systems()[name]
+    d = coc.spec.key_size
+    resolution = 512 if d == 1 else 128
+    thetas, lam, ratio = spectral._grid_leading(sys_, coc, resolution)
+    direct_lam, direct_ratio = spectral.leading_stack(sys_, coc, thetas)
+    assert np.abs(lam - direct_lam).max() <= 1e-13       # |lambda| <= 1
+    assert np.abs(ratio - direct_ratio).max() <= 1e-13
+    if not sys_.is_bernoulli:
+        assert (np.abs(lam - direct_lam) / np.abs(direct_lam)).max() <= 1e-13
+
+
+def test_reality_check_stays_on_the_full_grid():
+    for sys_, coc in (_markov3_z2(), _tie_chain(), _sticky_z()):
+        thetas = spectral._torus_grid(32, coc.spec.key_size)
+        imag = np.abs(spectral.leading_stack(sys_, coc, thetas)[0].imag)
+        i = int(np.argmax(imag))
+        rep = spectral.symmetry_reality_check(sys_, coc, None, 32)
+        assert repr((rep.max_imag, rep.argmax_theta)) == \
+            repr((float(imag[i]), tuple(thetas[i].tolist())))
+
+
+# ------------------------------------------------ characters forced by Lambda0
+
+def _index3_chain():
+    sys_ = GibbsMarkovSystem.markov([
+        [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)],
+        [Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)],
+        [Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)],
+    ])
+    return sys_, Cocycle(IntegerLattice(2), ((1, 0), (0, 1), (-1, -1)))
+
+
+@pytest.mark.parametrize("resolution", [32, 64, 96, 128])
+def test_scan_never_passes_a_lattice_periodic_walk(resolution):
+    # Lambda0 has index 3: lambda(2pi/3, 2pi/3) has modulus 1, on the grid
+    # only when 3 divides the resolution
+    sys_, coc = _index3_chain()
+    rep = spectral.aperiodicity_scan(sys_, coc, resolution, 0.1)
+    assert not rep.passed and rep.algebraic_full is False
+    assert rep.max_modulus == pytest.approx(1.0, abs=1e-12)
+
+
+def test_forced_characters_annihilate_the_difference_lattice():
+    from gmwalk.gm_system import check_aperiodicity_algebraic
+
+    cases = dict(_grid_systems())
+    cases["index3"] = _index3_chain()
+    cases["spread"] = (presets.z2_lattice()[0],
+                       Cocycle(IntegerLattice(2), ((0, 0), (4, 2), (0, 6))))
+    for name, (sys_, coc) in cases.items():
+        alg = check_aperiodicity_algebraic(sys_, coc)
+        chars = spectral._forced_characters(coc)
+        assert len(chars) == (alg.index - 1 if alg.index else 0), name
+        assert len({tuple(t) for t in chars.tolist()}) == len(chars), name
+        assert ((chars >= 0) & (chars < 2 * math.pi)).all() and (chars.any(axis=1)).all(), name
+        for theta in chars:
+            phases = [cmath.exp(1j * float(np.dot(theta, v))) for v in coc.values]
+            assert max(abs(z - phases[0]) for z in phases) <= 1e-12, (name, theta)
+            lam, _ = spectral.leading_stack(sys_, coc, theta[None])
+            assert abs(lam[0]) == pytest.approx(1.0, abs=1e-12), (name, theta)
+
+
+# ------------------------------------------------------ the stacked quadrature
+
+def _adaptive_gl(f, a, b, rel_tol=1e-12, max_depth=48):
+    """The recursive rule the stacked quadrature replaced, kept as its reference."""
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+
+    def panel(lo, hi):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        return half * float(weights @ f(mid + half * nodes))
+
+    scale = abs(panel(a, b)) + 1e-300
+
+    def recurse(lo, hi, whole, depth):
+        mid = 0.5 * (lo + hi)
+        left = panel(lo, mid)
+        right = panel(mid, hi)
+        if depth >= max_depth or abs(left + right - whole) <= rel_tol * scale:
+            return left + right
+        return recurse(lo, mid, left, depth + 1) + recurse(mid, hi, right, depth + 1)
+
+    return recurse(a, b, panel(a, b), 0)
+
+
+def _reference_u_n(system, cocycle, eta, n):
+    """u_n by the recursive rule, nested per radial node in d = 2."""
+    def lead(thetas):
+        return spectral.leading_stack(system, cocycle, thetas % (2 * math.pi))[0].real ** n
+
+    spec = cocycle.spec
+    if isinstance(spec, EmbeddedRealLattice):
+        beta = np.array([row[0] for row in spec.basis])
+        return _adaptive_gl(lambda t: lead(np.outer(t, beta)), -eta, eta, 1e-12) / (2 * math.pi)
+    if spec.key_size == 1:
+        return _adaptive_gl(lambda t: lead(t[:, None]), -eta, eta, 1e-12)
+
+    def radial(r):
+        return r * _adaptive_gl(lambda t: lead(r * np.stack([np.cos(t), np.sin(t)], axis=1)),
+                                0.0, 2 * math.pi, 1e-10)
+
+    return _adaptive_gl(np.vectorize(radial, otypes=[float]), 0.0, eta, 1e-10)
+
+
+def _sym4_z2():
+    """gmbench's symmetric 4-state chain over +-e1, +-e2 at fixed rows."""
+    r0 = [Fraction(2, 10), Fraction(3, 10), Fraction(1, 10), Fraction(4, 10)]
+    r2 = [Fraction(1, 10), Fraction(1, 10), Fraction(6, 10), Fraction(2, 10)]
+    rows = [r0, [r0[1], r0[0], r0[3], r0[2]], r2, [r2[1], r2[0], r2[3], r2[2]]]
+    sys_ = GibbsMarkovSystem.markov([[(Fraction(1, 4) + w) / 2 for w in r] for r in rows])
+    return sys_, Cocycle(IntegerLattice(2), ((1, 0), (-1, 0), (0, 1), (0, -1)))
+
+
+def test_batched_rule_matches_the_recursive_rule():
+    def f(x):
+        return np.exp(x) * np.cos(5 * x) / (1.1 + np.sin(3 * x))
+
+    # a tiny integral first: each integral is judged by its own scale
+    los, his = [0.3, -1.0, 0.0, 2.0], [0.3 + 1e-9, 1.0, 2 * math.pi, 3.5]
+    got = spectral._batched_gl(lambda x, _: f(x), los, his, 1e-12)
+    # summed in the recursion's order: equal, not only close
+    assert got.tolist() == [_adaptive_gl(f, a, b, 1e-12) for a, b in zip(los, his)]
+    # each integral keeps its own bounds
+    owned = spectral._batched_gl(lambda x, owner: (owner + 1) * f(x), los, his, 1e-12)
+    for j, (a, b) in enumerate(zip(los, his)):
+        assert owned[j] == pytest.approx((j + 1) * got[j], rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["trinomial", "embedded4", "sym4_z2"])
+def test_u_n_integral_matches_the_recursive_rule(name):
+    sys_, coc = {"trinomial": presets.trinomial()[:2], "embedded4": presets.embedded4()[:2],
+                 "sym4_z2": _sym4_z2()}[name]
+    eta = math.pi if name == "trinomial" else 0.5
+    for n in (0, 10, 20):
+        want = _reference_u_n(sys_, coc, eta, n)
+        assert spectral.u_n_integral(sys_, coc, eta, n) == pytest.approx(want, rel=1e-13), n
+
+
+def test_two_dimensional_u_n_stacks_each_level(monkeypatch):
+    calls = []
+    inner = spectral.leading_stack
+
+    def counted(system, cocycle, thetas):
+        calls.append(len(thetas))
+        return inner(system, cocycle, thetas)
+
+    monkeypatch.setattr(spectral, "leading_stack", counted)
+    sys_, coc = _sym4_z2()
+    spectral.u_n_integral(sys_, coc, 0.5, 20)
+    stacked, calls[:] = list(calls), []
+    _reference_u_n(sys_, coc, 0.5, 20)
+    # tens of stacked calls where the nested rule makes hundreds of 15-row ones
+    assert len(stacked) <= 30 and len(calls) >= 300
+    assert set(calls) == {15}
+
+
+def test_a_quadrature_that_never_settles_raises():
+    rng = np.random.default_rng(7)
+    with pytest.raises(ConsistencyError, match="does not settle"):
+        spectral._batched_gl(lambda x, _: rng.standard_normal(len(x)), [0.0], [1.0], 1e-12)
