@@ -205,8 +205,7 @@ def _forced_characters(cocycle):
     if H is None or len(H) != d:
         return np.empty((0, d))
     det = _int_det(H)
-    ks = np.array(list(itertools.product(*(range(abs(H[i][i])) for i in range(d)))),
-                  dtype=np.int64).reshape(-1, d)[1:]
+    ks = np.indices([abs(H[i][i]) for i in range(d)]).reshape(d, -1).T[1:]
     num = (ks @ np.array(_adjugate(H), dtype=np.int64).T) * (1 if det > 0 else -1) % abs(det)
     return 2 * math.pi * num / abs(det)
 
