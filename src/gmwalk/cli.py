@@ -390,7 +390,8 @@ def _run_ratio(c, p, kw):
     rep = walkdist.ratio_sequence(c.system, c.cocycle, p["g"], p["n_grid"], c.mode,
                                   stride=p.get("stride", 1), **kw)
     return (1 if rep.periodic and not rep.ratios else 0), rep.rows(), _STAT_HEADER, {
-        "worst_deviation": rep.worst(), "periodic": rep.periodic, "note": rep.note}
+        "worst_deviation": rep.worst(), "periodic": rep.periodic, "note": rep.note,
+        "zero_ns": tuple(rep.zero_ns)}
 
 
 def _run_cross_ratio(c, p, kw):

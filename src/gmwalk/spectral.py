@@ -221,9 +221,11 @@ def _scan(system, cocycle, resolution, eps):
     else:
         t = np.linspace(0, 2 * math.pi, 4 * resolution, endpoint=False)
         sphere = np.stack([eps * np.cos(t), eps * np.sin(t)], axis=1) % (2 * math.pi)
-    extra = np.concatenate([sphere, _forced_characters(cocycle)])
-    pts = np.concatenate([thetas[off], extra])
-    mods = _modulus(np.concatenate([lam[off], leading_stack(system, cocycle, extra)[0]]))
+    forced = _forced_characters(cocycle)
+    pts = np.concatenate([thetas[off], sphere, forced])
+    # B(theta) is a unimodular multiple of P^T at a forced character: modulus exactly 1
+    mods = np.concatenate([_modulus(lam[off]), _modulus(leading_stack(system, cocycle, sphere)[0]),
+                           np.ones(len(forced))])
     imax = int(np.argmax(mods))
     alg = None
     try:

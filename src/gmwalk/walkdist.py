@@ -22,7 +22,9 @@ Python int numerators over one common denominator and builds a ``Fraction``
 only where a mass leaves the engine.
 Identity returns (``_identity_returns``) pair a half-depth table with the
 time-reversed (dual) recursion, two engines for any S, where that shrinks
-the Heisenberg boxes.
+the Heisenberg boxes.  Ratios and cross ratios read masses at a few depths
+only (``_point_masses``); one-coordinate float lattices jump to each depth
+by binary powering with direct convolutions.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -785,6 +787,143 @@ def _stepped(rec, n, *args, **kw):
     return eng
 
 
+def _first_positive(rec, g, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
+                    max_atoms=DEFAULT_MAX_ATOMS):
+    """The first n in 1..n_max with a positive mass at g, or None.
+
+    Engines planned for 8, 16, 32, ... steps each step from the seed until
+    the first positive mass, so the steps and the box stay within a few
+    times what that mass needs, not what n_max would.
+    """
+    done = 0
+    while done < n_max:
+        span = min(max(8, 2 * done), n_max)
+        eng = _make_engine(rec, span, seed_state, max_cells, max_atoms)
+        for n in range(1, span + 1):
+            eng.step_once()
+            if n > done and eng.mass_at(g) > 0:
+                return n
+        done = span
+    return None
+
+
+def _point_masses(rec, targets, depths, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
+                  max_atoms=DEFAULT_MAX_ATOMS):
+    """{n: [group-marginal mass at each target]} for the requested depths n only.
+
+    The rule, stated once: float mode on a dense lattice layout with one key
+    coordinate is raised to each depth by binary powering
+    (``_powered_masses``); every other recursion steps one engine to the
+    deepest depth and is read only at the requested depths.
+    """
+    depths = sorted(set(depths))
+    if _dense_layout(rec) is _DenseLatticeEngine and rec.spec.key_size == 1:
+        return _powered_masses(rec, targets, depths, seed_state, max_cells)
+    eng = _make_engine(rec, depths[-1], seed_state, max_cells, max_atoms)
+    out = {}
+    for n in depths:
+        while eng.n < n:
+            eng.step_once()
+        out[n] = [eng.mass_at(t) for t in targets]
+    return out
+
+
+def _conv_product(A, X):
+    """Product of an S x S matrix of lam-arrays with a stack X of S (or S x S) of them.
+
+    Entry by entry, out[t, ...] = sum_j A[t, j] * X[j, ...], each product one
+    direct ``np.convolve`` (a sum of nonnegative terms, no FFT) added in
+    order of j.  Holds A, X, out and one convolution output at a time.
+    """
+    out = np.zeros(X.shape[:-1] + (A.shape[-1] + X.shape[-1] - 1,))
+    for t in range(A.shape[0]):
+        for idx in np.ndindex(X.shape[1:-1]):
+            for j in range(A.shape[1]):
+                out[(t,) + idx] += np.convolve(A[t, j], X[(j,) + idx])
+    return out
+
+
+def _read_product(A, u, lam):
+    """sum_t (A u)[t, lam], the top product read at one cell: one dot product per (t, s)."""
+    lo, hi = max(0, lam - u.shape[-1] + 1), min(A.shape[-1] - 1, lam)
+    total = 0.0
+    if lo <= hi:
+        for t in range(A.shape[0]):
+            for s in range(A.shape[1]):
+                total += float(np.dot(A[t, s, lo:hi + 1], u[s, lam - hi:lam - lo + 1][::-1]))
+    return total
+
+
+def _powered_masses(rec, targets, depths, seed_state, max_cells):
+    """``_point_masses`` of a one-coordinate float lattice recursion, by binary powering.
+
+    The dense lattice frame in one dimension: v0 is the smallest atom and B
+    the gcd of the atoms' differences, so the mass of g at depth n sits at
+    lam = (g - n v0) / B, in [0, n w] for w = (largest atom - v0) / B, and
+    g off the coset reads 0.0.  The one-step kernel is the S x S matrix K of
+    lam-arrays K[t, s] = P(s, t) k_t, k_t the weights of the shifts into
+    state t (without P, the one state's weights), so W_n = K^n c for the
+    seed c (the stationary or seeded state masses at lam = 0).  The
+    squarings K^(2^i) are built once, up to the deepest depth.  Depth
+    n = T + r, T its top power of two, reads sum_t (K^T u_r)[t, lam] as dot
+    products at the target cells, where u_r = K^r c is advanced by the
+    squarings of the bits of r - r' from the previous depth's u_r' (from c
+    when r < r'), so n + stride costs the products of the bits of stride
+    when n and n + stride share their top power.
+
+    ``max_cells`` counts every float64 buffer held at once, checked before
+    anything is allocated: the squarings (S^2 arrays of 2^i w + 1 cells for
+    every 2^i <= the deepest depth) and the S seed masses, plus the larger
+    of one convolution output of the last squaring and, while u is
+    advanced, the u read and the u written (S rows of at most r w + 1
+    cells, r the largest depth less its top power) and one convolution
+    output of one row.
+    """
+    S = rec.S
+    atoms = [a for _, (a,), _ in rec.shifts]
+    v0 = min(atoms)
+    B = math.gcd(*(a - v0 for a in atoms)) or 1     # one atom: every lam is 0
+    w = (max(atoms) - v0) // B
+    # cells of one entry of K^(2^i) for every 2^i <= the deepest depth
+    sizes = [(w << i) + 1 for i in range(depths[-1].bit_length())]
+    r_max = max(n - (1 << n.bit_length() >> 1) for n in depths)
+    cells = S * S * sum(sizes) + S + max(sizes[-1:] + [(2 * S + 1) * (r_max * w + 1)])
+    if cells > max_cells:
+        raise ResourceLimitError(f"powered one-dimensional path needs {cells} cells at once, "
+                                 f"over the {max_cells}-cell guard", completed=0)
+    P = np.ones((1, 1)) if rec.P is None else np.asarray(rec.P, dtype=np.float64)
+    K = np.zeros((S, S, w + 1))
+    for t, (a,), wt in rec.shifts:
+        K[t, :, (a - v0) // B] += P[:, t] * float(wt)
+    powers = [K]
+    while len(powers) < len(sizes):
+        powers.append(_conv_product(powers[-1], powers[-1]))
+    c = np.zeros((S, 1))
+    for (s, _), m in rec.seed(seed_state).items():
+        c[s, 0] = float(m)
+    r_u, u = 0, c
+    out = {}
+    for n in depths:
+        r = n - (1 << n.bit_length() >> 1)
+        if r < r_u:
+            r_u, u = 0, c
+        for i in range((r - r_u).bit_length()):
+            if (r - r_u) >> i & 1:
+                u = _conv_product(powers[i], u)
+        r_u = r
+        row = []
+        for (g,) in targets:
+            lam, off = divmod(g - n * v0, B)
+            if off:
+                row.append(0.0)
+            elif n:
+                row.append(_read_product(powers[n.bit_length() - 1], u, lam))
+            else:
+                row.append(float(c.sum()) if lam == 0 else 0.0)
+        out[n] = row
+    return out
+
+
 # ------------------------------------------------------------- public ops
 
 def zero_table(system, cocycle, mode="rational", seed_state=None) -> MassTable:
@@ -847,6 +986,7 @@ class RatioReport:
     first_valid_n: int | None
     periodic: bool
     note: str = ""
+    zero_ns: list = field(default_factory=list)
 
     def worst(self):
         return max(self.deviations) if self.deviations else math.inf
@@ -861,8 +1001,12 @@ class RatioReport:
 def ratio_sequence(system, cocycle, g, ns, mode="float", stride=1, **kw) -> RatioReport:
     """Successive-step mass ratios mu^{n+stride}(g) / mu^n(g).
 
-    Walks with a degenerate increment lattice never return at odd steps; they
-    are accepted with stride 2 and flagged as periodic rather than rejected.
+    The masses are read at the requested depths only (``_point_masses``).  A
+    requested n whose mass at n is zero (a structural zero, or in float mode
+    an underflow) has no ratio: it is left out of ``ns`` and listed in
+    ``zero_ns``.  Walks with a degenerate increment lattice never return at
+    odd steps; they are accepted with stride 2 and flagged as periodic
+    rather than rejected.
     """
     g = _element(cocycle.spec, g)
     ns = sorted(set(int(n) for n in ns))
@@ -870,15 +1014,16 @@ def ratio_sequence(system, cocycle, g, ns, mode="float", stride=1, **kw) -> Rati
         raise ValidationError("the stride must be >= 1")
     if not ns or ns[0] < 0:
         raise ValidationError("ratios need at least one n, each n >= 0")
-    n_top = ns[-1] + stride
-    seq = [row[0] for row in mass_trajectory(system, cocycle, [g], n_top, mode, **kw)]
-    first_valid = next((i for i, v in enumerate(seq) if i >= 1 and v > 0), None)
+    rec = marginal_recursion(system, cocycle, mode)
+    masses = _point_masses(rec, [g], ns + [n + stride for n in ns], **kw)
+    first_valid = _first_positive(rec, g, ns[-1] + stride, **kw)
     ap = check_aperiodicity_algebraic(system, cocycle)
     periodic = not ap.full
-    ratios, devs, kept = [], [], []
+    ratios, devs, kept, zeros = [], [], [], []
     for n in ns:
-        den, num = seq[n], seq[n + stride]
+        (den,), (num,) = masses[n], masses[n + stride]
         if den == 0:
+            zeros.append(n)
             continue
         r = float(num / den)
         kept.append(n)
@@ -890,7 +1035,8 @@ def ratio_sequence(system, cocycle, g, ns, mode="float", stride=1, **kw) -> Rati
             f"increment lattice has index {ap.index}: aperiodicity fails, "
             f"compare strides that are multiples of the period"
         )
-    return RatioReport(g, kept, ratios, devs, stride, first_valid, periodic, note=note)
+    return RatioReport(g, kept, ratios, devs, stride, first_valid, periodic, note=note,
+                       zero_ns=zeros)
 
 
 @dataclass
@@ -924,15 +1070,15 @@ def _clt_reference(system, cocycle, g, n):
 
 
 def cross_ratio(system, cocycle, g, n, mode="float", **kw) -> CrossRatioReport:
-    """mu^n(g) / mu^n(e) with a local-CLT reference curve for lattice targets."""
+    """mu^n(g) / mu^n(e), read at depth n only, with a local-CLT reference for lattice targets."""
     if n < 1:
         raise ValidationError("cross ratios need n >= 1")
     g = _element(cocycle.spec, g)
     e = cocycle.spec.identity()
-    traj = mass_trajectory(system, cocycle, [g, e], n, mode, **kw)
-    num, den = traj[n]
+    rec = marginal_recursion(system, cocycle, mode)
+    num, den = _point_masses(rec, [g, e], [n], **kw)[n]
     if den == 0:
-        first = next((i for i, row in enumerate(traj) if i >= 1 and row[1] > 0), None)
+        first = _first_positive(rec, e, n, **kw)
         raise ValidationError(
             f"mu^{n}(e) = 0: no valid cross ratio at n={n} (first positive n: {first})"
         )

@@ -17,6 +17,8 @@ def _result(root, workload, seed, trace, wall, failures=None, ops=None):
         metrics["engines.box_cells_max"] = int(100 * wall)
         metrics["stats.u_n_integral_s"] = wall / 4
         metrics["stats.eigenvalue_grid_s"] = wall / 8
+        metrics["stats.ratio_sequence_s"] = wall / 16
+        metrics["stats.cross_ratio_s"] = wall / 32
     res = {"workload": workload, "seed": seed, "trace": trace, "attempted": 100,
            "failed": len(failures or {}), "failures": failures or {}, "nproc": 2,
            "blas_threads": 1, "kernel_backend": "numpy", "metrics": metrics,
@@ -58,6 +60,9 @@ def test_pairs_runs_by_workload_and_seed(tmp_path):
     assert traced["per_run"]["parent"]["stats.u_n_integral_s"] == [1.0]
     assert traced["per_run"]["change"]["stats.eigenvalue_grid_s"] == [0.25]
     assert traced["per_run"]["change"]["stats.aperiodicity_scan_s"] == [None]
+    # the point-mass statistics' traced times, per side
+    assert traced["per_run"]["parent"]["stats.ratio_sequence_s"] == [0.25]
+    assert traced["per_run"]["change"]["stats.cross_ratio_s"] == [0.0625]
 
 
 def test_no_common_untraced_run_is_an_error(tmp_path):

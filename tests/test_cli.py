@@ -186,6 +186,23 @@ def test_ratio_run_writes_artifacts(tmp_path):
     assert "system.mode = rational" in manifest
 
 
+def test_ratio_manifest_lists_the_zero_masses(tmp_path):
+    # the 1/100 walk: mu^800(0) underflows to 0.0 in float mode, so n = 800 has
+    # no CSV row and is named in result.zero_ns
+    cfg = TRINOMIAL_RATIO.replace("alphabet = 3", "alphabet = 2").replace(
+        "weights = 1/3 1/3 1/3\nmode = rational", "weights = 1/100 99/100\nmode = float").replace(
+        "values = -1; 0; 1\ninvolution = 2 1 0", "values = 1; -1").replace(
+        "n_grid = 4 8 16", "n_grid = 100 400 800\nstride = 2")
+    code = cli.main(["ratio", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "a")])
+    assert code == 0
+    assert [r.split(",")[0] for r in
+            (tmp_path / "a" / "ratio.csv").read_text().splitlines()[1:]] == ["100", "400"]
+    assert "result.zero_ns = 800\n" in (tmp_path / "a" / "manifest.txt").read_text()
+    cli.main(["ratio", "--config", _write(tmp_path, TRINOMIAL_RATIO),
+              "--out", str(tmp_path / "b")])
+    assert "result.zero_ns = \n" in (tmp_path / "b" / "manifest.txt").read_text()
+
+
 def test_rational_runs_are_bit_identical(tmp_path):
     cfg = _write(tmp_path, TRINOMIAL_RATIO)
     cli.main(["ratio", "--config", cfg, "--out", str(tmp_path / "a")])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -144,6 +145,11 @@ def _per_theta_scan(system, cocycle, resolution, eps):
         for t in np.linspace(0, 2 * math.pi, 4 * resolution, endpoint=False):
             pts.append(np.array([eps * math.cos(t), eps * math.sin(t)]) % (2 * math.pi))
     mods = [abs(_per_theta_leading(system, cocycle, t)[0]) for t in pts]
+    # the characters that annihilate Lambda0 have modulus exactly 1 (B(theta)
+    # is a unimodular multiple of P^T there); they come last
+    forced = spectral._forced_characters(cocycle)
+    pts += list(forced)
+    mods += [1.0] * len(forced)
     imax = int(np.argmax(mods))
     return mods[imax], tuple(float(x) for x in pts[imax]), mods[imax] < 1 - 1e-9
 
@@ -466,6 +472,26 @@ def test_forced_characters_annihilate_the_difference_lattice():
             assert max(abs(z - phases[0]) for z in phases) <= 1e-12, (name, theta)
             lam, _ = spectral.leading_stack(sys_, coc, theta[None])
             assert abs(lam[0]) == pytest.approx(1.0, abs=1e-12), (name, theta)
+
+
+def test_forced_characters_take_modulus_one_without_a_solve(monkeypatch):
+    # values (0,0), (300,0), (0,300): Lambda0 has index 9 x 10^4, and every one
+    # of its 89,999 forced characters has B(theta) a unimodular multiple of P^T
+    sys_, _ = _index3_chain()
+    coc = Cocycle(IntegerLattice(2), ((0, 0), (300, 0), (0, 300)))
+    assert len(spectral._forced_characters(coc)) == 9 * 10 ** 4 - 1
+    rows = []
+    stack = spectral.leading_stack
+    monkeypatch.setattr(spectral, "leading_stack",
+                        lambda s, c, t: (rows.append(len(t)), stack(s, c, t))[1])
+    t0 = time.perf_counter()
+    rep = spectral.aperiodicity_scan(sys_, coc, 64, 0.1)
+    elapsed = time.perf_counter() - t0
+    assert not rep.passed and rep.algebraic_full is False
+    assert rep.max_modulus == pytest.approx(1.0, abs=1e-12)
+    # solved: the 2050 rows of the half grid and the 256 points of the eps-circle
+    assert sum(rows) == (64 * 64 + 4) // 2 + 4 * 64
+    assert elapsed < 0.1                # 0.23 s when every forced character was solved
 
 
 # ------------------------------------------------------ the stacked quadrature

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -1010,3 +1011,223 @@ def test_folded_boxes_hold_n_plus_one_cells_per_axis():
         for make in (walkdist.walk_recursion, walkdist.marginal_recursion):
             eng = walkdist._make_engine(make(sys_, coc, "float"), n)
             assert eng.dims == (n + 1,) * coc.spec.key_size, name
+
+
+# ------------------------------------------------------- powered point masses
+
+# one-coordinate float walks that _point_masses raises to each depth by powering
+_B13 = GibbsMarkovSystem.bernoulli([Fraction(1, 3), Fraction(2, 3)])
+POWERED = {
+    **{name: getattr(presets, name)()[:2]
+       for name in ("trinomial", "asymmetric_z", "simple_walk", "two_state_markov")},
+    "markov3_z": (MARKOV3, Cocycle(IntegerLattice(1), ((-1,), (0,), (1,)))),
+    "steps_1_2": (_B13, Cocycle(IntegerLattice(1), ((1,), (2,)))),
+    "steps_3_5": (_B13, Cocycle(IntegerLattice(1), ((3,), (5,)))),
+    "fault_1_100": FOLDED["fault_1_100"],
+}
+# depths on both sides of powers of two, with their strides 1, 2 and 3
+_POWERED_DEPTHS = [0, 1, 2, 3, 4, 7, 8, 9, 63, 64, 65, 66, 100, 101, 102, 255, 256, 257, 258, 400,
+                   402]
+
+
+def _stepped_masses(rec, targets, depths, seed_state=None):
+    # the stepped reference: one engine stepped through every n, read through _trajectory
+    rows = walkdist._trajectory(walkdist._make_engine(rec, max(depths), seed_state), targets,
+                                max(depths))
+    return [rows[n] for n in depths]
+
+
+def _powered_targets(coc):
+    # the identity, every step, sums of two steps (on and off the coset at a given depth)
+    # and elements far outside every box
+    steps = sorted({coc.value(s)[0] for s in range(len(coc.values))})
+    pts = {0, -1, 1, 7, -7, 10 ** 6, -10 ** 6} | set(steps) | {a + b for a in steps for b in steps}
+    return [(g,) for g in sorted(pts)]
+
+
+@pytest.mark.parametrize("name", sorted(POWERED))
+def test_powered_masses_match_stepped(name, engines_built):
+    sys_, coc = POWERED[name]
+    rec = walkdist.marginal_recursion(sys_, coc, "float")
+    targets = _powered_targets(coc)
+    for seed in [None] + list(range(rec.S)):
+        engines_built.clear()
+        got = walkdist._point_masses(rec, targets, _POWERED_DEPTHS, seed)
+        assert engines_built == []          # powered: no engine is built
+        assert sorted(got) == _POWERED_DEPTHS
+        want = _stepped_masses(rec, targets, _POWERED_DEPTHS, seed)
+        flat_got = [x for n in _POWERED_DEPTHS for x in got[n]]
+        assert all(type(x) is float for x in flat_got)
+        assert paired_agrees(flat_got, sum(want, []))
+        # the first and last targets lie outside every box: exact zeros
+        assert all(x == 0.0 for n in _POWERED_DEPTHS for x in got[n][:1] + got[n][-1:])
+
+
+def test_powered_one_percent_walk_underflows_where_stepping_does():
+    sys_, coc = FOLDED["fault_1_100"]
+    rec = walkdist.marginal_recursion(sys_, coc, "float")
+    depths = [100, 102, 400, 402, 800, 802]
+    got = walkdist._point_masses(rec, [(0,)], depths)
+    want = _stepped_masses(rec, [(0,)], depths)
+    assert paired_agrees([got[n][0] for n in depths], [w for (w,) in want])
+    assert got[400][0] > 0 and got[800][0] == got[802][0] == 0.0
+
+
+def _stepped_ratio_report(sys_, coc, g, ns, stride, mode, **kw):
+    # how ratios were computed before point masses: one trajectory through every n
+    seq = [row[0] for row in walkdist.mass_trajectory(sys_, coc, [g], max(ns) + stride, mode,
+                                                      **kw)]
+    first = next((i for i, v in enumerate(seq) if i >= 1 and v > 0), None)
+    kept = [n for n in sorted(set(ns)) if seq[n] != 0]
+    return kept, [float(seq[n + stride] / seq[n]) for n in kept], first
+
+
+@pytest.mark.parametrize("name", sorted(POWERED))
+def test_powered_ratios_match_stepped(name):
+    sys_, coc = POWERED[name]
+    ns = [10, 64, 100, 255, 400]
+    for g in [(0,), coc.value(0), coc.value(len(coc.values) - 1), (10 ** 6,)]:
+        for stride in (1, 2, 3):
+            for seed in (None, 0):
+                rep = walkdist.ratio_sequence(sys_, coc, g, ns, stride=stride, seed_state=seed)
+                kept, ratios, first = _stepped_ratio_report(sys_, coc, g, ns, stride, "float",
+                                                            seed_state=seed)
+                assert rep.ns == kept and rep.first_valid_n == first
+                assert rep.zero_ns == [n for n in ns if n not in kept]
+                assert paired_agrees(rep.ratios, ratios)
+    for g in [coc.value(0), (3,)]:
+        num, den = walkdist.mass_trajectory(sys_, coc, [g, (0,)], 300)[300]
+        if den:
+            assert paired_agrees([walkdist.cross_ratio(sys_, coc, g, 300).value], [num / den])
+
+
+def test_stride_one_on_a_period_two_walk():
+    sys_, coc, _ = presets.simple_walk()
+    rep = walkdist.ratio_sequence(sys_, coc, (0,), [9, 10, 20], stride=1)
+    # mu^9(0) = 0 (no ratio), mu^11(0) = mu^21(0) = 0 (ratio 0.0)
+    assert rep.ns == [10, 20] and rep.zero_ns == [9] and rep.ratios == [0.0, 0.0]
+    assert rep.first_valid_n == 2
+
+
+def test_ratio_sequence_lists_the_zero_masses_it_skips():
+    # the 1/100 walk: mu^800(0) underflows to 0.0 and has no ratio
+    sys_, coc = FOLDED["fault_1_100"]
+    rep = walkdist.ratio_sequence(sys_, coc, (0,), [100, 400, 800], stride=2)
+    assert rep.ns == [100, 400] and rep.zero_ns == [800] and len(rep.ratios) == 2
+    rep = walkdist.ratio_sequence(sys_, coc, (0,), [100, 400], stride=2)
+    assert rep.zero_ns == []
+
+
+@pytest.mark.parametrize("name", ["trinomial", "two_state_markov", "asymmetric_z"])
+def test_rational_ratios_equal_the_stepped_ones(name):
+    sys_, coc, _ = getattr(presets, name)()
+    for g, stride in (((0,), 1), ((0,), 2), ((1,), 2)):
+        rep = walkdist.ratio_sequence(sys_, coc, g, [5, 12, 20], mode="rational", stride=stride)
+        kept, ratios, first = _stepped_ratio_report(sys_, coc, g, [5, 12, 20], stride, "rational")
+        assert (rep.ns, rep.ratios, rep.first_valid_n) == (kept, ratios, first)
+    num, den = walkdist.mass_trajectory(sys_, coc, [(2,), (0,)], 20, "rational")[20]
+    assert walkdist.cross_ratio(sys_, coc, (2,), 20, mode="rational").value == float(num / den)
+
+
+def test_two_dimensional_ratios_are_stepped_and_equal(engines_built):
+    # no powering in d = 2: one engine read at the requested depths, bitwise the trajectory
+    rep = walkdist.ratio_sequence(MARKOV3, Z2_CHAIN, (0, 0), [30, 60], stride=3)
+    assert engines_built == ["_DenseLatticeEngine"] * 2      # masses, then the first return
+    kept, ratios, first = _stepped_ratio_report(MARKOV3, Z2_CHAIN, (0, 0), [30, 60], 3, "float")
+    assert (rep.ns, rep.ratios, rep.first_valid_n) == (kept, ratios, first)
+
+
+def test_first_valid_n_steps_only_to_the_first_positive_mass(monkeypatch):
+    steps = []
+    step = walkdist._DenseLatticeEngine.step_once
+    monkeypatch.setattr(walkdist._DenseLatticeEngine, "step_once",
+                        lambda self: (steps.append(1), step(self)))
+    sys_, coc, _ = presets.trinomial()
+    rep = walkdist.ratio_sequence(sys_, coc, (5,), [1000])
+    assert rep.first_valid_n == 5 and len(steps) == 5
+    # past the first engine's 8 steps: engines for 8, 16 and 32 steps, each from the seed
+    steps.clear()
+    assert walkdist.ratio_sequence(sys_, coc, (20,), [1000]).first_valid_n == 20
+    assert len(steps) == 8 + 16 + 20
+    # a walk that never returns: every n up to the deepest depth is stepped
+    drift = Cocycle(IntegerLattice(1), ((2,), (4,)))
+    rep = walkdist.ratio_sequence(_B13, drift, (0,), [10, 30], stride=2)
+    assert rep.first_valid_n is None and rep.zero_ns == [10, 30] and rep.ns == []
+
+
+def test_cross_ratio_names_the_first_positive_n_only_when_it_fails(engines_built):
+    sys_, coc, _ = presets.simple_walk()
+    walkdist.cross_ratio(sys_, coc, (2,), 100)
+    assert engines_built == []
+    with pytest.raises(ValidationError, match=r"n=101 \(first positive n: 2\)"):
+        walkdist.cross_ratio(sys_, coc, (1,), 101)
+
+
+def test_powered_guard_counts_every_buffer(engines_built, monkeypatch):
+    # trinomial to n = 100 in its frame v0 = -1, B = 1, w = 2: the squarings
+    # K^(2^i) for 2^i <= 64 hold sum_i (2^(i+1) + 1) = 2 * 127 + 7 = 261 cells,
+    # and the seed 1.  100 = 64 + 36: advancing u to r = 36 holds the u read,
+    # the u written and one convolution output, at most 3 x (2 * 36 + 1) = 219
+    # cells, more than the last squaring's output (129).  481 in all.  The
+    # 2-state chain (v0 = -1, B = 2, w = 1) holds 4 x (127 + 7) = 536 cells
+    # of squarings, 2 of seed and 5 x 37 = 185: 723.
+    allocated = []
+    for fn in ("zeros", "ones", "empty"):
+        monkeypatch.setattr(np, fn, lambda *a, _f=getattr(np, fn), **k: (
+            allocated.append(a), _f(*a, **k))[1])
+    for name, cells in (("trinomial", 481), ("two_state_markov", 723)):
+        sys_, coc, _ = getattr(presets, name)()
+        allocated.clear()
+        with pytest.raises(ResourceLimitError) as exc:
+            walkdist.cross_ratio(sys_, coc, (1,), 100, max_cells=cells - 1)
+        assert exc.value.completed == 0
+        assert allocated == [] and engines_built == []     # raised before allocating anything
+        rep = walkdist.cross_ratio(sys_, coc, (0,), 100, max_cells=cells)
+        assert rep.value == 1.0 and engines_built == []
+
+
+def test_powered_path_calls_no_fft(monkeypatch):
+    def refused(*a, **k):
+        raise AssertionError("an FFT was called")
+    for fn in dir(np.fft):
+        if not fn.startswith("_") and callable(getattr(np.fft, fn)):
+            monkeypatch.setattr(np.fft, fn, refused)
+    sys_, coc, _ = presets.trinomial()
+    assert walkdist.cross_ratio(sys_, coc, (3,), 2000).value > 0
+    msys, mcoc, _ = presets.two_state_markov()
+    assert walkdist.ratio_sequence(msys, mcoc, (0,), [500, 1000], stride=2).ratios
+
+
+@pytest.mark.parametrize("name", ["trinomial", "two_state_markov", "markov3_z", "steps_3_5"])
+def test_powered_masses_within_gamma_of_rational(name):
+    """Powered float masses against rational ones, within the bound of their products.
+
+    A convolution sums at most K nonnegative products of two factors, so it
+    adds gamma_K to the relative errors of its factors: the squaring of a
+    power doubles that power's error.  K^1 carries the roundings of P and of
+    the weights (gamma_2), the seed one rounding, and the read at the target
+    sums S^2 dot products of the top power and u.
+    """
+    sys_, coc = POWERED[name]
+    rec = walkdist.marginal_recursion(sys_, coc, "float")
+    S = rec.S
+    atoms = [a for _, (a,), _ in rec.shifts]
+    w = (max(atoms) - min(atoms)) // math.gcd(*(a - min(atoms) for a in atoms))
+    power_err = [_gamma(2)]
+    for i in range(7):
+        power_err.append(2 * power_err[-1] + _gamma(S * ((w << i) + 1)))
+    depths = [60, 61, 100, 127]
+    targets = [(0,), (1,), (3,)]
+    got = walkdist._point_masses(rec, targets, depths)
+    exact = walkdist._point_masses(walkdist.marginal_recursion(sys_, coc, "rational"), targets,
+                                   depths)
+    for n in depths:
+        top, r = n.bit_length() - 1, n - (1 << (n.bit_length() - 1))
+        err, length = _gamma(1), 1                      # u = c, then the bits of r
+        for i in range(r.bit_length()):
+            if r >> i & 1:
+                err += power_err[i] + _gamma(S * min(length, (w << i) + 1))
+                length += w << i
+        bound = power_err[top] + err + _gamma(S * S * ((w << top) + 1))
+        for a, b in zip(got[n], exact[n]):
+            assert (a == 0) == (b == 0) and abs(a - float(b)) <= bound * float(b)
