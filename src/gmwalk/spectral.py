@@ -32,8 +32,8 @@ import numpy as np
 from .errors import ConsistencyError, ValidationError
 from .gm_system import check_aperiodicity_algebraic, check_symmetry
 from .groups import EmbeddedRealLattice, IntegerLattice, hermite_basis
-from .walkdist import (_adjugate, _as_box, _int_det, box_volume, distribution,
-                       mass_trajectory, window_mass)
+from .walkdist import (_adjugate, _as_box, _element, _int_det, _point_masses, box_volume,
+                       distribution, marginal_recursion, window_mass)
 
 NEAR_DEGENERATE_GAP = 1e-6
 # largest disagreement of the matrix and table characteristic functions
@@ -337,9 +337,9 @@ def fourier_invert(system, cocycle, g, n, grid_size, compare=False) -> FourierIn
     phase = np.exp(-1j * (thetas @ np.array(g, dtype=float)))
     value = (phase @ _charfn_matrix(system, cocycle, thetas, n)).real / grid_size ** d
     ref = dev = None
-    if compare:
-        traj = mass_trajectory(system, cocycle, [g], n, mode="float")
-        ref = traj[n][0]
+    if compare:                 # the walk's mass at depth n only (``_point_masses``)
+        ref = _point_masses(marginal_recursion(system, cocycle, "float"),
+                            [_element(cocycle.spec, g)], [n])[n][0]
         dev = abs(value - ref)
     return FourierInversion(g, n, grid_size, float(value), aliasing, ref, dev)
 
@@ -499,11 +499,12 @@ def local_limit_check(system, cocycle, n_grid, g=None, E=None, eta=0.5) -> Local
         if not isinstance(spec, IntegerLattice) or spec.key_size != 1:
             raise ValidationError("point local limits are implemented for Z targets")
         eta = math.pi
-        traj = mass_trajectory(system, cocycle, [tuple(g)], ns[-1], mode="float")
+        masses = _point_masses(marginal_recursion(system, cocycle, "float"),
+                               [_element(spec, g)], ns)
         for n in ns:
             un = u_n_integral(system, cocycle, eta, n)
             u_values.append(un)
-            ratios.append(traj[n][0] * 2 * math.pi / un)
+            ratios.append(masses[n][0] * 2 * math.pi / un)
         kind = "point"
     else:
         box = _as_box(E, spec)

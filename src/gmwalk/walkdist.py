@@ -16,10 +16,13 @@ slab.  A lattice box is planned in the coordinates of the lattice that the
 differences of the atoms generate, shifted by one atom per step, where that
 box is smaller: the support after n steps lies on one coset of that lattice,
 so a walk with a period or a drift steps only the cells it can reach.
-Everything else, and all exact-rational work, runs on sparse tables
-keyed by group element, each holding its S state masses.  Exact work steps
-Python int numerators over one common denominator and builds a ``Fraction``
-only where a mass leaves the engine.
+Exact work steps Python int numerators over one common denominator and
+builds a ``Fraction`` only where a mass leaves the engine.  On a lattice it
+packs each state's numerators over the same box into one int, b bits a
+cell (``_PackedLatticeEngine``; the width and guard are stated in
+``_make_engine``).  Everything else (exact Heisenberg work, finite groups,
+direct products) runs on sparse tables keyed by group element, each holding
+its S state masses.
 Identity returns (``_identity_returns``) pair a half-depth table with the
 time-reversed (dual) recursion, two engines for any S, where that shrinks
 the Heisenberg boxes.  Ratios and cross ratios read masses at a few depths
@@ -49,6 +52,9 @@ EXPORT_MAX_ATOMS = 5_000_000
 # candidate frames a lattice box planner enumerates at most (atoms x d-subsets of
 # their differences); recursions with more atoms keep the identity frame
 FRAME_MAX_CANDIDATES = 20_000
+# the fixed cost of one engine step in stepped cells x shifts (about 12.6 us
+# against 0.5 ns a cell, fitted as ``_powering_pays`` states)
+STEP_OVERHEAD_CELLS = 25_000
 BOUNDARY_ATOL = 1e-9
 # relative slack of a float superadditivity comparison (rational ones are exact)
 SUPERADDITIVITY_REL_SLACK = 1e-9
@@ -473,9 +479,27 @@ class _DenseLatticeEngine:
 
     def __init__(self, rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
                  seed_entry=None):
+        shifts = self._plan(rec, n_max, seed_entry)
+        self.mode = "float"
+        if 2 * rec.S * self.L > max_cells:
+            raise ResourceLimitError(
+                f"dense {self.layout} box needs 2 buffers of {rec.S * self.L} cells, "
+                f"over the {max_cells}-cell guard",
+                completed=0,
+            )
+        self.tgt = [t for t, _, _ in shifts]
+        self.wts = [float(w) for _, _, w in shifts]
+        self.W = np.zeros((rec.S, self.L))
+        for (s, g), w in rec.seed(seed_state, seed_entry).items():
+            self.W[s, self._cell(g)] = float(w)
+        self._buf = np.zeros_like(self.W)
+        self._cell_keys = self._embed_cache = None
+
+    def _plan(self, rec, n_max, seed_entry):
+        """Plan the frame and box of ``n_max`` steps and the atoms' flat offsets; allocates
+        nothing and returns the shifts in the order they are stepped."""
         self.rec = rec
         self.spec = rec.spec
-        self.mode = "float"
         self.n = 0
         shifts = sorted(rec.shifts)     # a measure's atom order fixes its float sums
         atoms = [a for _, a, _ in shifts]
@@ -485,20 +509,8 @@ class _DenseLatticeEngine:
         self._reach = self._reach_of(self.atoms)
         self.lo, self.dims, self.strides = self.box(self.atoms, n_max + self._span0)
         self.L = math.prod(self.dims)
-        if 2 * rec.S * self.L > max_cells:
-            raise ResourceLimitError(
-                f"dense {self.layout} box needs 2 buffers of {rec.S * self.L} cells, "
-                f"over the {max_cells}-cell guard",
-                completed=0,
-            )
         self.offs = [self._flat(atom) for atom in self.atoms]
-        self.tgt = [t for t, _, _ in shifts]
-        self.wts = [float(w) for _, _, w in shifts]
-        self.W = np.zeros((rec.S, self.L))
-        for (s, g), w in rec.seed(seed_state, seed_entry).items():
-            self.W[s, self._cell(g)] = float(w)
-        self._buf = np.zeros_like(self.W)
-        self._cell_keys = self._embed_cache = None
+        return shifts
 
     @classmethod
     def _frame(cls, atoms, span):
@@ -552,6 +564,11 @@ class _DenseLatticeEngine:
     def _flat(self, idx):
         return sum(c * st for c, st in zip(idx, self.strides))
 
+    def _lam(self, flat):
+        # box coordinates (frame coordinates, or keys in the identity frame) of flat cells
+        return np.stack([flat // st % dim + l
+                         for st, dim, l in zip(self.strides, self.dims, self.lo)], axis=1)
+
     def _ranges(self, lo, hi):
         # the kernel's flat source ranges with their per-shift offsets
         return [(self._flat(lo), self._flat(hi) + 1, self.offs)]
@@ -588,9 +605,7 @@ class _DenseLatticeEngine:
         also caches their embedding, a folded one embeds n v0 + B lam.
         """
         if self._cell_keys is None:
-            flat = np.arange(self.L)
-            lam = np.stack([flat // st % dim + l
-                            for st, dim, l in zip(self.strides, self.dims, self.lo)], axis=1)
+            lam = self._lam(np.arange(self.L))
             self._cell_keys = lam if self.frame is None else self.frame.keys(lam, 0)
         if self.frame is not None:
             keys = self._cell_keys + (self.n + self._span0) * np.array(self.frame.v0)
@@ -647,26 +662,150 @@ class _DenseHeisEngine(_DenseLatticeEngine):
                 for iy in range(lo[1], hi[1] + 1)]
 
 
+class _PackedLatticeEngine(_DenseLatticeEngine):
+    """Exact stepping of a lattice recursion on the dense box: one Python int per state.
+
+    The numerators over den = d0 * D^n (as in ``_SparseEngine``) of state s
+    are packed by Kronecker substitution into num[s] = sum_cell num(cell) *
+    2^(b * cell), over the frame, box and flat strides that
+    ``_DenseLatticeEngine`` plans.  A step mixes mixed[t] = sum_s Pnum(s, t)
+    num[s] (mixed = num without P), skipping zero terms, and adds
+    (mixed[t] << off * b) * wnum into new[t] for each shift, a right shift for
+    a negative flat offset: one big-int operation per shift.  The width b
+    holds every cell without a carry (see ``_make_engine``), so a mass reads
+    (num[s] >> i * b) & mask and the total of a state is num[s] mod 2^b - 1.
+    Masses leave as ``Fraction(num, den)``; ``to_table`` and ``group_view``
+    read each int's bytes once and keep the nonzero cells.
+    """
+
+    layout = "packed lattice"
+
+    def __init__(self, rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
+                 seed_entry=None):
+        shifts = self._plan(rec, n_max, seed_entry)
+        self.mode = "rational"
+        S = rec.S
+        dp, flat = (1, [1]) if rec.P is None else _numerators(list(itertools.chain(*rec.P)))
+        dw, wts = _numerators([w for _, _, w in shifts])
+        seed = rec.seed(seed_state, seed_entry)
+        self.den, nums = _numerators(seed.values())
+        self._D = dp * dw
+        self._P = None if rec.P is None else [flat[s * S:(s + 1) * S] for s in range(S)]
+        into = [0] * S                  # the weight numerators into each state
+        for (t, _, _), c in zip(shifts, wts):
+            into[t] += c
+        growth = max(sum(p * max(1, c) for p, c in zip(row, into)) for row in self._P or [[1]])
+        self._b = b = -(-((sum(nums) * growth ** n_max).bit_length() + 1) // 8) * 8
+        words = (2 if rec.P is None else 3) * S * -(-self.L * b // 64)
+        if words > max_cells:
+            raise ResourceLimitError(f"packed lattice box needs {words} 64-bit words of ints "
+                                     f"at once, over the {max_cells}-cell guard", completed=0)
+        self._mask = (1 << b) - 1
+        self._shifts = [(t, off * b, c) for (t, _, _), off, c in zip(shifts, self.offs, wts) if c]
+        self.num = [0] * S
+        for ((s, g), _), v in zip(seed.items(), nums):
+            self.num[s] += v << self._cell(g) * b
+
+    def step_once(self):
+        num = self.num
+        mixed = num if self._P is None else [
+            sum(row[t] * w for row, w in zip(self._P, num) if row[t] and w)
+            for t in range(len(num))]
+        new = [0] * len(num)
+        for t, sh, c in self._shifts:
+            m = mixed[t]
+            if m:
+                m = m << sh if sh >= 0 else m >> -sh
+                new[t] += m if c == 1 else m * c
+        self.num = new
+        self.n += 1
+        self.den *= self._D
+
+    def _out(self, num):
+        return Fraction(num, self.den)
+
+    def total(self):
+        return self._out(sum(w % self._mask for w in self.num))
+
+    def mass_at(self, g):
+        i = self._cell(g)
+        return self._out(0 if i is None else sum(w >> i * self._b & self._mask for w in self.num))
+
+    def joint_mass_at(self, s, g):
+        i = self._cell(g)
+        return self._out(0 if i is None else self.num[s] >> i * self._b & self._mask)
+
+    def _cells(self):
+        # the group elements (rows, in key order) of the cells where some state is
+        # nonzero, and their numerators, one list per state
+        nb = self._b // 8
+        raw = [w.to_bytes(self.L * nb, "little") for w in self.num]
+        nz = np.zeros(self.L, dtype=bool)
+        for r in raw:
+            nz |= np.frombuffer(r, np.uint8).reshape(self.L, nb).any(axis=1)
+        flat = np.flatnonzero(nz)
+        keys = self._lam(flat)
+        if self.frame is not None:
+            keys = self.frame.keys(keys, self.n + self._span0)
+            order = np.lexsort(keys.T[::-1])
+            flat, keys = flat[order], keys[order]
+        return keys, [[int.from_bytes(r[i * nb:i * nb + nb], "little") for i in flat.tolist()]
+                      for r in raw]
+
+    def group_view(self):
+        """Real embeddings and Fraction masses of the nonzero cells, in key order."""
+        keys, vals = self._cells()
+        mass = np.array([self._out(sum(col)) for col in zip(*vals)], dtype=object)
+        return _embed(self.spec, keys.T), mass
+
+    def to_table(self):
+        keys, vals = self._cells()
+        keys = [tuple(g) for g in keys.tolist()]
+        data = {(s, g): self._out(v) for s, row in enumerate(vals)
+                for g, v in zip(keys, row) if v}
+        return MassTable(self.n, self.mode, self.spec, data)
+
+
 def _dense_layout(rec):
-    """The dense engine class of a recursion: float mode on a lattice or Heisenberg target."""
+    """The dense engine class of a recursion, or None where the sparse engine steps it.
+
+    A lattice target (integer or embedded, with a key) is laid out on the
+    dense box: float on ``_DenseLatticeEngine``, rational packed on
+    ``_PackedLatticeEngine``.  The Heisenberg group is laid out in float only.
+    """
     spec = rec.spec
-    if rec.mode == "float":
-        if isinstance(spec, (IntegerLattice, EmbeddedRealLattice)) and spec.key_size > 0:
-            return _DenseLatticeEngine
-        if isinstance(spec, HeisenbergZ):
-            return _DenseHeisEngine
+    if isinstance(spec, (IntegerLattice, EmbeddedRealLattice)) and spec.key_size > 0:
+        return _DenseLatticeEngine if rec.mode == "float" else _PackedLatticeEngine
+    if rec.mode == "float" and isinstance(spec, HeisenbergZ):
+        return _DenseHeisEngine
     return None
 
 
 def _make_engine(rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
                  max_atoms=DEFAULT_MAX_ATOMS, seed_entry=None):
-    """Engine for ``n_max`` steps of a recursion: dense in float mode where a layout exists.
+    """Engine for ``n_max`` steps of a recursion, on the layout ``_dense_layout`` picks.
+
+    Float lattice and Heisenberg recursions step dense float64 boxes.
+    Rational lattice recursions step packed ints over the same box
+    (``_PackedLatticeEngine``).  Rational Heisenberg work, finite groups and
+    direct products step the sparse engine.
 
     ``max_cells`` bounds the float64 cells of every buffer a dense engine
     allocates: the table and the step buffer, which also receives the mixed
     table P^T W when states mix.  A box of S x L cells therefore needs
-    2 S L cells.  ``max_atoms`` bounds the masses a sparse table holds after
-    every step: S per group element.
+    2 S L cells.  A packed engine of L cells of width b holds S ints of
+    W = ceil(L b / 64) 64-bit words each for the table, the step's new table
+    and, when states mix, the mixed table: 2 S W or 3 S W words, counted
+    against ``max_cells``.  Its width b is the bit length of
+    T0 * G^n_max plus one, rounded up to whole bytes, where T0 is the sum of
+    the step-0 numerators (d0 for a seed of total mass 1) and G bounds the
+    growth of a step's numerators, the largest row sum of Pnum(s, t) *
+    max(1, the weight numerators into t) (D = dp * dw for a stochastic P and
+    weights summing to 1).  Every cell, every state total and every
+    intermediate sum is then below 2^(b-1), so nothing carries into the next
+    cell.  Both guards are checked before anything is allocated.
+    ``max_atoms`` bounds the masses a sparse table holds after every step:
+    S per group element.
     """
     dense = _dense_layout(rec)
     if dense is not None:
@@ -813,11 +952,13 @@ def _point_masses(rec, targets, depths, seed_state=None, max_cells=DEFAULT_MAX_C
 
     The rule, stated once: float mode on a dense lattice layout with one key
     coordinate is raised to each depth by binary powering
-    (``_powered_masses``); every other recursion steps one engine to the
-    deepest depth and is read only at the requested depths.
+    (``_powered_masses``) when its convolution cells are at most twice its
+    stepped cells x shifts (``_powering_pays``); every other recursion steps
+    one engine to the deepest depth and is read only at the requested depths.
     """
     depths = sorted(set(depths))
-    if _dense_layout(rec) is _DenseLatticeEngine and rec.spec.key_size == 1:
+    if (_dense_layout(rec) is _DenseLatticeEngine and rec.spec.key_size == 1
+            and _powering_pays(rec, depths[-1])):
         return _powered_masses(rec, targets, depths, seed_state, max_cells)
     eng = _make_engine(rec, depths[-1], seed_state, max_cells, max_atoms)
     out = {}
@@ -826,6 +967,36 @@ def _point_masses(rec, targets, depths, seed_state=None, max_cells=DEFAULT_MAX_C
             eng.step_once()
         out[n] = [eng.mass_at(t) for t in targets]
     return out
+
+
+def _line_frame(rec):
+    """(v0, B, w) of a one-coordinate recursion: its smallest atom, the gcd of its
+    atoms' differences and its span (largest atom - v0) / B."""
+    atoms = [a for _, (a,), _ in rec.shifts]
+    v0 = min(atoms)
+    B = math.gcd(*(a - v0 for a in atoms)) or 1     # one atom: every lam is 0
+    return v0, B, (max(atoms) - v0) // B
+
+
+def _powering_pays(rec, n):
+    """Whether powering a one-coordinate float recursion to depth n beats stepping it.
+
+    Powering costs about its squarings' convolution cells, S^3 sum_i
+    (2^i w + 1)^2 over the squarings up to n (a direct convolution of two
+    arrays of l cells takes l^2); stepping costs S (shifts) (n w + 1) cells
+    at step n, summed over the n steps, plus ``STEP_OVERHEAD_CELLS`` per step
+    for the fixed cost of a kernel call.  A stepped cell costs about twice a
+    convolution cell, so the rule powers when the convolution cells are at
+    most twice the stepped ones.  Fitted on 88 walks and depths (numpy,
+    2-vCPU VM; S = 1 to 4, w = 1 to 100, n = 100 to 2000): the rule picks
+    the faster path, or one within 30 % of it, in all but two.  The ±1,
+    trinomial and 3-state walks power at every depth; atoms 0, 1, 100 step
+    (0.12 s stepped against 0.25 s powered at n = 1000).
+    """
+    S, w = rec.S, _line_frame(rec)[2]
+    conv = S ** 3 * sum(((w << i) + 1) ** 2 for i in range(n.bit_length() - 1))
+    stepped = S * len(rec.shifts) * (w * n * (n - 1) // 2 + n) + STEP_OVERHEAD_CELLS * n
+    return conv <= 2 * stepped
 
 
 def _conv_product(A, X):
@@ -880,10 +1051,7 @@ def _powered_masses(rec, targets, depths, seed_state, max_cells):
     output of one row.
     """
     S = rec.S
-    atoms = [a for _, (a,), _ in rec.shifts]
-    v0 = min(atoms)
-    B = math.gcd(*(a - v0 for a in atoms)) or 1     # one atom: every lam is 0
-    w = (max(atoms) - v0) // B
+    v0, B, w = _line_frame(rec)
     # cells of one entry of K^(2^i) for every 2^i <= the deepest depth
     sizes = [(w << i) + 1 for i in range(depths[-1].bit_length())]
     r_max = max(n - (1 << n.bit_length() >> 1) for n in depths)

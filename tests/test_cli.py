@@ -387,20 +387,29 @@ def test_oracle_compare_enumerates_once(tmp_path, monkeypatch):
         return upto(system, cocycle, n)
 
     monkeypatch.setattr(oracle, "oracle_distributions_upto", counted)
-    # and one rational engine pass steps each depth once
-    steps = []
-    step_once = walkdist._SparseEngine.step_once
+    # and one rational engine pass, on the engine _make_engine picks, steps each depth once
+    steps, built = [], []
+    make = walkdist._make_engine
 
-    def counted_step(eng):
-        steps.append(eng.n)
-        step_once(eng)
+    def counted_make(*args, **kw):
+        eng = make(*args, **kw)
+        built.append(type(eng))
+        step_once = eng.step_once
 
-    monkeypatch.setattr(walkdist._SparseEngine, "step_once", counted_step)
+        def counted_step():
+            steps.append(eng.n)
+            step_once()
+
+        eng.step_once = counted_step
+        return eng
+
+    monkeypatch.setattr(walkdist, "_make_engine", counted_make)
     cfg = TRINOMIAL_RATIO.replace("kind = ratio\ng = 0\nn_grid = 4 8 16",
                                   "kind = oracle-compare\nn_max = 6")
     assert cli.main(["oracle-compare", "--config", _write(tmp_path, cfg),
                      "--out", str(tmp_path / "out")]) == 0
     assert depths == [6]
+    assert built == [walkdist._PackedLatticeEngine]
     assert steps == [0, 1, 2, 3, 4, 5]
     rows = (tmp_path / "out" / "oracle_compare.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == [str(n) for n in range(1, 7)]

@@ -10,6 +10,7 @@ from gmwalk import presets, spectral, walkdist
 from gmwalk.errors import ConsistencyError, ValidationError
 from gmwalk.gm_system import Cocycle, GibbsMarkovSystem
 from gmwalk.groups import EmbeddedRealLattice, IntegerLattice
+from pairing import paired_agrees
 
 
 def test_perturbed_matrix_reduces_to_transition_matrix():
@@ -347,6 +348,30 @@ def test_fourier_invert_matches_mass_trajectory(name):
         rep = spectral.fourier_invert(sys_, coc, g, n, 2 * n + 2)
         assert not rep.aliasing_risk
         assert abs(rep.value - want) <= 1e-12, g
+
+
+def test_local_limit_and_fourier_reference_read_point_masses(monkeypatch):
+    # both read the walk's masses at the requested depths only, within 1e-13
+    # relative of the trajectory stepped through every n
+    steps = []
+    step = walkdist._DenseLatticeEngine.step_once
+    monkeypatch.setattr(walkdist._DenseLatticeEngine, "step_once",
+                        lambda self: (steps.append(1), step(self)))
+    sys_, coc, _ = presets.trinomial()
+    spread = GibbsMarkovSystem.bernoulli([Fraction(1, 5), Fraction(3, 5), Fraction(1, 5)])
+    for system, g, ns in ((sys_, (3,), [500, 1000, 2000]), (spread, (0,), [5, 9, 80])):
+        rep = spectral.local_limit_check(system, coc, ns, g=g)
+        assert steps == []          # one-dimensional: powered, not stepped
+        traj = walkdist.mass_trajectory(system, coc, [g], ns[-1])
+        want = [traj[n][0] * 2 * math.pi / u for n, u in zip(ns, rep.u_values)]
+        assert paired_agrees(rep.ratios, want)
+        steps.clear()
+    for name, g, n in (("trinomial", (2,), 300), ("two_state_markov", (0,), 40),
+                       ("z2_lattice", (2, 3), 12)):
+        system, cocycle = _lattice_systems()[name]
+        rep = spectral.fourier_invert(system, cocycle, g, n, 4 * n + 4, compare=True)
+        want = walkdist.mass_trajectory(system, cocycle, [g], n)[n][0]
+        assert paired_agrees([rep.reference], [want])
 
 
 def test_u_n_integral_inversion_identity_bernoulli():

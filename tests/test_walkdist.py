@@ -429,7 +429,8 @@ def test_superadditivity_small_exact():
 
 
 def test_sparse_guard_trips():
-    sys_, coc, _ = presets.z2_lattice()
+    # rational Heisenberg work stays on the sparse engine
+    sys_, coc, _ = presets.heisenberg_symmetric()
     with pytest.raises(ResourceLimitError) as exc:
         walkdist.distribution(sys_, coc, 40, mode="rational", max_atoms=50)
     done = exc.value.completed
@@ -438,10 +439,12 @@ def test_sparse_guard_trips():
     walkdist.distribution(sys_, coc, done, mode="rational", max_atoms=50)
     # a Markov table holds S masses per group element, and the guard counts them all
     msys, mcoc, _ = presets.two_state_markov()
+    eng = walkdist._SparseEngine(walkdist.walk_recursion(msys, mcoc, "rational"), max_atoms=20)
     with pytest.raises(ResourceLimitError) as exc:
-        walkdist.distribution(msys, mcoc, 40, mode="rational", max_atoms=20)
+        for _ in range(40):
+            eng.step_once()
     done = exc.value.completed
-    eng = walkdist._stepped(walkdist.walk_recursion(msys, mcoc, "rational"), done, max_atoms=20)
+    assert eng.n == done            # the step that trips the guard leaves the table as it was
     # the +-1 walk's support grows by one element per step
     assert msys.m * len(eng.data) <= 20 < msys.m * (len(eng.data) + 1)
     # what the benchmark's tracer reads as sparse.atoms_max: the group elements held
@@ -486,7 +489,8 @@ def test_dense_guard_counts_every_buffer():
 def engines_built(monkeypatch):
     """Class names of the engines built while the test runs, in order."""
     built = []
-    for cls in (walkdist._DenseLatticeEngine, walkdist._SparseEngine):
+    for cls in (walkdist._DenseLatticeEngine, walkdist._PackedLatticeEngine,
+                walkdist._SparseEngine):
         def counted(self, *args, _init=cls.__init__, **kw):
             _init(self, *args, **kw)
             built.append(type(self).__name__)
@@ -574,10 +578,13 @@ def test_pairing_rule_keeps_lattices_and_rational_work_stepped(engines_built):
                  lambda: pressure.grouped_return_sequence(sys_, coc, 0, 8, mode="rational"),
                  lambda: pressure.spectral_radius_convolution(
                      pressure.one_step_law(sys_, coc), 6, mode="rational")]
+        # rational lattice work is packed; the Heisenberg group and finite groups stay sparse
+        want = "_PackedLatticeEngine" if isinstance(
+            coc.spec, (IntegerLattice, EmbeddedRealLattice)) else "_SparseEngine"
         for call in calls:
             engines_built.clear()
             call()
-            assert engines_built == ["_SparseEngine"], name
+            assert engines_built == [want], name
 
 
 def test_return_sequence_takes_no_seed_entry():
@@ -709,6 +716,86 @@ def test_dense_and_sparse_float_engines_agree(name):
         assert all(_close(a.data.get(k, 0.0), w) for k, w in b.data.items())
         assert all(_close(dense.joint_mass_at(s, g), w) for (s, g), w in b.data.items())
         assert all(_close(dense.mass_at(g), w) for g, w in b.group_masses().items())
+
+
+LATTICE_PRESETS = ["asymmetric_z", "embedded4", "simple_walk", "trinomial", "two_state_markov",
+                   "z2_lattice"]
+
+
+@pytest.mark.parametrize("name", LATTICE_PRESETS)
+def test_packed_and_sparse_rational_engines_agree(name):
+    sys_, coc, _ = getattr(presets, name)()
+    spec = coc.spec
+    recs = [walkdist.walk_recursion(sys_, coc, "rational")]
+    if sys_.is_bernoulli:
+        recs.append(walkdist.one_step_recursion(sys_, coc, "rational"))
+    seeds = [{}, {"seed_state": sys_.m - 1}, {"seed_entry": (sys_.m - 1, coc.value(0))}]
+    steps = [spec.multiply(coc.value(s), coc.value(0)) for s in range(sys_.m)]
+    # off the coset at some depths, and far outside every box
+    far = [spec.identity(), tuple([1] + [0] * (spec.key_size - 1)), tuple([10 ** 6] * spec.key_size)]
+    for rec, kw, n in itertools.product(recs, seeds, (0, 1, 7, 30)):
+        if "seed_entry" in kw and rec.S == 1:
+            kw = {"seed_entry": (0, kw["seed_entry"][1])}
+        packed = walkdist._make_engine(rec, n, **kw)
+        sparse = walkdist._SparseEngine(rec, **kw)
+        assert type(packed) is walkdist._PackedLatticeEngine
+        assert packed.total() == 1
+        for _ in range(n):
+            packed.step_once()
+            sparse.step_once()
+            assert packed.total() == 1 and type(packed.total()) is Fraction
+        a, b = packed.to_table(), sparse.to_table()
+        assert (a.n, a.mode) == (b.n, b.mode) and a.data == b.data, (kw, n)
+        assert all(type(w) is Fraction for w in a.data.values())
+        for g in list(b.group_masses()) + steps + far:
+            assert packed.mass_at(g) == sparse.mass_at(g) and type(packed.mass_at(g)) is Fraction
+            for s in range(rec.S):
+                assert packed.joint_mass_at(s, g) == sparse.joint_mass_at(s, g)
+        if isinstance(spec, EmbeddedRealLattice):
+            # the sparse view may keep elements whose masses all cancelled to 0
+            (ea, ma), (eb, mb) = packed.group_view(), sparse.group_view()
+            keep = mb != 0
+            assert np.array_equal(ea, eb[:, keep]) and ma.tolist() == mb[keep].tolist()
+            assert all(type(w) is Fraction for w in ma)
+
+
+def test_packed_guard_counts_every_word():
+    # the trinomial's one-step law to n = 100: 201 cells in the identity frame,
+    # numerators below 3^100 (159 bits), so b = 160 and each int holds
+    # ceil(201 * 160 / 64) = 503 words; the table and the step's new table, 1006.
+    # The 2-state chain's walk to n = 100: 101 cells in its frame, numerators
+    # below 3 * 4^100 (202 bits), b = 208, ceil(101 * 208 / 64) = 329 words per
+    # int; 2 states of the table, the mixed table and the new table, 1974.
+    cases = [("trinomial", walkdist.marginal_recursion, 1006),
+             ("two_state_markov", walkdist.walk_recursion, 1974)]
+    for name, recursion, words in cases:
+        sys_, coc, _ = getattr(presets, name)()
+        rec = recursion(sys_, coc, "rational")
+        with pytest.raises(ResourceLimitError) as exc:
+            walkdist._make_engine(rec, 100, max_cells=words - 1)
+        assert exc.value.completed == 0
+        eng = walkdist._stepped(rec, 100, max_cells=words)
+        assert eng.total() == 1 and eng.n == 100
+    # max_atoms no longer bounds rational lattice work
+    sys_, coc, _ = presets.trinomial()
+    assert walkdist.return_sequence(sys_, coc, 100, "rational", max_cells=1006, max_atoms=1)
+
+
+@pytest.mark.parametrize("name, n_max", [("trinomial", 1000), ("asymmetric_z", 1000),
+                                         ("two_state_markov", 1000), ("z2_lattice", 150)])
+def test_deep_float_returns_within_gamma_of_rational(name, n_max):
+    """Float identity returns against exact ones at every n <= n_max.
+
+    As in ``test_folded_outputs_within_gamma_of_rational``, an n-step mass is
+    within gamma_K, K = n (m + 1) + 1 + m, of the exact one.
+    """
+    sys_, coc, _ = getattr(presets, name)()
+    fl = walkdist.return_sequence(sys_, coc, n_max)
+    ex = walkdist.return_sequence(sys_, coc, n_max, mode="rational")
+    assert len(fl) == len(ex) == n_max + 1
+    for n, (a, b) in enumerate(zip(fl, ex)):
+        assert (a == 0) == (b == 0), n
+        assert abs(a - float(b)) <= _gamma(n * (sys_.m + 1) + 1 + sys_.m) * float(b), n
 
 
 def test_distribution_seeded_state():
@@ -1061,6 +1148,25 @@ def test_powered_masses_match_stepped(name, engines_built):
         assert paired_agrees(flat_got, sum(want, []))
         # the first and last targets lie outside every box: exact zeros
         assert all(x == 0.0 for n in _POWERED_DEPTHS for x in got[n][:1] + got[n][-1:])
+
+
+def test_wide_span_walk_steps_and_agrees_with_powering(engines_built):
+    # atoms 0, 1, 100 to n = 500: the squarings convolve about 2.2e8 cells, more
+    # than twice the 3.7e7 stepped cells x shifts plus 25,000 per step, so the
+    # masses are stepped, bitwise the trajectory's
+    coc = Cocycle(IntegerLattice(1), ((0,), (1,), (100,)))
+    rec = walkdist.marginal_recursion(GibbsMarkovSystem.bernoulli([Fraction(1, 3)] * 3), coc,
+                                      "float")
+    assert not walkdist._powering_pays(rec, 500)
+    assert all(walkdist._powering_pays(walkdist.marginal_recursion(*POWERED[name], "float"), n)
+               for name in POWERED for n in (1, 100, 500, 2000))
+    targets = [(0,), (1,), (500,), (25_000,), (49_999,), (10 ** 6,)]
+    got = walkdist._point_masses(rec, targets, [500, 498])
+    assert engines_built == ["_DenseLatticeEngine"]
+    want = _stepped_masses(rec, targets, [498, 500])
+    assert [got[498], got[500]] == want
+    powered = walkdist._powered_masses(rec, targets, [498, 500], None, walkdist.DEFAULT_MAX_CELLS)
+    assert paired_agrees(powered[498] + powered[500], want[0] + want[1])
 
 
 def test_powered_one_percent_walk_underflows_where_stepping_does():
