@@ -368,13 +368,6 @@ class _SparseEngine:
     def joint_mass_at(self, s, g):
         return self._out(self.data.get(g, self._blank)[s])
 
-    def group_view(self):
-        """Real embeddings and masses of the group marginal's elements, in key order."""
-        keys = sorted(self.data)
-        mass = np.array([self._out(sum(self.data[g])) for g in keys],
-                        dtype=object if self.mode == "rational" else np.float64)
-        return _embed(self.spec, np.array(keys, dtype=np.int64).T), mass
-
     def to_table(self):
         data = {(s, g): self._out(w) for g, row in self.data.items()
                 for s, w in enumerate(row) if w}
@@ -792,20 +785,17 @@ def _make_engine(rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
 
     ``max_cells`` bounds the float64 cells of every buffer a dense engine
     allocates: the table and the step buffer, which also receives the mixed
-    table P^T W when states mix.  A box of S x L cells therefore needs
-    2 S L cells.  A packed engine of L cells of width b holds S ints of
-    W = ceil(L b / 64) 64-bit words each for the table, the step's new table
-    and, when states mix, the mixed table: 2 S W or 3 S W words, counted
-    against ``max_cells``.  Its width b is the bit length of
-    T0 * G^n_max plus one, rounded up to whole bytes, where T0 is the sum of
-    the step-0 numerators (d0 for a seed of total mass 1) and G bounds the
-    growth of a step's numerators, the largest row sum of Pnum(s, t) *
-    max(1, the weight numerators into t) (D = dp * dw for a stochastic P and
-    weights summing to 1).  Every cell, every state total and every
-    intermediate sum is then below 2^(b-1), so nothing carries into the next
-    cell.  Both guards are checked before anything is allocated.
-    ``max_atoms`` bounds the masses a sparse table holds after every step:
-    S per group element.
+    table P^T W when states mix, so 2 S L cells for a box of S x L.  A
+    packed engine's cells are b bits wide, b the bit length of T0 * G^n_max
+    plus one, rounded up to whole bytes: T0 sums the step-0 numerators (d0
+    for a seed of mass 1) and G, the largest row sum of Pnum(s, t) * max(1,
+    the weight numerators into t), bounds a step's growth (G = D for a
+    stochastic P and weights summing to 1).  No cell, state total or
+    intermediate sum reaches 2^(b-1), so nothing carries.  Its table, the
+    step's new table and, when states mix, the mixed table hold S ints of
+    ceil(L b / 64) 64-bit words each, counted against ``max_cells``.  Both
+    guards are checked before anything is allocated.  ``max_atoms`` bounds
+    the masses a sparse table holds after every step: S per group element.
     """
     dense = _dense_layout(rec)
     if dense is not None:
@@ -981,17 +971,13 @@ def _line_frame(rec):
 def _powering_pays(rec, n):
     """Whether powering a one-coordinate float recursion to depth n beats stepping it.
 
-    Powering costs about its squarings' convolution cells, S^3 sum_i
-    (2^i w + 1)^2 over the squarings up to n (a direct convolution of two
-    arrays of l cells takes l^2); stepping costs S (shifts) (n w + 1) cells
-    at step n, summed over the n steps, plus ``STEP_OVERHEAD_CELLS`` per step
-    for the fixed cost of a kernel call.  A stepped cell costs about twice a
-    convolution cell, so the rule powers when the convolution cells are at
-    most twice the stepped ones.  Fitted on 88 walks and depths (numpy,
-    2-vCPU VM; S = 1 to 4, w = 1 to 100, n = 100 to 2000): the rule picks
-    the faster path, or one within 30 % of it, in all but two.  The ±1,
-    trinomial and 3-state walks power at every depth; atoms 0, 1, 100 step
-    (0.12 s stepped against 0.25 s powered at n = 1000).
+    Powering costs about the convolution cells of its squarings, S^3 sum_i
+    (2^i w + 1)^2; stepping costs S (shifts) (k w + 1) cells at step k plus
+    ``STEP_OVERHEAD_CELLS`` per step, and a stepped cell about twice a
+    convolution cell.  So powering pays when the convolution cells are at
+    most twice the stepped ones.  Fitted on 88 walks and depths (S = 1 to 4,
+    w = 1 to 100, n = 100 to 2000; see README), the rule is within 30 % of
+    the faster path on all but two.
     """
     S, w = rec.S, _line_frame(rec)[2]
     conv = S ** 3 * sum(((w << i) + 1) ** 2 for i in range(n.bit_length() - 1))

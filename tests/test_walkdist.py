@@ -752,11 +752,13 @@ def test_packed_and_sparse_rational_engines_agree(name):
             for s in range(rec.S):
                 assert packed.joint_mass_at(s, g) == sparse.joint_mass_at(s, g)
         if isinstance(spec, EmbeddedRealLattice):
-            # the sparse view may keep elements whose masses all cancelled to 0
-            (ea, ma), (eb, mb) = packed.group_view(), sparse.group_view()
-            keep = mb != 0
-            assert np.array_equal(ea, eb[:, keep]) and ma.tolist() == mb[keep].tolist()
-            assert all(type(w) is Fraction for w in ma)
+            # the view: the nonzero group-marginal masses in key order, and their embeddings
+            emb, mass = packed.group_view()
+            want = b.group_masses()
+            keys = sorted(want)
+            assert np.array_equal(emb, walkdist._embed(spec, np.array(keys, dtype=np.int64).T))
+            assert mass.tolist() == [want[g] for g in keys]
+            assert all(type(w) is Fraction for w in mass)
 
 
 def test_packed_guard_counts_every_word():
