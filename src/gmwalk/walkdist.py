@@ -682,6 +682,8 @@ class _PackedLatticeEngine(_DenseLatticeEngine):
         dw, wts = _numerators([w for _, _, w in shifts])
         seed = rec.seed(seed_state, seed_entry)
         self.den, nums = _numerators(seed.values())
+        if min(flat + wts + nums, default=0) < 0:   # a borrow would cross into the next cell
+            raise ValidationError("exact lattice stepping needs nonnegative masses and weights")
         self._D = dp * dw
         self._P = None if rec.P is None else [flat[s * S:(s + 1) * S] for s in range(S)]
         into = [0] * S                  # the weight numerators into each state

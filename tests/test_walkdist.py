@@ -732,7 +732,8 @@ def test_packed_and_sparse_rational_engines_agree(name):
     seeds = [{}, {"seed_state": sys_.m - 1}, {"seed_entry": (sys_.m - 1, coc.value(0))}]
     steps = [spec.multiply(coc.value(s), coc.value(0)) for s in range(sys_.m)]
     # off the coset at some depths, and far outside every box
-    far = [spec.identity(), tuple([1] + [0] * (spec.key_size - 1)), tuple([10 ** 6] * spec.key_size)]
+    far = [spec.identity(), tuple([1] + [0] * (spec.key_size - 1)),
+           tuple([10 ** 6] * spec.key_size)]
     for rec, kw, n in itertools.product(recs, seeds, (0, 1, 7, 30)):
         if "seed_entry" in kw and rec.S == 1:
             kw = {"seed_entry": (0, kw["seed_entry"][1])}
@@ -781,6 +782,11 @@ def test_packed_guard_counts_every_word():
     # max_atoms no longer bounds rational lattice work
     sys_, coc, _ = presets.trinomial()
     assert walkdist.return_sequence(sys_, coc, 100, "rational", max_cells=1006, max_atoms=1)
+    # packed cells hold nonnegative numerators only: a signed measure is refused, not wrapped
+    signed = pressure.WalkMeasure(IntegerLattice(1),
+                                  {(1,): Fraction(3, 2), (-1,): Fraction(-1, 2)})
+    with pytest.raises(ValidationError, match="nonnegative"):
+        pressure.spectral_radius_convolution(signed, 4, mode="rational")
 
 
 @pytest.mark.parametrize("name, n_max", [("trinomial", 1000), ("asymmetric_z", 1000),
