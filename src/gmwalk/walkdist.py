@@ -23,11 +23,11 @@ cell (``_PackedLatticeEngine``; the width and guard are stated in
 ``_make_engine``).  Everything else (exact Heisenberg work, finite groups,
 direct products) runs on sparse tables keyed by group element, each holding
 its S state masses.
-Identity returns (``_identity_returns``) pair a half-depth table with the
-time-reversed (dual) recursion, two engines for any S, where that shrinks
-the Heisenberg boxes.  Ratios and cross ratios read masses at a few depths
-only (``_point_masses``); one-coordinate float lattices jump to each depth
-by binary powering with direct convolutions.
+Identity returns (``_identity_returns``) and the masses that ratios and
+cross ratios read at a few depths (``_point_masses``) pair a half-depth
+table with the time-reversed (dual) recursion (``_masses``), two engines for
+any S, where that shrinks the planar and Heisenberg boxes; one-coordinate
+float lattices jump to each depth by binary powering.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ FRAME_MAX_CANDIDATES = 20_000
 # the fixed cost of one engine step in stepped cells x shifts (about 12.6 us
 # against 0.5 ns a cell, fitted as ``_powering_pays`` states)
 STEP_OVERHEAD_CELLS = 25_000
+# the fixed cost of pairing a lattice recursion in box cells of S rows (``_pairing``)
+PAIR_OVERHEAD_CELLS = 4_000
 BOUNDARY_ATOL = 1e-9
 # relative slack of a float superadditivity comparison (rational ones are exact)
 SUPERADDITIVITY_REL_SLACK = 1e-9
@@ -221,7 +223,8 @@ class Recursion:
         out(s', atom * g) += weight * sum_s P(s, s') W(s, g)
 
     for every shift; without P the inner sum is W(0, g).  ``init`` holds the
-    default step-0 masses.  Numbers are Fractions in rational mode.
+    default step-0 masses, which are the law of ``depth0`` atom products (1
+    for a dual, ``_dual``).  Numbers are Fractions in rational mode.
     """
 
     spec: object
@@ -230,6 +233,7 @@ class Recursion:
     P: object
     shifts: tuple
     init: tuple
+    depth0: int = 0
 
     def seed(self, state=None, entry=None):
         """Step-0 masses: ``init``, or unit mass at (state, e) or at entry = (s, g)."""
@@ -412,7 +416,7 @@ class _Frame:
             if r:
                 return None
             lam.append(q)
-        return lam
+        return tuple(lam)
 
     def keys(self, lam, n):
         """Group elements n v0 + B lam of the rows of an integer array lam."""
@@ -464,15 +468,16 @@ class _DenseLatticeEngine:
     B = I; ``frame`` is None).  Reads map g to lam, and an element off the
     coset n v0 + Lambda0 reads 0.0; ``to_table`` and ``group_view`` map the
     cells back to group elements.  With ``seed_entry`` the step-0 masses
-    count as one step.
+    count as one step, as ``rec.depth0`` says of its ``init``; a seed off
+    the box raises.  A given ``frame`` is planned in instead of ``_frame``'s.
     """
 
     layout = "lattice"
     order = None            # memory order of the key axes, slowest first (None: key order)
 
     def __init__(self, rec, n_max, seed_state=None, max_cells=DEFAULT_MAX_CELLS,
-                 seed_entry=None):
-        shifts = self._plan(rec, n_max, seed_entry)
+                 seed_entry=None, frame=None):
+        shifts = self._plan(rec, n_max, seed_entry, frame)
         self.mode = "float"
         if 2 * rec.S * self.L > max_cells:
             raise ResourceLimitError(
@@ -484,26 +489,33 @@ class _DenseLatticeEngine:
         self.wts = [float(w) for _, _, w in shifts]
         self.W = np.zeros((rec.S, self.L))
         for (s, g), w in rec.seed(seed_state, seed_entry).items():
-            self.W[s, self._cell(g)] = float(w)
+            self.W[s, self._seed_cell(g)] = float(w)
         self._buf = np.zeros_like(self.W)
         self._cell_keys = self._embed_cache = None
 
-    def _plan(self, rec, n_max, seed_entry):
+    def _plan(self, rec, n_max, seed_entry, frame=None):
         """Plan the frame and box of ``n_max`` steps and the atoms' flat offsets; allocates
         nothing and returns the shifts in the order they are stepped."""
         self.rec = rec
         self.spec = rec.spec
         self.n = 0
         shifts = sorted(rec.shifts)     # a measure's atom order fixes its float sums
-        atoms = [a for _, a, _ in shifts]
-        self._span0 = 1 if seed_entry is not None else 0
-        self.frame = self._frame(atoms, n_max + self._span0)
-        self.atoms = atoms if self.frame is None else [self.frame.coords(a, 1) for a in atoms]
+        self._span0 = 1 if seed_entry is not None else rec.depth0
+        self.frame, self.atoms, (self.lo, self.dims, self.strides) = self._layout(
+            [a for _, a, _ in shifts], n_max + self._span0, frame)
         self._reach = self._reach_of(self.atoms)
-        self.lo, self.dims, self.strides = self.box(self.atoms, n_max + self._span0)
         self.L = math.prod(self.dims)
         self.offs = [self._flat(atom) for atom in self.atoms]
         return shifts
+
+    @classmethod
+    def _layout(cls, atoms, span, frame=None):
+        """(frame, the atoms' box coordinates, box) of ``span`` steps, planned in ``frame``
+        or else in the one ``_frame`` picks; allocates nothing."""
+        frame = frame or cls._frame(atoms, span)
+        if frame is not None:
+            atoms = [frame.coords(a, 1) for a in atoms]
+        return frame, atoms, cls.box(atoms, span)
 
     @classmethod
     def _frame(cls, atoms, span):
@@ -565,6 +577,11 @@ class _DenseLatticeEngine:
     def _ranges(self, lo, hi):
         # the kernel's flat source ranges with their per-shift offsets
         return [(self._flat(lo), self._flat(hi) + 1, self.offs)]
+
+    def _seed_cell(self, g):
+        if (i := self._cell(g)) is None:
+            raise ValidationError(f"seed element {g} lies off the box of {self.L} cells")
+        return i
 
     def _cell(self, g):
         if self.frame is not None:
@@ -699,7 +716,7 @@ class _PackedLatticeEngine(_DenseLatticeEngine):
         self._shifts = [(t, off * b, c) for (t, _, _), off, c in zip(shifts, self.offs, wts) if c]
         self.num = [0] * S
         for ((s, g), _), v in zip(seed.items(), nums):
-            self.num[s] += v << self._cell(g) * b
+            self.num[s] += v << self._seed_cell(g) * b
 
     def step_once(self):
         num = self.num
@@ -812,102 +829,137 @@ def _grid(W, dims, strides):
 
 
 def _dual(rec, weights=None):
-    """The time-reversed recursion of ``_identity_returns``: mixing P^T (a step mixes
-    by P), a shift (t, atom^-1, w) per shift (t, atom, w), and step-0 masses
-    c_t * w at (t, atom^-1) for the ``weights`` c (1 without).  Those masses
-    are one atom from e, so an engine stepping the dual starts at n = 1.
+    """The time-reversed recursion of ``_masses``: mixing P^T (a step mixes by P), a
+    shift (t, atom^-1, w) per shift (t, atom, w), and step-0 masses c_t * w at
+    (t, atom^-1) for the ``weights`` c (1 without).  Those masses are one atom
+    from e, so they sit at depth 1 (``depth0``).
     """
     c = [1.0] * rec.S if weights is None else weights
     shifts = tuple((t, rec.spec.inverse(a), w) for t, a, w in rec.shifts)
     return Recursion(rec.spec, rec.mode, rec.S, None if rec.P is None else rec.P.T, shifts,
-                     tuple(((t, a), c[t] * w) for t, a, w in shifts))
+                     tuple(((t, a), c[t] * w) for t, a, w in shifts), depth0=1)
 
 
-def _pairing(rec, n_max, seed_entry=None):
-    """(K, K-step box cells, dual box) when identity returns pair at half depth, else None.
+def _pairing(rec, n_max, seed_entry=None, targets=()):
+    """(K, forward layout, dual layout) when ``_masses`` pairs at half depth, else None.
 
-    The rule, stated once: a recursion on the Heisenberg layout pairs when the
-    box of its K = ceil(n_max / 2) steps plus the box of its dual's
-    n_max - K steps hold fewer cells than its one box of n_max steps (every
-    engine holds S rows of its box).  Lattice layouts and sparse engines are
-    not paired.
+    The rule, stated once: a float recursion on a dense layout pairs when the
+    boxes of K = ceil(n_max / 2) steps and of the dual's n_max - K, S rows
+    each, plus a fixed cost (``PAIR_OVERHEAD_CELLS`` on a lattice, see the
+    README; 0 on the Heisenberg layout, whose rule stays as first stated)
+    hold fewer cells than the box of n_max steps: never one coordinate, nor
+    Heisenberg targets g != e (a right translation shears).  The dual is
+    planned in (-v0, B) for the forward frame (v0, B): its atoms sit at -lam.
     """
-    if _dense_layout(rec) is not _DenseHeisEngine:
+    cls = _dense_layout(rec)
+    e = rec.spec.identity()
+    if cls not in (_DenseLatticeEngine, _DenseHeisEngine) or (
+            cls is _DenseHeisEngine and any(tuple(g) != e for g in targets)):
         return None
     atoms = [a for _, a, _ in rec.shifts]
     span0 = 1 if seed_entry is not None else 0
     K = (n_max + 1) // 2
-    half = math.prod(_DenseHeisEngine.box(atoms, K + span0)[1])
-    dual = _DenseHeisEngine.box([rec.spec.inverse(a) for a in atoms], n_max - K)
-    if half + math.prod(dual[1]) >= math.prod(_DenseHeisEngine.box(atoms, n_max + span0)[1]):
-        return None
-    return K, half, dual
+    fwd = cls._layout(atoms, K + span0)
+    tied = None
+    if cls is _DenseLatticeEngine:
+        v0, B = (fwd[0].v0, fwd[0].B) if fwd[0] else ((0,) * len(e), np.eye(len(e), dtype=int))
+        tied = _Frame(tuple(-v for v in v0), B.tolist())
+    dual = cls._layout([rec.spec.inverse(a) for a in atoms], n_max - K, tied)
+    half, L, full = (math.prod(lay[2][1]) for lay in
+                     (fwd, dual, cls._layout(atoms, n_max + span0)))
+    cost = 0 if cls is _DenseHeisEngine else PAIR_OVERHEAD_CELLS
+    return None if rec.S * (half + L) + cost >= rec.S * full else (K, fwd, dual)
+
+
+def _masses(rec, targets, depths, weights=None, seed_state=None, seed_entry=None,
+            max_cells=DEFAULT_MAX_CELLS, max_atoms=DEFAULT_MAX_ATOMS):
+    """{n: [sum_t c_t W_n(t, g) for each target g]} at ``depths``, for the state ``weights``
+    c (without them, the group marginal).
+
+    Where ``_pairing`` admits the recursion, write the (K + k)-step product
+    as Y * X_K; X_K = Y^-1 g is a walk of the dual recursion (``_dual``,
+    seeded with c), and with H_k the dual after k - 1 steps, on a lattice
+
+        sum_t c_t W_{K+k}(t, g) = sum_{s, h} (P^T W_K)(s, h) * H_k(s, h - g),
+
+    and on the Heisenberg group the same at g = e.  A dual cell lam at depth
+    k holds -k v0 + B lam, so g at depth K + k reads T_c: P^T W_K at lam + c,
+    c the coordinates of g at that depth (g in the identity frame), laid out
+    over the overlap of the boxes and dotted with H_k on its active cells;
+    0.0 off the coset.  The terms are nonnegative: zeros stay exact.
+    ``max_cells`` counts the float64 buffers held at once, checked before
+    anything is allocated: the K-step table, its step buffer and T_c; then
+    T_c, the dual's two buffers and, when several c are read, P^T W_K.
+    Otherwise one engine steps to the deepest depth (K is that depth).
+    """
+    want = set(depths)
+    plan = _pairing(rec, max(want), seed_entry, targets)
+    if plan is None:
+        K, eng = max(want), _make_engine(rec, max(want), seed_state, max_cells, max_atoms,
+                                         seed_entry)
+    else:
+        K, (frame, _, (flo, fdims, fstrides)), (tied, datoms, (lo, dims, strides)) = plan
+        cls, S, L, half = _dense_layout(rec), rec.S, math.prod(dims), math.prod(fdims)
+        span0 = 1 if seed_entry is not None else 0
+        shift, deepest = {}, {}     # n past K -> each target's c (None off the coset); c -> k
+        for n in sorted(d for d in want if d > K):
+            shift[n] = [tuple(g) if frame is None else frame.coords(g, n + span0)
+                        for g in targets]
+            deepest.update((c, n - K) for c in shift[n] if c is not None)
+        kept = len(deepest) > 1
+        peak = S * max(2 * half + L, half * kept + 3 * L)
+        if peak > max_cells:
+            raise ResourceLimitError(f"paired dense {cls.layout} boxes need {peak} cells at "
+                                     f"once, over the {max_cells}-cell guard", completed=0)
+        eng = cls(rec, K, seed_state, max_cells, seed_entry, frame)
+    out = {}
+    for n in range(K + 1):
+        if n:
+            eng.step_once()
+        if n in want:
+            out[n] = [eng.mass_at(g) if weights is None else
+                      sum(eng.joint_mass_at(s, g) * c for s, c in enumerate(weights))
+                      for g in targets]
+    if plan is None:
+        return out
+    T = eng.W if rec.P is None else np.matmul(rec.P.T, eng.W, out=eng._buf)
+    Tc = np.zeros((S, L))
+    reach = cls._reach_of(datoms)
+
+    def at(ranges, corner):     # lam ranges as index slices of a box with this lowest corner
+        return (slice(None),) + tuple(slice(a - q, b - q) for (a, b), q in zip(ranges, corner))
+
+    def lay(c):                 # T_c on the dual's active box at the last depth c is read
+        region = [(a, h + 1) for a, h in zip(*cls._span_box(datoms, reach, deepest[c]))]
+        ov = [(max(a, p - x), min(b, p + d - x)) for (a, b), p, d, x in zip(region, flo, fdims, c)]
+        grid = _grid(Tc, dims, strides)
+        grid[at(region, lo)] = 0.0
+        if all(a < b for a, b in ov):
+            grid[at(ov, lo)] = _grid(T, fdims, fstrides)[at(ov, map(operator.sub, flo, c))]
+        return c
+
+    laid = lay(next(iter(deepest))) if deepest else None
+    del eng                     # the K-step buffers are not held with the dual engine
+    T = T if kept else None     # P^T W_K stays only to lay out another shift
+    dual = cls(_dual(rec, weights), max(want) - K - 1, max_cells=max_cells, frame=tied)
+    for k in range(1, max(want) - K + 1):
+        if k > 1:
+            dual.step_once()
+        a, b = dual._hull()
+        for c in shift.get(K + k, ()):
+            if c is not None and c != laid:
+                laid = lay(c)
+            dot = 0.0 if c is None else sum(h @ t for h, t in zip(dual.W[:, a:b], Tc[:, a:b]))
+            out.setdefault(K + k, []).append(float(dot))
+    return out
 
 
 def _identity_returns(rec, n_max, weights=None, seed_state=None, seed_entry=None,
                       max_cells=DEFAULT_MAX_CELLS, max_atoms=DEFAULT_MAX_ATOMS):
-    """sum_t c_t W_n(t, e) for n = 0..n_max, for the state ``weights`` c.
-
-    Without weights, the group marginal's mass at e (c = 1).  Write the
-    (K + k)-step product as Y * X_K, Y the product of the next k increments.
-    X_{K+k} = e exactly when X_K = Y^-1, the inverse increments in forward
-    order: a walk of the dual recursion (``_dual``).  Hence
-
-        sum_t c_t W_{K+k}(t, e) = sum_{s, g} (P^T W_K)(s, g) * H_k(s, g),
-
-    with H_k the dual after k - 1 steps (P^T W_K is W_K without P).  When
-    ``_pairing`` admits the recursion, one engine steps to K, P^T W_K is laid
-    out once in the dual's box as T, and one dual engine gives each value
-    past K as one aligned product H_k . T over its active cells.  Every term
-    is nonnegative, so exact zeros stay exact.  ``max_cells`` then counts the
-    float64 buffers held at once, checked before anything is allocated: the
-    K-step table, its step buffer and T, then T and the dual's two buffers.
-    Otherwise one engine steps to n_max.
-    """
-    e = rec.spec.identity()
-    S = rec.S
-
-    def read(eng):
-        if weights is None:
-            return eng.mass_at(e)
-        return sum(eng.joint_mass_at(s, e) * c for s, c in enumerate(weights))
-
-    plan = _pairing(rec, n_max, seed_entry)
-    if plan is None:
-        K = n_max
-        eng = _make_engine(rec, n_max, seed_state, max_cells, max_atoms, seed_entry)
-    else:
-        K, half, (lo, dims, strides) = plan
-        L = math.prod(dims)
-        peak = S * max(2 * half + L, 3 * L)
-        if peak > max_cells:
-            raise ResourceLimitError(f"paired dense Heisenberg boxes need {peak} cells at "
-                                     f"once, over the {max_cells}-cell guard", completed=0)
-        eng = _DenseHeisEngine(rec, K, seed_state, max_cells, seed_entry)
-    out = [read(eng)]
-    for _ in range(K):
-        eng.step_once()
-        out.append(read(eng))
-    if plan is None:
-        return out
-    # T = P^T W_K in the dual's box; both boxes hold e, so they overlap
-    PW = eng.W if rec.P is None else np.matmul(rec.P.T, eng.W, out=eng._buf)
-    T = np.zeros((S, L))
-    ov = [(max(p, q), min(p + d, q + f)) for p, d, q, f in zip(eng.lo, eng.dims, lo, dims)]
-
-    def at(corner):             # the overlap in the indices of a box with this lowest corner
-        return (slice(None),) + tuple(slice(a - c, b - c) for (a, b), c in zip(ov, corner))
-
-    _grid(T, dims, strides)[at(lo)] = _grid(PW, eng.dims, eng.strides)[at(eng.lo)]
-    del eng, PW                 # the K-step buffers are not held with the dual engine
-    dual = _DenseHeisEngine(_dual(rec, weights), n_max - K, max_cells=max_cells)
-    dual.n = 1                  # its seed is H_1
-    for k in range(1, n_max - K + 1):
-        if k > 1:
-            dual.step_once()
-        a, b = dual._hull()
-        out.append(float(sum(h @ t for h, t in zip(dual.W[:, a:b], T[:, a:b]))))
-    return out
+    """sum_t c_t W_n(t, e) for n = 0..n_max, for the state ``weights`` c (``_masses``)."""
+    got = _masses(rec, [rec.spec.identity()], range(n_max + 1), weights, seed_state, seed_entry,
+                  max_cells, max_atoms)
+    return [got[n][0] for n in range(n_max + 1)]
 
 
 def _stepped(rec, n, *args, **kw):
@@ -945,20 +997,16 @@ def _point_masses(rec, targets, depths, seed_state=None, max_cells=DEFAULT_MAX_C
     The rule, stated once: float mode on a dense lattice layout with one key
     coordinate is raised to each depth by binary powering
     (``_powered_masses``) when its convolution cells are at most twice its
-    stepped cells x shifts (``_powering_pays``); every other recursion steps
-    one engine to the deepest depth and is read only at the requested depths.
+    stepped cells x shifts (``_powering_pays``); every other recursion is
+    read at the requested depths by ``_masses``, paired at half depth where
+    ``_pairing`` admits it and else stepped to the deepest depth.
     """
     depths = sorted(set(depths))
     if (_dense_layout(rec) is _DenseLatticeEngine and rec.spec.key_size == 1
             and _powering_pays(rec, depths[-1])):
         return _powered_masses(rec, targets, depths, seed_state, max_cells)
-    eng = _make_engine(rec, depths[-1], seed_state, max_cells, max_atoms)
-    out = {}
-    for n in depths:
-        while eng.n < n:
-            eng.step_once()
-        out[n] = [eng.mass_at(t) for t in targets]
-    return out
+    return _masses(rec, targets, depths, seed_state=seed_state, max_cells=max_cells,
+                   max_atoms=max_atoms)
 
 
 def _line_frame(rec):

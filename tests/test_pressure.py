@@ -6,7 +6,7 @@ import pytest
 
 from gmwalk import oracle, presets, pressure, walkdist
 from gmwalk.errors import ValidationError
-from gmwalk.gm_system import GibbsMarkovSystem
+from gmwalk.gm_system import Cocycle, GibbsMarkovSystem
 from gmwalk.groups import HeisenbergZ, IntegerLattice
 from pairing import HEIS_MARKOV, HEIS_SHEARED, paired_agrees
 
@@ -412,6 +412,17 @@ def test_paired_grouped_return_sequence_matches_stepped():
                 assert paired_agrees(pressure.grouped_return_sequence(sys_, coc, a, n_max),
                                       _stepped_grouped(sys_, coc, a, n_max)), (a, n_max)
     assert pressure.grouped_return_sequence(sym, sym_c, 0, 0) == []
+
+
+def test_paired_planar_grouped_returns_match_stepped():
+    # a seed entry counts as one step, so the forward frame is read at depth K + 1
+    z4 = Cocycle(IntegerLattice(2), ((1, 0), (-1, 0), (0, 1), (0, -1)))
+    for sys_, coc in (presets.z2_lattice()[:2], (HEIS_MARKOV, z4)):
+        rec = walkdist.walk_recursion(sys_, coc, "float")
+        assert walkdist._pairing(rec, 109, seed_entry=(0, coc.value(0))) is not None
+        for a in range(sys_.m):
+            assert paired_agrees(pressure.grouped_return_sequence(sys_, coc, a, 110),
+                                 _stepped_grouped(sys_, coc, a, 110)), a
 
 
 def test_paired_sheared_returns_match_stepped():

@@ -526,18 +526,19 @@ def _full_depth_returns(sys_, coc, n, mode="float"):
 
 DENSE_BERNOULLI = ["asymmetric_z", "embedded4", "heisenberg_asymmetric",
                    "heisenberg_symmetric", "trinomial", "z2_lattice"]
+ONE_DIMENSIONAL = ("asymmetric_z", "trinomial")
 
 
 @pytest.mark.parametrize("name", DENSE_BERNOULLI)
 def test_paired_return_sequence_matches_full_depth(name):
     sys_, coc, _ = presets.ALL_EXAMPLES[name]()
     rec = walkdist.marginal_recursion(sys_, coc, "float")
-    deep = 24 if isinstance(coc.spec, HeisenbergZ) else 60
+    deep = 24 if isinstance(coc.spec, HeisenbergZ) else 100
     for n in (1, 2, 3, 9, deep - 1, deep):
         assert paired_agrees(walkdist.return_sequence(sys_, coc, n),
                              _full_depth_returns(sys_, coc, n)), n
-    # the rule pairs the Heisenberg presets only
-    assert (walkdist._pairing(rec, deep) is None) != isinstance(coc.spec, HeisenbergZ)
+    # the rule pairs the two-dimensional lattices and the Heisenberg presets, no line walk
+    assert (walkdist._pairing(rec, deep) is not None) == (name not in ONE_DIMENSIONAL)
 
 
 def test_paired_heisenberg_returns_match_full_depth(engines_built):
@@ -565,13 +566,15 @@ def test_paired_heisenberg_returns_match_full_depth(engines_built):
             assert paired_agrees(got, [row[t] for row in want]), (n, t)
 
 
-def test_pairing_rule_keeps_lattices_and_rational_work_stepped(engines_built):
+def test_pairing_rule_keeps_line_lattices_and_rational_work_stepped(engines_built):
+    # line walks never pair; planar ones pair only past the rule's fixed cost
     for name in ("trinomial", "asymmetric_z", "two_state_markov", "z2_lattice", "embedded4"):
         sys_, coc, _ = presets.ALL_EXAMPLES[name]()
         for n in (1, 2, 9, 100):
             engines_built.clear()
             walkdist.return_sequence(sys_, coc, n)
-            assert engines_built == ["_DenseLatticeEngine"], (name, n)
+            paired = n == 100 and name in ("z2_lattice", "embedded4")
+            assert engines_built == ["_DenseLatticeEngine"] * (1 + paired), (name, n)
     for name, make in presets.ALL_EXAMPLES.items():
         sys_, coc, _ = make()
         calls = [lambda: walkdist.return_sequence(sys_, coc, 8, mode="rational"),
@@ -585,6 +588,76 @@ def test_pairing_rule_keeps_lattices_and_rational_work_stepped(engines_built):
             engines_built.clear()
             call()
             assert engines_built == [want], name
+        # exact work is never paired, however deep
+        assert walkdist._pairing(walkdist.marginal_recursion(sys_, coc, "rational"), 400) is None
+
+
+PLANAR_WALKS = {
+    "z2_lattice": presets.z2_lattice()[:2],
+    "embedded4": presets.embedded4()[:2],
+    "markov3_z2": (MARKOV3, Z2_CHAIN),           # index 3: (0, 0) only at depths 3k
+    "markov4_z2": (HEIS_MARKOV, Cocycle(IntegerLattice(2), ((1, 0), (-1, 0), (0, 1), (0, -1)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANAR_WALKS))
+def test_paired_point_masses_match_stepped(name):
+    sys_, coc = PLANAR_WALKS[name]
+    spec = coc.spec
+    rec = walkdist.marginal_recursion(sys_, coc, "float")
+    a, b = coc.value(0), coc.value(1)
+    # e; a difference of atoms (on Lambda0); an atom (on the coset of other depths
+    # than e); a far element, on some cosets but off every box
+    targets = [spec.identity(), spec.multiply(a, spec.inverse(b)), a, (500,) * spec.key_size]
+    seeds = (None, 1) if rec.S > 1 else (None,)
+    for depths, paired in (([6, 7], False), ([9, 10, 40, 41, 110, 113], True)):
+        assert (walkdist._pairing(rec, max(depths), targets=targets) is not None) == paired
+        for seed in seeds:
+            got = walkdist._point_masses(rec, targets, depths, seed_state=seed)
+            want = sum(_stepped_masses(rec, targets, depths, seed), [])
+            assert sorted(got) == depths
+            assert paired_agrees(sum((got[n] for n in depths), []), want), (depths, seed)
+            assert 0 in want and max(want) > 0
+    assert paired_agrees(walkdist.return_sequence(sys_, coc, 110),
+                         _full_depth_returns(sys_, coc, 110))
+    for g in targets[:3]:
+        for stride in (1, 2, 3):
+            rep = walkdist.ratio_sequence(sys_, coc, g, [20, 99, 100], stride=stride)
+            kept, ratios, first = _stepped_ratio_report(sys_, coc, g, [20, 99, 100], stride,
+                                                        "float")
+            assert (rep.ns, rep.first_valid_n) == (kept, first)
+            assert paired_agrees(rep.ratios, ratios), (g, stride)
+        num, den = walkdist.mass_trajectory(sys_, coc, [g, targets[0]], 120)[120]
+        assert paired_agrees([walkdist.cross_ratio(sys_, coc, g, 120).value], [num / den])
+
+
+def test_paired_lattice_guard_counts_every_buffer(engines_built):
+    # the Z^2 chain at n = 120 pairs at K = 60: per state, the 60-step box and
+    # the dual's are 61^2 = 3721 cells.  One target: the K-step table, its step
+    # buffer and T_c, then T_c and the dual's two buffers, 3 x 3 x 3721 = 33489.
+    # Two targets read two shifts c, so P^T W_K is kept beside the dual:
+    # 3 x 4 x 3721 = 44652.  One engine to n = 120 would hold 2 x 3 x 121^2.
+    for targets, cells in (([(0, 0)], 33489), ([(1, -1), (0, 0)], 44652)):
+        rec = walkdist.marginal_recursion(MARKOV3, Z2_CHAIN, "float")
+        engines_built.clear()
+        with pytest.raises(ResourceLimitError) as exc:
+            walkdist._point_masses(rec, targets, [120], max_cells=cells - 1)
+        assert exc.value.completed == 0
+        assert engines_built == []          # raised before allocating anything
+        got = walkdist._point_masses(rec, targets, [120], max_cells=cells)
+        assert engines_built == ["_DenseLatticeEngine"] * 2
+        assert paired_agrees(got[120], _stepped_masses(rec, targets, [120])[0])
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_seed_off_the_box_raises(mode):
+    # a seed entry counts as one step, so its element must be an atom
+    sys_, coc, _ = presets.trinomial()
+    rec = walkdist.marginal_recursion(sys_, coc, mode)
+    engine = walkdist._dense_layout(rec)
+    with pytest.raises(ValidationError):
+        engine(rec, 4, seed_entry=(0, (100,)))
+    assert engine(rec, 4, seed_entry=(0, (1,))).mass_at((1,)) == 1
 
 
 def test_return_sequence_takes_no_seed_entry():
@@ -1243,12 +1316,12 @@ def test_rational_ratios_equal_the_stepped_ones(name):
     assert walkdist.cross_ratio(sys_, coc, (2,), 20, mode="rational").value == float(num / den)
 
 
-def test_two_dimensional_ratios_are_stepped_and_equal(engines_built):
-    # no powering in d = 2: one engine read at the requested depths, bitwise the trajectory
+def test_two_dimensional_ratios_pair_and_agree(engines_built):
+    # no powering in d = 2: a half-depth engine and the dual, then the first return
     rep = walkdist.ratio_sequence(MARKOV3, Z2_CHAIN, (0, 0), [30, 60], stride=3)
-    assert engines_built == ["_DenseLatticeEngine"] * 2      # masses, then the first return
+    assert engines_built == ["_DenseLatticeEngine"] * 3
     kept, ratios, first = _stepped_ratio_report(MARKOV3, Z2_CHAIN, (0, 0), [30, 60], 3, "float")
-    assert (rep.ns, rep.ratios, rep.first_valid_n) == (kept, ratios, first)
+    assert (rep.ns, rep.first_valid_n) == (kept, first) and paired_agrees(rep.ratios, ratios)
 
 
 def test_first_valid_n_steps_only_to_the_first_positive_mass(monkeypatch):
