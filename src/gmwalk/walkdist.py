@@ -893,10 +893,10 @@ def _masses(rec, targets, depths, weights=None, seed_state=None, seed_entry=None
     Otherwise one engine steps to the deepest depth (K is that depth).
     """
     want = set(depths)
-    plan = _pairing(rec, max(want), seed_entry, targets)
+    n_max = max(want)
+    plan = _pairing(rec, n_max, seed_entry, targets)
     if plan is None:
-        K, eng = max(want), _make_engine(rec, max(want), seed_state, max_cells, max_atoms,
-                                         seed_entry)
+        K, eng = n_max, _make_engine(rec, n_max, seed_state, max_cells, max_atoms, seed_entry)
     else:
         K, (frame, _, (flo, fdims, fstrides)), (tied, datoms, (lo, dims, strides)) = plan
         cls, S, L, half = _dense_layout(rec), rec.S, math.prod(dims), math.prod(fdims)
@@ -941,8 +941,8 @@ def _masses(rec, targets, depths, weights=None, seed_state=None, seed_entry=None
     laid = lay(next(iter(deepest))) if deepest else None
     del eng                     # the K-step buffers are not held with the dual engine
     T = T if kept else None     # P^T W_K stays only to lay out another shift
-    dual = cls(_dual(rec, weights), max(want) - K - 1, max_cells=max_cells, frame=tied)
-    for k in range(1, max(want) - K + 1):
+    dual = cls(_dual(rec, weights), n_max - K - 1, max_cells=max_cells, frame=tied)
+    for k in range(1, n_max - K + 1):
         if k > 1:
             dual.step_once()
         a, b = dual._hull()
