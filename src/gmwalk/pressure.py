@@ -360,23 +360,27 @@ def fekete_limit(a_seq, log_c, ns=None, upper=math.inf) -> FeketeBracket:
     """
     if ns is None:
         ns = list(range(1, len(a_seq) + 1))
+    if min(ns) < 1:
+        raise ValidationError("Fekete indices must be >= 1")
     vals = dict(zip(ns, a_seq))
-    keys = np.array(sorted(vals))
-    at_key = np.array([vals[k] for k in keys.tolist()], dtype=float)
+    top = max(ns)
     n_arr = np.array(ns)
     v = np.array([vals[n] for n in ns], dtype=float)
+    at = np.full(2 * top + 1, math.nan)         # a_k at every index k, NaN off ``ns``
+    at[list(vals)] = list(vals.values())
     violations = []
     block = max(1, 65536 // max(1, len(ns)))    # pair rows per pass: bounded temporaries
     for i0 in range(0, len(ns), block):
-        nm = n_arr[i0:i0 + block, None] + n_arr[None, :]
-        pos = np.minimum(np.searchsorted(keys, nm), len(keys) - 1)
-        lhs = at_key[pos]
-        rhs = (v[i0:i0 + block, None] + v[None, :]) + log_c
-        rows, cols = np.nonzero((keys[pos] == nm) & (lhs < rhs - FEKETE_SLACK))
-        violations += [(ns[i0 + i], ns[j], float(lhs[i, j]), float(rhs[i, j]))
-                       for i, j in zip(rows.tolist(), cols.tolist())]
+        n_rows = n_arr[i0:i0 + block, None]
+        # only the columns m with n + m <= top for some row n of the pass, in order
+        cols = np.flatnonzero(n_arr <= top - n_rows.min())
+        lhs = at[n_rows + n_arr[cols]]
+        rhs = (v[i0:i0 + block, None] + v[cols]) + log_c
+        # NaN compares false: a pair whose sum is off ``ns`` is never a violation
+        rows, js = np.nonzero(lhs < rhs - FEKETE_SLACK)
+        violations += [(ns[i0 + i], ns[cols[j]], float(lhs[i, j]), float(rhs[i, j]))
+                       for i, j in zip(rows.tolist(), js.tolist())]
     lower = max((vals[p] + log_c) / p for p in ns)
-    top = max(ns)
     return FeketeBracket(lower, vals[top] / top, not violations, violations, upper)
 
 

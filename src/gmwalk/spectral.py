@@ -96,12 +96,21 @@ def perturbed_matrix(system, cocycle, theta) -> np.ndarray:
 
 
 def _leading(eig):
-    """Leading eigenvalue and runner-up modulus ratio of each row of ``eig``."""
-    ranked = np.take_along_axis(eig, np.argsort(-np.abs(eig), axis=-1)[:, :2], axis=-1)
+    """Leading eigenvalue and runner-up modulus ratio of each row of ``eig``, and
+    whether the row is ill-separated: its leading pair ties (1 - ratio below
+    ``NEAR_DEGENERATE_GAP``) or its runner-up lies within ``NEAR_DEGENERATE_GAP``
+    |lambda_1| of the next eigenvalue.  There an eigensolve of the conjugate
+    matrix need not return the conjugate values to rounding (``_grid_leading``).
+    """
+    ranked = np.take_along_axis(eig, np.argsort(-np.abs(eig), axis=-1)[:, :3], axis=-1)
     second = _modulus(ranked[:, 1]) if eig.shape[1] > 1 else 0.0
     mod = _modulus(ranked[:, 0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        return ranked[:, 0], np.where(mod > 0, second / mod, math.inf)
+        ratio = np.where(mod > 0, second / mod, math.inf)
+    loose = 1 - ratio < NEAR_DEGENERATE_GAP
+    if eig.shape[1] > 2:
+        loose |= _modulus(ranked[:, 1] - ranked[:, 2]) <= NEAR_DEGENERATE_GAP * mod
+    return ranked[:, 0], ratio, loose
 
 
 def _warn_near_degenerate(ratio):
@@ -111,7 +120,7 @@ def _warn_near_degenerate(ratio):
 
 def leading_eigenvalue(matrix) -> tuple[complex, float]:
     """Maximal-modulus eigenvalue and runner-up modulus ratio (near 1: warns)."""
-    lam, ratio = _leading(np.linalg.eigvals(matrix)[None])
+    lam, ratio, _ = _leading(np.linalg.eigvals(matrix)[None])
     _warn_near_degenerate(ratio)
     return complex(lam[0]), float(ratio[0])
 
@@ -124,9 +133,16 @@ def leading_stack(system, cocycle, thetas):
     eigenvalue is the trace (ratio 0): exact, and free of the sqrt(eps) noise
     a generic eigensolve puts on the defective zero eigenvalue.
     """
+    return _stack(system, cocycle, thetas)[:2]
+
+
+def _stack(system, cocycle, thetas):
+    """``leading_stack`` and each row's ill-separation flag (``_leading``; never on
+    a Bernoulli row, which is exact)."""
     thetas = np.asarray(thetas, dtype=float)
     lam = np.zeros(len(thetas), dtype=complex)
     ratio = np.zeros(len(thetas))
+    loose = np.zeros(len(thetas), dtype=bool)
     for blk in _blocks(len(thetas), system.m):
         if system.is_bernoulli:
             phases = _phases(cocycle, thetas[blk])
@@ -134,8 +150,8 @@ def leading_stack(system, cocycle, thetas):
                 lam[blk] += system.pi_float[s] * phases[:, s]
         else:
             eig = np.linalg.eigvals(_twisted_stack(system, cocycle, thetas[blk]))
-            lam[blk], ratio[blk] = _leading(eig)
-    return lam, ratio
+            lam[blk], ratio[blk], loose[blk] = _leading(eig)
+    return lam, ratio, loose
 
 
 def eigenvalue_at(system, cocycle, theta):
@@ -168,9 +184,12 @@ def _grid_leading(system, cocycle, resolution):
     The cocycle is integer and P real, so B(-theta) = conj B(theta) and
     lambda(-theta) = conj lambda(theta).  Only the rows whose mirror index
     (-k mod N per axis) is at least their own are evaluated, the
-    self-conjugate ones (every coordinate 0 or pi) among them; every other
+    self-conjugate ones (every coordinate 0 or pi) among them.  Every other
     row takes its partner's ratio and conjugate eigenvalue, with imaginary
-    part 0.0 - Im so that a real eigenvalue keeps +0.0.
+    part 0.0 - Im so that a real eigenvalue keeps +0.0, unless the partner
+    is ill-separated (``_leading``): at a tie the mirror may report the other
+    member of the pair, and beside a nearly defective runner-up it is
+    determined only to about sqrt(u) |B|, so that row is solved directly.
     """
     thetas = _grid(cocycle, resolution)
     d = thetas.shape[1]
@@ -178,14 +197,17 @@ def _grid_leading(system, cocycle, resolution):
     digits = np.unravel_index(idx, (resolution,) * d)
     mirror = np.ravel_multi_index([(-k) % resolution for k in digits], (resolution,) * d)
     own = mirror >= idx
-    half_lam, half_ratio = leading_stack(system, cocycle, thetas[own])
     lam = np.empty(len(thetas), dtype=complex)
     ratio = np.empty(len(thetas))
-    lam[own], ratio[own] = half_lam, half_ratio
-    partner = mirror[~own]
-    lam.real[~own] = lam.real[partner]
-    lam.imag[~own] = 0.0 - lam.imag[partner]
-    ratio[~own] = ratio[partner]
+    loose = np.zeros(len(thetas), dtype=bool)
+    lam[own], ratio[own], loose[own] = _stack(system, cocycle, thetas[own])
+    direct = ~own & loose[mirror]
+    lam[direct], ratio[direct] = leading_stack(system, cocycle, thetas[direct])
+    mirrored = ~own & ~direct
+    partner = mirror[mirrored]
+    lam.real[mirrored] = lam.real[partner]
+    lam.imag[mirrored] = 0.0 - lam.imag[partner]
+    ratio[mirrored] = ratio[partner]
     return thetas, lam, ratio
 
 
@@ -528,12 +550,17 @@ class RealityReport:
 
 
 def symmetry_reality_check(system, cocycle, involution=None, grid_size=128) -> RealityReport:
-    """Largest imaginary part of the leading eigenvalue over a torus grid."""
-    thetas = _grid(cocycle, grid_size)
+    """Largest imaginary part of the leading eigenvalue over a torus grid.
+
+    The grid is evaluated as ``_grid_leading`` does, half of it mirrored:
+    |Im lambda(-theta)| = |Im lambda(theta)|, so the worst point is theta or
+    its mirror.
+    """
     sym_ok = None
     if involution is not None:
         sym_ok = bool(check_symmetry(system, cocycle, involution))
-    imag = np.abs(leading_stack(system, cocycle, thetas)[0].imag)
+    thetas, lam, _ = _grid_leading(system, cocycle, grid_size)
+    imag = np.abs(lam.imag)
     i = int(np.argmax(imag))
     worst, argmax = 0.0, (0.0,) * thetas.shape[1]
     if imag[i] > 0:

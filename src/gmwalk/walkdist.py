@@ -27,7 +27,8 @@ Identity returns (``_identity_returns``) and the masses that ratios and
 cross ratios read at a few depths (``_point_masses``) pair a half-depth
 table with the time-reversed (dual) recursion (``_masses``), two engines for
 any S, where that shrinks the planar and Heisenberg boxes; one-coordinate
-float lattices jump to each depth by binary powering.
+float lattices jump to each depth by binary powering, and read sequences of
+every depth in blocks (``_blocked_masses``).
 """
 
 from __future__ import annotations
@@ -890,10 +891,17 @@ def _masses(rec, targets, depths, weights=None, seed_state=None, seed_entry=None
     ``max_cells`` counts the float64 buffers held at once, checked before
     anything is allocated: the K-step table, its step buffer and T_c; then
     T_c, the dual's two buffers and, when several c are read, P^T W_K.
+    A one-coordinate float lattice recursion is read b depths a block
+    (``_blocked_masses``) where ``_block_length`` finds that blocks pay.
     Otherwise one engine steps to the deepest depth (K is that depth).
     """
     want = set(depths)
     n_max = max(want)
+    b = _on_line(rec) and _block_length(rec, n_max, len(want), len(targets),
+                                        1 if seed_entry is not None else 0, max_cells)
+    if b:
+        return _blocked_masses(rec, targets, sorted(want), b, weights, seed_state, seed_entry,
+                               max_cells)
     plan = _pairing(rec, n_max, seed_entry, targets)
     if plan is None:
         K, eng = n_max, _make_engine(rec, n_max, seed_state, max_cells, max_atoms, seed_entry)
@@ -1002,11 +1010,15 @@ def _point_masses(rec, targets, depths, seed_state=None, max_cells=DEFAULT_MAX_C
     ``_pairing`` admits it and else stepped to the deepest depth.
     """
     depths = sorted(set(depths))
-    if (_dense_layout(rec) is _DenseLatticeEngine and rec.spec.key_size == 1
-            and _powering_pays(rec, depths[-1])):
+    if _on_line(rec) and _powering_pays(rec, depths[-1]):
         return _powered_masses(rec, targets, depths, seed_state, max_cells)
     return _masses(rec, targets, depths, seed_state=seed_state, max_cells=max_cells,
                    max_atoms=max_atoms)
+
+
+def _on_line(rec):
+    """Whether a recursion is a float one on a dense lattice layout with one key coordinate."""
+    return _dense_layout(rec) is _DenseLatticeEngine and rec.spec.key_size == 1
 
 
 def _line_frame(rec):
@@ -1016,6 +1028,23 @@ def _line_frame(rec):
     v0 = min(atoms)
     B = math.gcd(*(a - v0 for a in atoms)) or 1     # one atom: every lam is 0
     return v0, B, (max(atoms) - v0) // B
+
+
+def _line_kernel(rec):
+    """The one-step kernel of a one-coordinate recursion in its ``_line_frame``: the
+    S x S matrix K of lam-arrays K[t, s] = P(s, t) k_t, k_t the weights of the shifts
+    into state t (without P, the one state's weights), so that W_{n+1} = K W_n."""
+    v0, B, w = _line_frame(rec)
+    P = np.ones((1, 1)) if rec.P is None else np.asarray(rec.P, dtype=np.float64)
+    K = np.zeros((rec.S, rec.S, w + 1))
+    for t, (a,), wt in rec.shifts:
+        K[t, :, (a - v0) // B] += P[:, t] * float(wt)
+    return K
+
+
+def _stepped_cost(rec, n, w):
+    # stepping n steps: S (shifts) (k w + 1) cells at step k plus STEP_OVERHEAD_CELLS a step
+    return rec.S * len(rec.shifts) * (w * n * (n - 1) // 2 + n) + STEP_OVERHEAD_CELLS * n
 
 
 def _powering_pays(rec, n):
@@ -1031,8 +1060,52 @@ def _powering_pays(rec, n):
     """
     S, w = rec.S, _line_frame(rec)[2]
     conv = S ** 3 * sum(((w << i) + 1) ** 2 for i in range(n.bit_length() - 1))
-    stepped = S * len(rec.shifts) * (w * n * (n - 1) // 2 + n) + STEP_OVERHEAD_CELLS * n
-    return conv <= 2 * stepped
+    return conv <= 2 * _stepped_cost(rec, n, w)
+
+
+def _block_cells(S, w, b, span):
+    """float64 cells that ``_blocked_masses`` holds at once with blocks of b to ``span``
+    steps (the deepest depth plus span0): the R_j (S b L_R cells, L_R = (b - 1) w + 1),
+    K and K^b with, while K^b is built, K^(b/2) and one convolution output (S^2 (2 b w +
+    w + 3)), plus the larger of W_m, W_{m+b} and one convolution output ((2S + 1) L_N,
+    L_N = span w + 1) and a read's W_m, its padded copy, gathered windows and selected
+    R_j (2S (L_N + L_R - 1 + b L_R))."""
+    lr, top = (b - 1) * w + 1, span * w + 1
+    return (S * b * lr + S * S * (2 * b * w + w + 3)
+            + max((2 * S + 1) * top, 2 * S * (top + lr - 1 + b * lr)))
+
+
+def _block_length(rec, n, reads, targets, span0=0, max_cells=DEFAULT_MAX_CELLS):
+    """The block length b of ``_blocked_masses`` to depth n, or None where stepping pays.
+
+    The rule of ``_powering_pays``, extended.  For b a power of two, 2 <= b
+    <= n + 1, a blocked pass costs the convolution cells of building R_j
+    (S^2 (w + 1) (j w + 1) for j < b - 1) and K^b (S^3 sum_{2^i < b}
+    (2^i w + 1)^2), of each advance from a depth m that another block
+    follows (S^2 (b w + 1) ((m + span0) w + 1)) and of ``reads`` depths of
+    ``targets`` gathered reads (S ((b - 1) w + 1) cells each), plus
+    ``STEP_OVERHEAD_CELLS`` for each of its convolutions (S^2 a product of
+    an S x S matrix with S rows, S^3 a squaring) and of its per-block reads
+    of each target: half the fixed cost of a step, in stepped cells, for a
+    call that makes a few numpy calls.  The b of least cost among those whose
+    buffers fit ``max_cells`` (``_block_cells``) blocks when that cost is at
+    most twice the stepped cells.
+    """
+    S, w = rec.S, _line_frame(rec)[2]
+    best = None
+    for i in range(1, (n + 1).bit_length()):
+        b = 1 << i
+        m = -(-(n + 1) // b) - 1          # blocks that another block follows
+        cells = (S * S * (w + 1) * (w * (b - 1) * (b - 2) // 2 + b - 1)
+                 + S ** 3 * sum(((w << k) + 1) ** 2 for k in range(i))
+                 + S * S * (b * w + 1) * (w * b * m * (m - 1) // 2 + m * (span0 * w + 1))
+                 + reads * targets * S * ((b - 1) * w + 1))
+        calls = S * S * (b - 1 + m) + S ** 3 * i + (m + 1) * targets
+        if _block_cells(S, w, b, n + span0) > max_cells:
+            continue
+        if best is None or cells + STEP_OVERHEAD_CELLS * calls < best[0]:
+            best = (cells + STEP_OVERHEAD_CELLS * calls, b)
+    return best[1] if best and best[0] <= 2 * _stepped_cost(rec, n, w) else None
 
 
 def _conv_product(A, X):
@@ -1095,11 +1168,7 @@ def _powered_masses(rec, targets, depths, seed_state, max_cells):
     if cells > max_cells:
         raise ResourceLimitError(f"powered one-dimensional path needs {cells} cells at once, "
                                  f"over the {max_cells}-cell guard", completed=0)
-    P = np.ones((1, 1)) if rec.P is None else np.asarray(rec.P, dtype=np.float64)
-    K = np.zeros((S, S, w + 1))
-    for t, (a,), wt in rec.shifts:
-        K[t, :, (a - v0) // B] += P[:, t] * float(wt)
-    powers = [K]
+    powers = [_line_kernel(rec)]
     while len(powers) < len(sizes):
         powers.append(_conv_product(powers[-1], powers[-1]))
     c = np.zeros((S, 1))
@@ -1125,6 +1194,76 @@ def _powered_masses(rec, targets, depths, seed_state, max_cells):
             else:
                 row.append(float(c.sum()) if lam == 0 else 0.0)
         out[n] = row
+    return out
+
+
+def _blocked_masses(rec, targets, depths, b, weights=None, seed_state=None, seed_entry=None,
+                    max_cells=DEFAULT_MAX_CELLS):
+    """``_masses`` of a one-coordinate float lattice recursion, b depths a block.
+
+    In the frame of ``_powered_masses`` the table after n steps is
+    W_n = K^n W_0, W_0 the step-0 masses at lam = (g - span0 v0) / B (span0
+    = 1 with ``seed_entry``, as in the dense engine; a seed off that box
+    raises).  With R_j = c^T K^j, the S lam-arrays sum_t c_t K^j[t, s] for
+    the state weights c (1 without), the block at depth m reads its depths
+    m + j, j < b, as
+
+        sum_t c_t W_{m+j}(t, g) = sum_s sum_h W_m[s, h] R_j[s, lam - h],
+
+    lam the coordinate of g at depth m + j, in one gathered product per
+    target; then W_{m+b} = K^b W_m is one ``_conv_product``.  The R_j
+    (R_{j+1} = K^T R_j) and K^b (by squaring) are built once.  Every sum
+    adds nonnegative terms, so zeros stay exact, and g off the coset or the
+    box reads 0.0.  ``max_cells`` counts every float64 buffer held at once,
+    checked before anything is allocated (``_block_cells``).
+    """
+    S = rec.S
+    v0, B, w = _line_frame(rec)
+    span0 = 1 if seed_entry is not None else rec.depth0
+    n_max, lr = depths[-1], (b - 1) * w + 1
+    cells = _block_cells(S, w, b, n_max + span0)
+    if cells > max_cells:
+        raise ResourceLimitError(f"blocked one-dimensional path needs {cells} cells at once, "
+                                 f"over the {max_cells}-cell guard", completed=0)
+    W = np.zeros((S, span0 * w + 1))
+    for (s, (g,)), mass in rec.seed(seed_state, seed_entry).items():
+        lam, off = divmod(g - span0 * v0, B)
+        if off or not 0 <= lam <= span0 * w:
+            raise ValidationError(f"seed element {(g,)} lies off the box of {W.shape[1]} cells")
+        W[s, lam] = float(mass)
+    K = _line_kernel(rec)
+    R = np.zeros((S, b, lr))        # R[s, j] = R_j[s] reversed, zero-padded on the left
+    r = np.ones((S, 1)) if weights is None else np.array(weights, dtype=np.float64)[:, None]
+    for j in range(b):
+        R[:, j, lr - 1 - j * w:] = r[:, ::-1]
+        if j < b - 1:
+            r = _conv_product(K.transpose(1, 0, 2), r)
+    Kb = K
+    for _ in range(b.bit_length() - 1):
+        Kb = _conv_product(Kb, Kb)
+    want, out = set(depths), {}
+    for m in range(0, n_max + 1, b):
+        js = [j for j in range(b) if m + j in want]
+        if js:
+            # Wp[s, lam + q] is W_m[s, lam - (L_R - 1 - q)], zero off the box
+            Wp = np.zeros((S, W.shape[1] + 2 * lr - 2))
+            Wp[:, lr - 1:lr - 1 + W.shape[1]] = W
+            win = np.lib.stride_tricks.as_strided(Wp, (S, W.shape[1] + lr - 1, lr),
+                                                  Wp.strides + Wp.strides[1:])
+            rows = []
+            for (g,) in targets:
+                row = [0.0] * len(js)
+                on = [(x, j, q) for x, j in enumerate(js)
+                      for q, o in [divmod(g - (m + j + span0) * v0, B)]
+                      if not o and 0 <= q <= (m + j + span0) * w]
+                if on:
+                    xs, jr, qs = map(list, zip(*on))
+                    for x, v in zip(xs, np.einsum("sjq,sjq->j", R[:, jr], win[:, qs]).tolist()):
+                        row[x] = v
+                rows.append(row)
+            out.update((m + j, [row[x] for row in rows]) for x, j in enumerate(js))
+        if m + b <= n_max:
+            W = _conv_product(Kb, W)
     return out
 
 

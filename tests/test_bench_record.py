@@ -19,6 +19,8 @@ def _result(root, workload, seed, trace, wall, failures=None, ops=None):
         metrics["stats.eigenvalue_grid_s"] = wall / 8
         metrics["stats.ratio_sequence_s"] = wall / 16
         metrics["stats.cross_ratio_s"] = wall / 32
+        metrics["stats.pressure_estimate_s"] = wall / 64
+        metrics["stats.symmetry_reality_check_s"] = wall / 128
     res = {"workload": workload, "seed": seed, "trace": trace, "attempted": 100,
            "failed": len(failures or {}), "failures": failures or {}, "nproc": 2,
            "blas_threads": 1, "kernel_backend": "numpy", "metrics": metrics,
@@ -63,6 +65,10 @@ def test_pairs_runs_by_workload_and_seed(tmp_path):
     # the point-mass statistics' traced times, per side
     assert traced["per_run"]["parent"]["stats.ratio_sequence_s"] == [0.25]
     assert traced["per_run"]["change"]["stats.cross_ratio_s"] == [0.0625]
+    # the layers that blocked sequences and the half-grid reality check move
+    assert traced["per_run"]["parent"]["stats.pressure_estimate_s"] == [0.0625]
+    assert traced["per_run"]["change"]["stats.symmetry_reality_check_s"] == [0.015625]
+    assert traced["per_run"]["change"]["stats.return_sequence_s"] == [None]
 
 
 def test_no_common_untraced_run_is_an_error(tmp_path):

@@ -539,3 +539,26 @@ def test_walk_measure_validation():
     sys_, coc, _ = presets.trinomial()
     with pytest.raises(ValidationError):
         pressure.walk_measure(sys_, coc, 0, 0)
+
+
+@pytest.mark.parametrize("name", ["asymmetric_z", "two_state_markov", "trinomial"])
+def test_blocked_sequences_match_stepped(name, monkeypatch):
+    # grouped returns, return masses and convolution returns to n = 400 read
+    # blocks; forced to step, every value agrees to 1e-13 with the same zeros
+    sys_, coc, _ = getattr(presets, name)()
+    law = pressure.one_step_law(sys_, coc)
+
+    def run():
+        rep = pressure.pressure_estimate("extension", sys_, coc, 0, 400)
+        conv = pressure.spectral_radius_convolution(law, 398)
+        return ([x for a in range(sys_.m)
+                 for x in pressure.grouped_return_sequence(sys_, coc, a, 400)],
+                rep, conv.returns)
+    seq, rep, conv = run()
+    monkeypatch.setattr(walkdist, "_block_length", lambda *a, **k: None)
+    want_seq, want_rep, want_conv = run()
+    assert paired_agrees(seq, want_seq) and paired_agrees(conv, want_conv)
+    assert rep.ns == want_rep.ns
+    for est in rep.values:
+        assert all(abs(a - b) <= 1e-13 * abs(b)
+                   for a, b in zip(rep.values[est], want_rep.values[est]))

@@ -417,11 +417,20 @@ def test_half_grid_evaluates_one_row_per_conjugate_pair(name):
     assert own[mirror == rows].all()
     assert own.sum() == (len(thetas) + (mirror == rows).sum()) // 2
     # evaluated rows: bitwise what leading_stack gives on the same characters
-    want_lam, want_ratio = spectral.leading_stack(sys_, coc, thetas[own])
+    want_lam, want_ratio, loose = spectral._stack(sys_, coc, thetas[own])
     assert repr(lam[own].tolist()) == repr(want_lam.tolist())
     assert repr(ratio[own].tolist()) == repr(want_ratio.tolist())
+    # rows whose partner is ill-separated: bitwise a direct solve (the tie
+    # chain's ties; no other system here has one)
+    ill = np.zeros(len(thetas), dtype=bool)
+    ill[own] = loose
+    direct = ~own & ill[mirror]
+    assert direct.any() == (name == "tie_chain")
+    direct_lam, direct_ratio = spectral.leading_stack(sys_, coc, thetas[direct])
+    assert repr((lam[direct].tolist(), ratio[direct].tolist())) == \
+        repr((direct_lam.tolist(), direct_ratio.tolist()))
     # mirrored rows: bitwise the partner's conjugate, +0.0 where lambda is real
-    for i in rows[~own]:
+    for i in rows[~own & ~direct]:
         p = mirror[i]
         assert repr((lam[i].real, ratio[i])) == repr((lam[p].real, ratio[p]))
         assert repr(float(lam[i].imag)) == repr(0.0 - float(lam[p].imag))
@@ -448,8 +457,42 @@ def test_mirrored_rows_agree_with_direct_evaluation(name):
         assert (np.abs(lam - direct_lam) / np.abs(direct_lam)).max() <= 1e-13
 
 
-def test_reality_check_stays_on_the_full_grid():
-    for sys_, coc in (_markov3_z2(), _tie_chain(), _sticky_z()):
+def _defective_chain():
+    # two equal rows of P make 0 an eigenvalue of B(theta); where the runner-up
+    # nears 0 the pair is nearly defective, and a solve of conj B(theta) returns
+    # the conjugate spectrum only to about sqrt(u) |B| (the chain of the
+    # character_grids benchmark workload at seed 2501)
+    sys_ = GibbsMarkovSystem.markov([[Fraction(1, 3), Fraction(5, 12), Fraction(1, 4)],
+                                     [Fraction(1, 3)] * 3, [Fraction(1, 3)] * 3])
+    return sys_, Cocycle(IntegerLattice(2), ((1, 0), (0, 1), (0, 0)))
+
+
+@pytest.mark.parametrize("resolution", [32, 128])
+def test_mirror_solves_rows_whose_partner_is_ill_separated(resolution, monkeypatch):
+    sys_, coc = _defective_chain()
+    thetas, lam, ratio = spectral._grid_leading(sys_, coc, resolution)
+    want_lam, want_ratio = spectral.leading_stack(sys_, coc, thetas)
+    # mirrored, the runner-up ratio was 8.2e-9 off at resolution 128
+    assert np.abs(lam - want_lam).max() <= 1e-13
+    assert np.abs(ratio - want_ratio).max() <= 1e-13
+    assert spectral.eigenvalue_grid(sys_, coc, resolution) == \
+        spectral._grid_rows(thetas, lam, ratio)
+    # the half grid and the rows whose partner is ill-separated, nothing else
+    mirror = _mirror_rows(resolution, 2)
+    own = mirror >= np.arange(len(thetas))
+    ill = np.zeros(len(thetas), dtype=bool)
+    ill[own] = spectral._stack(sys_, coc, thetas[own])[2]
+    direct = int((~own & ill[mirror]).sum())
+    assert 0 < direct <= len(thetas) // 50      # 15 at resolution 32, 63 at 128
+    rows, stack = [], spectral._stack
+    monkeypatch.setattr(spectral, "_stack",
+                        lambda s, c, t: (rows.append(len(t)), stack(s, c, t))[1])
+    spectral.symmetry_reality_check(sys_, coc, None, resolution)
+    assert rows == [own.sum(), direct]
+
+
+def test_reality_check_matches_the_full_grid():
+    for sys_, coc in (_markov3_z2(), _tie_chain(), _sticky_z(), _defective_chain()):
         thetas = spectral._torus_grid(32, coc.spec.key_size)
         imag = np.abs(spectral.leading_stack(sys_, coc, thetas)[0].imag)
         i = int(np.argmax(imag))
@@ -506,8 +549,8 @@ def test_forced_characters_take_modulus_one_without_a_solve(monkeypatch):
     coc = Cocycle(IntegerLattice(2), ((0, 0), (300, 0), (0, 300)))
     assert len(spectral._forced_characters(coc)) == 9 * 10 ** 4 - 1
     rows = []
-    stack = spectral.leading_stack
-    monkeypatch.setattr(spectral, "leading_stack",
+    stack = spectral._stack         # every eigensolve of the module runs here
+    monkeypatch.setattr(spectral, "_stack",
                         lambda s, c, t: (rows.append(len(t)), stack(s, c, t))[1])
     t0 = time.perf_counter()
     rep = spectral.aperiodicity_scan(sys_, coc, 64, 0.1)

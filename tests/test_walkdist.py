@@ -567,14 +567,19 @@ def test_paired_heisenberg_returns_match_full_depth(engines_built):
 
 
 def test_pairing_rule_keeps_line_lattices_and_rational_work_stepped(engines_built):
-    # line walks never pair; planar ones pair only past the rule's fixed cost
+    # line walks never pair: they step one engine, or none where they block (at
+    # n = 100, not at n = 1); planar ones pair only past the rule's fixed cost
     for name in ("trinomial", "asymmetric_z", "two_state_markov", "z2_lattice", "embedded4"):
         sys_, coc, _ = presets.ALL_EXAMPLES[name]()
+        rec = walkdist.marginal_recursion(sys_, coc, "float")
         for n in (1, 2, 9, 100):
             engines_built.clear()
             walkdist.return_sequence(sys_, coc, n)
             paired = n == 100 and name in ("z2_lattice", "embedded4")
-            assert engines_built == ["_DenseLatticeEngine"] * (1 + paired), (name, n)
+            blocked = walkdist._on_line(rec) and walkdist._block_length(rec, n, n + 1, 1)
+            assert bool(blocked) == (walkdist._on_line(rec) and n == 100) or n == 9, (name, n)
+            assert engines_built == ["_DenseLatticeEngine"] * (0 if blocked else 1 + paired), (
+                name, n)
     for name, make in presets.ALL_EXAMPLES.items():
         sys_, coc, _ = make()
         calls = [lambda: walkdist.return_sequence(sys_, coc, 8, mode="rational"),
@@ -658,6 +663,10 @@ def test_seed_off_the_box_raises(mode):
     with pytest.raises(ValidationError):
         engine(rec, 4, seed_entry=(0, (100,)))
     assert engine(rec, 4, seed_entry=(0, (1,))).mass_at((1,)) == 1
+    if mode == "float":         # and so must the blocked path's
+        with pytest.raises(ValidationError):
+            walkdist._blocked_masses(rec, [(0,)], [0, 4], 2, seed_entry=(0, (100,)))
+        assert walkdist._blocked_masses(rec, [(1,)], [0], 2, seed_entry=(0, (1,))) == {0: [1.0]}
 
 
 def test_return_sequence_takes_no_seed_entry():
@@ -1418,3 +1427,148 @@ def test_powered_masses_within_gamma_of_rational(name):
         bound = power_err[top] + err + _gamma(S * S * ((w << top) + 1))
         for a, b in zip(got[n], exact[n]):
             assert (a == 0) == (b == 0) and abs(a - float(b)) <= bound * float(b)
+
+
+# ------------------------------------------------------- blocked sequences
+
+# one-coordinate float walks whose sequences of every n ``_masses`` steps in blocks
+BLOCKED = {name: POWERED[name]
+           for name in ("trinomial", "asymmetric_z", "two_state_markov", "markov3_z")}
+_BLOCKED_DEPTHS = [0, 1, 2, 7, 8, 31, 32, 33, 64, 100, 200, 299, 300]
+
+
+def _blocked_cases(sys_, coc, mode="float"):
+    # (recursion, _masses keywords): the group marginal, seeded or not, and the
+    # walk from each entry (a, v(a)) weighted by P(s, a), as grouped returns read it
+    marg = walkdist.marginal_recursion(sys_, coc, mode)
+    walk = walkdist.walk_recursion(sys_, coc, mode)
+    trans = sys_.trans if mode == "rational" else sys_.trans_float.tolist()
+    cases = [(marg, {"seed_state": s}) for s in [None] + list(range(marg.S))]
+    cases += [(walk, {"weights": [trans[s][a] for s in range(sys_.m)],
+                      "seed_entry": (a, coc.value(a))}) for a in range(sys_.m)]
+    return cases
+
+
+def _stepped_sequence(rec, targets, depths, weights=None, seed_state=None, seed_entry=None):
+    # the stepped reference: one engine stepped through every n
+    eng = walkdist._make_engine(rec, max(depths), seed_state, seed_entry=seed_entry)
+    out = {}
+    for n in range(max(depths) + 1):
+        if n:
+            eng.step_once()
+        if n in depths:
+            out[n] = [eng.mass_at(g) if weights is None else
+                      sum(eng.joint_mass_at(s, g) * c for s, c in enumerate(weights))
+                      for g in targets]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED))
+def test_blocked_masses_match_stepped(name, engines_built):
+    sys_, coc = BLOCKED[name]
+    targets = _powered_targets(coc)
+    for rec, kw in _blocked_cases(sys_, coc):
+        for depths in (list(range(301)), _BLOCKED_DEPTHS):
+            want = _stepped_sequence(rec, targets, depths, **kw)
+            engines_built.clear()
+            got = walkdist._masses(rec, targets, depths, **kw)
+            assert engines_built == []              # blocked: no engine is built
+            assert sorted(got) == sorted(want)
+            flat = [x for n in sorted(got) for x in got[n]]
+            assert all(type(x) is float for x in flat)
+            assert paired_agrees(flat, [x for n in sorted(want) for x in want[n]])
+            for b in (2, 8, 64):                    # any block length, forced
+                forced = walkdist._blocked_masses(rec, targets, depths, b, **kw)
+                assert paired_agrees([x for n in sorted(forced) for x in forced[n]],
+                                     [x for n in sorted(want) for x in want[n]]), b
+
+
+def _blocked_bound(S, w, b, n):
+    """Relative error bound of a blocked mass at depth n, by item 9's rule.
+
+    K carries the roundings of P and of a weight and their product (gamma_3),
+    and every product adds gamma of its term count to the errors of its
+    factors: R_{j+1} = K^T R_j sums S (w + 1) terms, a squaring of K^(2^i)
+    S (2^i w + 1), an advance by K^b S (b w + 1) and a read S ((b - 1) w + 1).
+    The step-0 masses and the weights carry one rounding each.
+    """
+    r_err = [_gamma(1)]
+    for _ in range(1, b):
+        r_err.append(r_err[-1] + _gamma(3) + _gamma(S * (w + 1)))
+    kb, size = _gamma(3), w + 1
+    for _ in range(b.bit_length() - 1):
+        kb, size = 2 * kb + _gamma(S * size), 2 * size - 1
+    m, j = divmod(n, b)
+    return _gamma(1) + m * (kb + _gamma(S * size)) + r_err[j] + _gamma(S * ((b - 1) * w + 1))
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED))
+def test_blocked_masses_within_gamma_of_rational(name):
+    sys_, coc = BLOCKED[name]
+    targets = [(0,), (1,), (3,)]
+    exact_cases = _blocked_cases(sys_, coc, "rational")
+    for (rec, kw), (exact_rec, exact_kw) in zip(_blocked_cases(sys_, coc), exact_cases):
+        exact = walkdist._masses(exact_rec, targets, range(201), **exact_kw)
+        w = walkdist._line_frame(rec)[2]
+        for b in (4, 32):
+            got = walkdist._blocked_masses(rec, targets, list(range(201)), b, **kw)
+            for n in range(201):
+                bound = _blocked_bound(rec.S, w, b, n)
+                for a, x in zip(got[n], exact[n]):
+                    assert (a == 0) == (x == 0) and abs(a - float(x)) <= bound * float(x), (n, b)
+
+
+def test_blocked_guard_counts_every_buffer(monkeypatch):
+    # asymmetric_z to n = 300 in blocks of 32 (v0 = -1, B = 2, w = 1): the R_j
+    # hold 32 x 32 cells; K, K^32 and, while K^32 is built, K^16 and one output
+    # 2 x 32 + 1 + 3 = 68; a read holds W_300 (301 cells), its padded copy (363),
+    # the windows and R_j (2 x 1024): 2 x (301 + 31 + 1024) = 2712 > 3 x 301.
+    # 1024 + 68 + 2712 = 3804 cells
+    sys_, coc, _ = presets.asymmetric_z()
+    rec = walkdist.marginal_recursion(sys_, coc, "float")
+    assert walkdist._block_cells(1, 1, 32, 300) == 3804
+    allocated = []
+    for fn in ("zeros", "ones", "empty"):
+        monkeypatch.setattr(np, fn, lambda *a, _f=getattr(np, fn), **k: (
+            allocated.append(a), _f(*a, **k))[1])
+    with pytest.raises(ResourceLimitError) as exc:
+        walkdist._blocked_masses(rec, [(0,)], list(range(301)), 32, max_cells=3803)
+    assert exc.value.completed == 0 and allocated == []
+    got = walkdist._blocked_masses(rec, [(0,)], list(range(301)), 32, max_cells=3804)
+    monkeypatch.undo()
+    want = walkdist.return_sequence(sys_, coc, 300)
+    assert paired_agrees([got[n][0] for n in range(301)], want)
+    # the rule blocks only with buffers that fit the guard, and else steps
+    cells = min(walkdist._block_cells(1, 1, 1 << i, 300) for i in range(1, 9))
+    assert walkdist._block_length(rec, 300, 301, 1, 0, cells)
+    assert walkdist._block_length(rec, 300, 301, 1, 0, cells - 1) is None
+    assert walkdist.return_sequence(sys_, coc, 300, max_cells=cells - 1) == \
+        [row[0] for row in walkdist.mass_trajectory(sys_, coc, [(0,)], 300)]
+    with pytest.raises(ResourceLimitError):
+        walkdist.return_sequence(sys_, coc, 300, max_cells=2 * 301 - 1)
+
+
+def test_wide_span_walk_steps_its_sequences(engines_built):
+    # atoms 0, 1, 100: a block's convolution costs about w / 3 = 33 times the
+    # stepped cells, so past the first few depths (where the fixed costs of a
+    # call decide, within 25 % either way) every block length loses
+    coc = Cocycle(IntegerLattice(1), ((0,), (1,), (100,)))
+    sys_ = GibbsMarkovSystem.bernoulli([Fraction(1, 3)] * 3)
+    rec = walkdist.marginal_recursion(sys_, coc, "float")
+    assert all(walkdist._block_length(rec, n, n + 1, 1) is None for n in (20, 100, 500, 2000))
+    got = walkdist.return_sequence(sys_, coc, 300)
+    assert engines_built == ["_DenseLatticeEngine"]
+    assert got == [row[0] for row in walkdist.mass_trajectory(sys_, coc, [(0,)], 300)]
+
+
+def test_blocked_one_percent_walk_underflows_where_stepping_does():
+    # mu^n(0) of the 1/100 walk leaves the normal range near n = 450; the blocked
+    # sequence agrees with the stepped one while it is normal and is 0.0 past it
+    sys_, coc = FOLDED["fault_1_100"]
+    got = walkdist.return_sequence(sys_, coc, 1000)
+    want = [row[0] for row in walkdist.mass_trajectory(sys_, coc, [(0,)], 1000)]
+    normal = [n for n, x in enumerate(want) if x >= 2.0 ** -1022]
+    assert paired_agrees([got[n] for n in normal], [want[n] for n in normal])
+    first_zero = next(n for n in range(2, 1001, 2) if want[n] == 0.0)
+    assert all(got[n] == want[n] == 0.0 for n in range(first_zero + 4, 1001))
+    assert walkdist.ratio_sequence(sys_, coc, (0,), [100, 400, 800], stride=2).zero_ns == [800]

@@ -31,7 +31,8 @@ END_TO_END = ("wall_s", "op_p50_s", "op_tail_s", "peak_rss_mb", "setup_s")
 TRACED = ("sparse.self_s", "sparse.multiply_calls", "sparse.atoms_max", "kernels.cells",
           "engines.steps", "engines.box_cells_max", "stats.u_n_integral_s",
           "stats.eigenvalue_grid_s", "stats.aperiodicity_scan_s", "stats.ratio_sequence_s",
-          "stats.cross_ratio_s")
+          "stats.cross_ratio_s", "stats.pressure_estimate_s", "stats.return_sequence_s",
+          "stats.symmetry_reality_check_s")
 COMMAND = "python3 gmbench/run.py --workload <w> --seed <s> --seconds <S> --trace <t>"
 
 
