@@ -435,7 +435,8 @@ def _run_spectral_scan(c, p, kw):
     rep, rows = spectral.spectral_scan(c.system, c.cocycle, p["resolution"], p["epsilon"])
     header = tuple(f"theta_{i}" for i in range(len(rep.argmax_theta)))
     extra = {"max_modulus": rep.max_modulus, "passed": rep.passed,
-             "argmax_theta": rep.argmax_theta, "algebraic_full": rep.algebraic_full}
+             "argmax_theta": rep.argmax_theta, "algebraic_full": rep.algebraic_full,
+             "fallback_rows": rep.fallback_rows}
     if not rep.passed:
         extra["note"] = "aperiodicity fails: unit-modulus eigenvalue off the zero ball"
     return (0 if rep.passed else 1), rows, header + ("re_lambda", "im_lambda", "gap"), extra

@@ -45,6 +45,20 @@ REALITY_TOL = 1e-10
 # complex matrix entries per stacked block (2 MiB): grids of any resolution
 # are evaluated block by block, so memory stays bounded
 _BLOCK_ENTRIES = 1 << 17
+# largest root-inclusion radius, relative to the 1-norm of the matrix (1 for a
+# twisted stochastic matrix), of a closed-form 3x3 spectrum that is kept
+# (``_cubic_eigvals``); other rows are solved by LAPACK
+CUBIC_RADIUS_TOL = 1e-13
+# complex entries of the block budget charged to each row the cubic solver
+# holds (``_eigvals``): its temporaries peak at 35 per row, so a chunk of
+# _BLOCK_ENTRIES // _CUBIC_ENTRIES = 1024 rows takes about a quarter of a
+# block beside the stack (one 8,320-row solve raised a grid run's peak RSS by
+# 3 MB, 1,024-row chunks left it as LAPACK did)
+_CUBIC_ENTRIES = 128
+# unit roundoff
+_U = np.finfo(float).eps / 2
+# cube roots of unity
+_OMEGA = complex(-0.5, math.sqrt(3) / 2)
 
 
 def _lattice_dim(cocycle):
@@ -95,6 +109,89 @@ def perturbed_matrix(system, cocycle, theta) -> np.ndarray:
     return _twisted_stack(system, cocycle, _one_row(theta))[0]
 
 
+def _cubic_eigvals(B):
+    """Eigenvalues of each 3x3 matrix of the stack ``B`` from its characteristic
+    polynomial p(z) = z^3 - a z^2 + b z - c, and which rows are certified.
+
+    a is the trace, b the sum of the principal 2x2 minors and c the
+    determinant.  Cardano's formula gives the roots, in the order u + v,
+    omega u + conj(omega) v, conj(omega) u + omega v, and two Newton steps
+    polish them.  A row is certified if its roots are finite, pairwise more
+    than ``NEAR_DEGENERATE_GAP`` |lambda_1| apart, and each within
+    ``CUBIC_RADIUS_TOL`` ||B||_1 of an eigenvalue by the root-inclusion
+    bound: the union of the discs about z_k of radius 3 (|p(z_k)| + e_k) /
+    prod_{j != k} |z_k - z_j| holds every root of the exact polynomial, and
+    disjoint discs (checked: twice the largest radius below the least gap)
+    hold one each.  e_k bounds the rounding of the coefficients (2u, 6u and 9u
+    times the same sums over |B|: a complex product errs by at most 2.83u)
+    and of Horner's rule (9u), so e_k = 18u (|z|^3 + |a||z|^2 + |b||z| + |c|)
+    with each |.| over |B| (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3 and 5).  Every operation is elementwise, so a row's
+    result does not depend on the rows beside it.
+    """
+    B = np.asarray(B, dtype=complex)
+    A = np.abs(B)
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B.transpose(1, 2, 0)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A.transpose(1, 2, 0)
+    m0 = b11 * b22 - b12 * b21
+    tr = b00 + b11 + b22
+    minors = m0 + (b00 * b22 - b02 * b20) + (b00 * b11 - b01 * b10)
+    det = b00 * m0 - b01 * (b10 * b22 - b12 * b20) + b02 * (b10 * b21 - b11 * b20)
+    n0 = a11 * a22 + a12 * a21
+    abs_minors = n0 + (a00 * a22 + a02 * a20) + (a00 * a11 + a01 * a10)
+    abs_det = a00 * n0 + a01 * (a10 * a22 + a12 * a20) + a02 * (a10 * a21 + a11 * a20)
+    abs_tr = a00 + a11 + a22
+    # z = t + s turns p into the depressed cubic t^3 + P t + Q
+    s = tr / 3
+    p3 = (minors - 3 * s * s) / 3
+    h = 0.5 * (det - s * (minors - 2 * s * s))          # -Q / 2
+    root = np.sqrt(h * h + p3 * p3 * p3)
+    w = np.where(_modulus(h + root) >= _modulus(h - root), h + root, h - root)
+    phi = np.arctan2(w.imag, w.real) / 3
+    u = np.cbrt(_modulus(w)) * (np.cos(phi) + 1j * np.sin(phi))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = np.where(u != 0, -p3 / u, 0)        # u = 0 only if P = Q = 0
+        z = np.stack([u + v, _OMEGA * u + _OMEGA.conjugate() * v,
+                      _OMEGA.conjugate() * u + _OMEGA * v], axis=1) + s[:, None]
+        tr, minors, det = tr[:, None], minors[:, None], det[:, None]
+        for _ in range(2):
+            z = z - (((z - tr) * z + minors) * z - det) / ((3 * z - 2 * tr) * z + minors)
+        res = _modulus(((z - tr) * z + minors) * z - det)
+        mod = _modulus(z)
+        err = 18 * _U * (((mod + abs_tr[:, None]) * mod + abs_minors[:, None]) * mod
+                         + abs_det[:, None])
+        d01, d02, d12 = (_modulus(z[:, i] - z[:, j]) for i, j in ((0, 1), (0, 2), (1, 2)))
+        apart = np.stack([d01 * d02, d01 * d12, d02 * d12], axis=1)
+        radius = (3 * (res + err) / apart).max(axis=1)
+        gap = np.minimum(np.minimum(d01, d02), d12)
+        ok = (np.isfinite(z).all(axis=1) & (gap > NEAR_DEGENERATE_GAP * mod.max(axis=1))
+              & (2 * radius < gap) & (radius <= CUBIC_RADIUS_TOL * A.sum(axis=1).max(axis=1)))
+    return z, ok
+
+
+def _eigvals(stack):
+    """Eigenvalues of each matrix of ``stack``, and which rows LAPACK solved.
+
+    3x3 stacks are solved in closed form (``_cubic_eigvals``),
+    ``_BLOCK_ENTRIES // _CUBIC_ENTRIES`` rows at a time; the rows it does not
+    certify, and stacks of any other size, go to ``np.linalg.eigvals``
+    unchanged.  A 2x2 spectrum costs LAPACK little, and a quartic's roots are
+    certified too rarely to pay (on the symmetric 4-state chain the same
+    tests rejected 17 % of a 64^2 grid and 75 % of the 0.5-disc).
+    """
+    if stack.shape[1:] != (3, 3):
+        return np.linalg.eigvals(stack), np.ones(len(stack), dtype=bool)
+    eig = np.empty((len(stack), 3), dtype=complex)
+    ok = np.empty(len(stack), dtype=bool)
+    step = max(1, _BLOCK_ENTRIES // _CUBIC_ENTRIES)
+    for i in range(0, len(stack), step):
+        eig[i:i + step], ok[i:i + step] = _cubic_eigvals(stack[i:i + step])
+    lapack = ~ok
+    if lapack.any():
+        eig[lapack] = np.linalg.eigvals(stack[lapack])
+    return eig, lapack
+
+
 def _leading(eig):
     """Leading eigenvalue and runner-up modulus ratio of each row of ``eig``, and
     whether the row is ill-separated: its leading pair ties (1 - ratio below
@@ -120,7 +217,7 @@ def _warn_near_degenerate(ratio):
 
 def leading_eigenvalue(matrix) -> tuple[complex, float]:
     """Maximal-modulus eigenvalue and runner-up modulus ratio (near 1: warns)."""
-    lam, ratio, _ = _leading(np.linalg.eigvals(matrix)[None])
+    lam, ratio, _ = _leading(_eigvals(np.asarray(matrix)[None])[0])
     _warn_near_degenerate(ratio)
     return complex(lam[0]), float(ratio[0])
 
@@ -128,30 +225,32 @@ def leading_eigenvalue(matrix) -> tuple[complex, float]:
 def leading_stack(system, cocycle, thetas):
     """Leading twisted eigenvalues and runner-up ratios at the rows of ``thetas``.
 
-    Markov systems take one ``eigvals`` call per block of stacked matrices.
-    Bernoulli twisted matrices have identical columns, so their only nonzero
-    eigenvalue is the trace (ratio 0): exact, and free of the sqrt(eps) noise
-    a generic eigensolve puts on the defective zero eigenvalue.
+    Markov systems solve one block of stacked matrices at a time
+    (``_eigvals``: 3x3 spectra in closed form, others by LAPACK).  Bernoulli
+    twisted matrices have identical columns, so their only nonzero eigenvalue
+    is the trace (ratio 0): exact, and free of the sqrt(eps) noise a generic
+    eigensolve puts on the defective zero eigenvalue.
     """
     return _stack(system, cocycle, thetas)[:2]
 
 
 def _stack(system, cocycle, thetas):
-    """``leading_stack`` and each row's ill-separation flag (``_leading``; never on
-    a Bernoulli row, which is exact)."""
+    """``leading_stack``, each row's ill-separation flag (``_leading``; never on
+    a Bernoulli row, which is exact) and whether LAPACK solved the row."""
     thetas = np.asarray(thetas, dtype=float)
     lam = np.zeros(len(thetas), dtype=complex)
     ratio = np.zeros(len(thetas))
     loose = np.zeros(len(thetas), dtype=bool)
+    lapack = np.zeros(len(thetas), dtype=bool)
     for blk in _blocks(len(thetas), system.m):
         if system.is_bernoulli:
             phases = _phases(cocycle, thetas[blk])
             for s in range(system.m):
                 lam[blk] += system.pi_float[s] * phases[:, s]
         else:
-            eig = np.linalg.eigvals(_twisted_stack(system, cocycle, thetas[blk]))
+            eig, lapack[blk] = _eigvals(_twisted_stack(system, cocycle, thetas[blk]))
             lam[blk], ratio[blk], loose[blk] = _leading(eig)
-    return lam, ratio, loose
+    return lam, ratio, loose, lapack
 
 
 def eigenvalue_at(system, cocycle, theta):
@@ -169,6 +268,8 @@ class ScanReport:
     argmax_theta: tuple
     passed: bool
     algebraic_full: bool | None = None
+    # grid rows whose spectrum LAPACK solved (``_eigvals``)
+    fallback_rows: int = 0
 
 
 def _grid(cocycle, resolution):
@@ -179,7 +280,8 @@ def _grid(cocycle, resolution):
 
 
 def _grid_leading(system, cocycle, resolution):
-    """Torus grid and its leading eigenvalues and runner-up ratios, half evaluated.
+    """Torus grid, its leading eigenvalues and runner-up ratios, half evaluated,
+    and the number of its rows that LAPACK solved.
 
     The cocycle is integer and P real, so B(-theta) = conj B(theta) and
     lambda(-theta) = conj lambda(theta).  Only the rows whose mirror index
@@ -200,15 +302,16 @@ def _grid_leading(system, cocycle, resolution):
     lam = np.empty(len(thetas), dtype=complex)
     ratio = np.empty(len(thetas))
     loose = np.zeros(len(thetas), dtype=bool)
-    lam[own], ratio[own], loose[own] = _stack(system, cocycle, thetas[own])
+    lapack = np.zeros(len(thetas), dtype=bool)
+    lam[own], ratio[own], loose[own], lapack[own] = _stack(system, cocycle, thetas[own])
     direct = ~own & loose[mirror]
-    lam[direct], ratio[direct] = leading_stack(system, cocycle, thetas[direct])
+    lam[direct], ratio[direct], _, lapack[direct] = _stack(system, cocycle, thetas[direct])
     mirrored = ~own & ~direct
     partner = mirror[mirrored]
     lam.real[mirrored] = lam.real[partner]
     lam.imag[mirrored] = 0.0 - lam.imag[partner]
     ratio[mirrored] = ratio[partner]
-    return thetas, lam, ratio
+    return thetas, lam, ratio, int(lapack.sum())
 
 
 def _forced_characters(cocycle):
@@ -236,7 +339,7 @@ def _scan(system, cocycle, resolution, eps):
     """Scan report, grid and leading eigenvalues from one evaluation of the grid."""
     if resolution < 16:
         raise ValidationError("resolution must be >= 16 per dimension")
-    thetas, lam, ratio = _grid_leading(system, cocycle, resolution)
+    thetas, lam, ratio, fallback = _grid_leading(system, cocycle, resolution)
     off = np.linalg.norm(np.where(thetas > math.pi, thetas - 2 * math.pi, thetas), axis=1) >= eps
     if thetas.shape[1] == 1:
         sphere = np.array([[eps], [2 * math.pi - eps]])
@@ -255,7 +358,7 @@ def _scan(system, cocycle, resolution, eps):
     except ValidationError:
         pass
     rep = ScanReport(resolution, eps, float(mods[imax]), tuple(pts[imax].tolist()),
-                     bool(mods[imax] < 1 - 1e-9), alg)
+                     bool(mods[imax] < 1 - 1e-9), alg, fallback)
     return rep, thetas, lam, ratio
 
 
@@ -277,7 +380,7 @@ def aperiodicity_scan(system, cocycle, resolution=64, eps=0.1) -> ScanReport:
 
 def eigenvalue_grid(system, cocycle, resolution=64):
     """Rows (theta..., Re lambda, Im lambda, runner-up ratio) over the torus grid."""
-    return _grid_rows(*_grid_leading(system, cocycle, resolution))
+    return _grid_rows(*_grid_leading(system, cocycle, resolution)[:3])
 
 
 def spectral_scan(system, cocycle, resolution=64, eps=0.1):
@@ -559,7 +662,7 @@ def symmetry_reality_check(system, cocycle, involution=None, grid_size=128) -> R
     sym_ok = None
     if involution is not None:
         sym_ok = bool(check_symmetry(system, cocycle, involution))
-    thetas, lam, _ = _grid_leading(system, cocycle, grid_size)
+    thetas, lam, _, _ = _grid_leading(system, cocycle, grid_size)
     imag = np.abs(lam.imag)
     i = int(np.argmax(imag))
     worst, argmax = 0.0, (0.0,) * thetas.shape[1]

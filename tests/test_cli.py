@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmwalk import cli, walkdist
+from gmwalk import cli, spectral, walkdist
 from gmwalk.errors import ValidationError
 
 TRINOMIAL_RATIO = """
@@ -573,6 +573,19 @@ def test_numpy_scalars_written_as_numbers(tmp_path):
     assert [walkdist._csv_cell(x) for x in (0.1, -0.0, 1e300, float("inf"), 2, True)] == \
         ["0.1", "-0.0", "1e+300", "inf", "2", "True"]
     assert walkdist._csv_cell((0.5, Fraction(-1, 3))) == "0.5 -1/3"
+
+
+def test_spectral_scan_manifest_counts_the_rows_lapack_solved(tmp_path):
+    # a 2-state chain: every row of the half grid, and each row solved beside it
+    code = cli.main(["spectral-scan", "--config", _write(tmp_path, MARKOV_SCAN),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    manifest = (tmp_path / "out" / "manifest.txt").read_text()
+    rows = int(re.search(r"^result\.fallback_rows = (\d+)$", manifest, re.M).group(1))
+    config = cli.parse_config(MARKOV_SCAN)
+    rep = spectral.aperiodicity_scan(config.system, config.cocycle, 16, 0.1)
+    assert rows == rep.fallback_rows >= (16 + 2) // 2
+    assert "result.max_modulus = " in manifest and "result.passed = False" in manifest
 
 
 def test_consistency_error_exits_one_with_manifest(tmp_path):

@@ -1,10 +1,12 @@
 import cmath
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmwalk import presets, spectral, walkdist
 from gmwalk.errors import ConsistencyError, ValidationError
@@ -132,7 +134,20 @@ def _per_theta_leading(system, cocycle, theta):
     return lam, (second / abs(lam) if lam else math.inf)
 
 
-def _per_theta_scan(system, cocycle, resolution, eps):
+def _solver_leading(system, cocycle, theta):
+    """One character at a time through the module's own solver: a one-row stack."""
+    lam, ratio = spectral.leading_stack(system, cocycle, np.asarray(theta, dtype=float)[None])
+    return complex(lam[0]), float(ratio[0])
+
+
+def _closed_form_rows(system, cocycle, thetas):
+    """Rows whose spectrum the closed-form cubic solved (3-state Markov only)."""
+    if system.is_bernoulli:
+        return np.zeros(len(thetas), dtype=bool)
+    return ~spectral._stack(system, cocycle, thetas)[3]
+
+
+def _per_theta_scan(system, cocycle, resolution, eps, leading=_per_theta_leading):
     d = cocycle.spec.key_size
     pts = []
     for idx in np.ndindex(*(resolution,) * d):
@@ -145,7 +160,7 @@ def _per_theta_scan(system, cocycle, resolution, eps):
     else:
         for t in np.linspace(0, 2 * math.pi, 4 * resolution, endpoint=False):
             pts.append(np.array([eps * math.cos(t), eps * math.sin(t)]) % (2 * math.pi))
-    mods = [abs(_per_theta_leading(system, cocycle, t)[0]) for t in pts]
+    mods = [abs(leading(system, cocycle, t)[0]) for t in pts]
     # the characters that annihilate Lambda0 have modulus exactly 1 (B(theta)
     # is a unimodular multiple of P^T there); they come last
     forced = spectral._forced_characters(cocycle)
@@ -162,45 +177,103 @@ def _grid(resolution, d):
 
 @pytest.mark.parametrize("name", sorted(_lattice_systems()))
 def test_stacked_evaluator_matches_per_theta_loop(name):
-    # bitwise: every cocycle value here is 0 or +-1, so the phase arguments
-    # are exact whatever order the inner products are summed in
+    # bitwise against one-row stacks and a lone matrix (a row's result does
+    # not depend on its block), and against a per-theta LAPACK loop wherever
+    # the closed-form cubic did not solve the row: every cocycle value here is
+    # 0 or +-1, so the phase arguments are exact whatever order the inner
+    # products are summed in.  A closed-form row is within CUBIC_RADIUS_TOL.
     sys_, coc = _lattice_systems()[name]
     d = coc.spec.key_size
     rng = np.random.default_rng(3)
     thetas = _grid(64 if d == 1 else 32, d) + [tuple(t) for t in rng.uniform(0, 7, (50, d))]
     lam, ratio = spectral.leading_stack(sys_, coc, np.array(thetas))
-    for theta, got_lam, got_ratio in zip(thetas, lam.tolist(), ratio.tolist()):
+    closed = _closed_form_rows(sys_, coc, np.array(thetas))
+    assert closed.any() == (not sys_.is_bernoulli and sys_.m == 3)
+    for theta, got_lam, got_ratio, cubic in zip(thetas, lam.tolist(), ratio.tolist(), closed):
+        assert repr(_solver_leading(sys_, coc, theta)) == repr((got_lam, got_ratio)), theta
+        if not sys_.is_bernoulli:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)     # ties warn
+                alone = spectral.leading_eigenvalue(spectral.perturbed_matrix(sys_, coc, theta))
+            assert repr(alone) == repr((got_lam, got_ratio)), theta
         want_lam, want_ratio = _per_theta_leading(sys_, coc, np.array(theta))
-        assert repr(got_lam) == repr(complex(want_lam)), theta
-        assert repr(got_ratio) == repr(float(want_ratio)), theta
+        if cubic:
+            assert abs(got_lam - want_lam) <= spectral.CUBIC_RADIUS_TOL, theta
+            assert abs(got_ratio - want_ratio) <= spectral.CUBIC_RADIUS_TOL, theta
+        else:
+            assert repr(got_lam) == repr(complex(want_lam)), theta
+            assert repr(got_ratio) == repr(float(want_ratio)), theta
     one = spectral.eigenvalue_at(sys_, coc, thetas[-1])
     assert one == (lam.tolist()[-1], ratio.tolist()[-1])
 
 
 @pytest.mark.parametrize("name", sorted(_lattice_systems()))
 def test_aperiodicity_scan_matches_per_theta_loop(name):
+    # bitwise a per-theta loop through the same solver; bitwise a per-theta
+    # LAPACK loop where no row is solved in closed form, else within
+    # CUBIC_RADIUS_TOL of its maximum, with the same verdict
     sys_, coc = _lattice_systems()[name]
     d = coc.spec.key_size
     resolution = 64 if d == 1 else 24
     rep = spectral.aperiodicity_scan(sys_, coc, resolution, 0.1)
-    assert (rep.max_modulus, rep.argmax_theta, rep.passed) == \
-        _per_theta_scan(sys_, coc, resolution, 0.1)
+    got = (rep.max_modulus, rep.argmax_theta, rep.passed)
+    assert got == _per_theta_scan(sys_, coc, resolution, 0.1, _solver_leading)
+    want = _per_theta_scan(sys_, coc, resolution, 0.1)
+    if sys_.is_bernoulli or sys_.m != 3:
+        assert got == want
+    else:
+        assert abs(rep.max_modulus - want[0]) <= spectral.CUBIC_RADIUS_TOL
+        at = abs(_per_theta_leading(sys_, coc, np.array(rep.argmax_theta))[0])
+        assert abs(at - want[0]) <= spectral.CUBIC_RADIUS_TOL
+        assert rep.passed == want[2]
 
 
 def test_scan_unchanged_across_blocks(monkeypatch):
-    for sys_, coc in (_markov3_z2(), presets.z2_lattice()[:2], _sticky_z()):
-        one = (spectral.aperiodicity_scan(sys_, coc, 32, 0.1),
-               spectral.eigenvalue_grid(sys_, coc, 32),
-               spectral.symmetry_reality_check(sys_, coc, None, 32),
-               spectral.fourier_invert(sys_, coc, (1,) * coc.spec.key_size, 5, 32))
-        # a few rows per block: the 32^d grid spans many blocks
-        monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", 50)
-        many = (spectral.aperiodicity_scan(sys_, coc, 32, 0.1),
+    def outputs():
+        return (spectral.aperiodicity_scan(sys_, coc, 32, 0.1),
                 spectral.eigenvalue_grid(sys_, coc, 32),
                 spectral.symmetry_reality_check(sys_, coc, None, 32),
                 spectral.fourier_invert(sys_, coc, (1,) * coc.spec.key_size, 5, 32))
-        monkeypatch.undo()
-        assert repr(one) == repr(many)
+
+    # the defective chain's half grid has runs of rows that LAPACK solves
+    mirror = _mirror_rows(32, 2)
+    own = mirror >= np.arange(len(mirror))
+    lapack = spectral._stack(*_defective_chain(), spectral._torus_grid(32, 2)[own])[3]
+    for entries in (50, 3 * spectral._CUBIC_ENTRIES):
+        # a chunk boundary (1 or 3 rows a chunk) falls inside such a run
+        step = max(1, entries // spectral._CUBIC_ENTRIES)
+        cut = np.arange(step, len(lapack), step)
+        assert (lapack[cut - 1] & lapack[cut]).any()
+        for sys_, coc in (_markov3_z2(), presets.z2_lattice()[:2], _sticky_z(),
+                          _defective_chain()):
+            one = outputs()
+            # a few rows per block and per cubic chunk: the 32^d grid spans many
+            monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", entries)
+            many = outputs()
+            monkeypatch.undo()
+            assert repr(one) == repr(many)
+
+
+def test_scan_counts_the_grid_rows_lapack_solved():
+    # Bernoulli rows are exact and 3x3 rows mostly closed-form; every other
+    # spectrum is LAPACK's, on the half grid and the rows solved beside it
+    bern, bern_coc = presets.z2_lattice()[:2]
+    assert spectral.aperiodicity_scan(bern, bern_coc, 32, 0.1).fallback_rows == 0
+    for (sys_, coc), resolution in ((_sticky_z(), 64), (_markov3_z2(), 32),
+                                    (_defective_chain(), 32)):
+        d = coc.spec.key_size
+        thetas = spectral._torus_grid(resolution, d)
+        mirror = _mirror_rows(resolution, d)
+        own = mirror >= np.arange(len(thetas))
+        _, _, loose, lapack = spectral._stack(sys_, coc, thetas[own])
+        ill = np.zeros(len(thetas), dtype=bool)
+        ill[own] = loose
+        direct = spectral._stack(sys_, coc, thetas[~own & ill[mirror]])[3]
+        rep = spectral.aperiodicity_scan(sys_, coc, resolution, 0.1)
+        assert rep.fallback_rows == lapack.sum() + direct.sum()
+        assert rep == spectral.aperiodicity_scan(sys_, coc, resolution, 0.1)
+        if sys_.m == 2:
+            assert rep.fallback_rows >= own.sum()
 
 
 def test_spectral_scan_is_scan_plus_grid():
@@ -408,7 +481,7 @@ def test_half_grid_evaluates_one_row_per_conjugate_pair(name):
     sys_, coc = _grid_systems()[name]
     d = coc.spec.key_size
     resolution = 64 if d == 1 else 32
-    thetas, lam, ratio = spectral._grid_leading(sys_, coc, resolution)
+    thetas, lam, ratio, _ = spectral._grid_leading(sys_, coc, resolution)
     assert np.array_equal(thetas, spectral._torus_grid(resolution, d))
     mirror = _mirror_rows(resolution, d)
     rows = np.arange(len(thetas))
@@ -417,7 +490,7 @@ def test_half_grid_evaluates_one_row_per_conjugate_pair(name):
     assert own[mirror == rows].all()
     assert own.sum() == (len(thetas) + (mirror == rows).sum()) // 2
     # evaluated rows: bitwise what leading_stack gives on the same characters
-    want_lam, want_ratio, loose = spectral._stack(sys_, coc, thetas[own])
+    want_lam, want_ratio, loose, _ = spectral._stack(sys_, coc, thetas[own])
     assert repr(lam[own].tolist()) == repr(want_lam.tolist())
     assert repr(ratio[own].tolist()) == repr(want_ratio.tolist())
     # rows whose partner is ill-separated: bitwise a direct solve (the tie
@@ -449,7 +522,7 @@ def test_mirrored_rows_agree_with_direct_evaluation(name):
     sys_, coc = _lattice_systems()[name]
     d = coc.spec.key_size
     resolution = 512 if d == 1 else 128
-    thetas, lam, ratio = spectral._grid_leading(sys_, coc, resolution)
+    thetas, lam, ratio, _ = spectral._grid_leading(sys_, coc, resolution)
     direct_lam, direct_ratio = spectral.leading_stack(sys_, coc, thetas)
     assert np.abs(lam - direct_lam).max() <= 1e-13       # |lambda| <= 1
     assert np.abs(ratio - direct_ratio).max() <= 1e-13
@@ -470,7 +543,7 @@ def _defective_chain():
 @pytest.mark.parametrize("resolution", [32, 128])
 def test_mirror_solves_rows_whose_partner_is_ill_separated(resolution, monkeypatch):
     sys_, coc = _defective_chain()
-    thetas, lam, ratio = spectral._grid_leading(sys_, coc, resolution)
+    thetas, lam, ratio, _ = spectral._grid_leading(sys_, coc, resolution)
     want_lam, want_ratio = spectral.leading_stack(sys_, coc, thetas)
     # mirrored, the runner-up ratio was 8.2e-9 off at resolution 128
     assert np.abs(lam - want_lam).max() <= 1e-13
@@ -499,6 +572,99 @@ def test_reality_check_matches_the_full_grid():
         rep = spectral.symmetry_reality_check(sys_, coc, None, 32)
         assert repr((rep.max_imag, rep.argmax_theta)) == \
             repr((float(imag[i]), tuple(thetas[i].tolist())))
+
+
+# ------------------------------------------------ closed-form 3x3 spectra
+
+def _chain(rows):
+    return GibbsMarkovSystem.markov([[Fraction(w, sum(r)) for w in r] for r in rows])
+
+
+_weights = st.lists(st.integers(1, 30), min_size=3, max_size=3)
+_cocycles = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3,
+                     max_size=3).map(lambda v: Cocycle(IntegerLattice(2), tuple(v)))
+_chains = st.one_of(
+    st.tuples(st.lists(_weights, min_size=3, max_size=3).map(_chain), _cocycles),
+    # two equal rows of P: 0 is an eigenvalue, and the runner-up crosses it
+    st.tuples(st.tuples(_weights, _weights, st.integers(0, 2)).map(
+        lambda t: _chain([t[0] if i == t[2] else t[1] for i in range(3)])), _cocycles),
+    st.sampled_from(["tie", "defective"]).map(
+        lambda n: _tie_chain() if n == "tie" else _defective_chain()),
+)
+
+
+# read once: the mutants below patch the module's constant
+_CUBIC_TOL = spectral.CUBIC_RADIUS_TOL
+
+
+def _assert_matches_lapack(B):
+    """Rows LAPACK solved are bitwise its own; closed-form rows are within
+    CUBIC_RADIUS_TOL of it, eigenvalue by nearest eigenvalue both ways, and so
+    are their runner-up ratios."""
+    eig, lapack = spectral._eigvals(B)
+    ref = np.linalg.eigvals(B)
+    assert eig[lapack].tobytes() == ref[lapack].tobytes()
+    got, want = eig[~lapack], ref[~lapack]
+    dist = np.abs(got[:, :, None] - want[:, None, :])
+    tol = _CUBIC_TOL
+    assert dist.min(axis=2).max(initial=0.0) <= tol
+    assert dist.min(axis=1).max(initial=0.0) <= tol
+    gap = np.abs(spectral._leading(got)[1] - spectral._leading(want)[1])
+    assert gap.max(initial=0.0) <= tol
+    return lapack
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(chain=_chains, resolution=st.integers(8, 24),
+       extra=st.lists(st.tuples(st.floats(0, 7), st.floats(0, 7)), max_size=6))
+def test_closed_form_spectra_match_lapack(chain, resolution, extra):
+    # characters: 0, those that annihilate Lambda0, a torus grid and a few more
+    sys_, coc = chain
+    thetas = np.concatenate([np.zeros((1, 2)), spectral._forced_characters(coc)[:64],
+                             spectral._torus_grid(resolution, 2),
+                             np.array(extra, dtype=float).reshape(-1, 2)])
+    _assert_matches_lapack(spectral._twisted_stack(sys_, coc, thetas))
+
+
+def _clustered_matrix():
+    # eigenvalues 1e-6, 1e-6 + 1e-12 and 2e-6 under a unit off-diagonal entry:
+    # the roots are certified to 1e-13 ||B||_1, far from 1e-13 |lambda_1|
+    return np.array([[1e-6, 1, 0], [0, 1e-6 + 1e-12, 0], [0, 0, 2e-6]], dtype=complex)
+
+
+def _defective_grid():
+    sys_, coc = _defective_chain()
+    return spectral._twisted_stack(sys_, coc, spectral._torus_grid(128, 2))
+
+
+def _close_pair():
+    # B(pi, 0) is real with eigenvalues 0.2 and 0.2015 (the gmbench character_grids
+    # chain at seed 66): the pair is well apart, yet its closed-form roots and
+    # LAPACK's differ by 2.3e-13, which only the radius test sees
+    sys_ = _chain([[3, 5, 6], [4, 6, 5], [5, 7, 3]])
+    return spectral._twisted_stack(sys_, _markov3_z2()[1], np.array([[math.pi, 0.0]]))
+
+
+def test_clustered_and_defective_spectra_go_to_lapack():
+    B = _clustered_matrix()
+    assert _assert_matches_lapack(B[None]).all()
+    lam, ratio, _ = spectral._leading(np.linalg.eigvals(B)[None])
+    assert repr(spectral.leading_eigenvalue(B)) == repr((complex(lam[0]), float(ratio[0])))
+    assert _assert_matches_lapack(_close_pair()).all()
+    lapack = _assert_matches_lapack(_defective_grid())
+    assert 0 < lapack.sum() < len(lapack) // 4     # 2,840 of 16,384 rows
+
+
+@pytest.mark.parametrize("name, value, stack", [
+    ("NEAR_DEGENERATE_GAP", -1.0, lambda: _clustered_matrix()[None]),
+    ("CUBIC_RADIUS_TOL", math.inf, _close_pair)])
+def test_each_acceptance_test_is_needed(name, value, stack, monkeypatch):
+    # without the separation test the clustered matrix is served in closed
+    # form, without the radius test the close pair
+    B = stack()
+    monkeypatch.setattr(spectral, name, value)
+    with pytest.raises(AssertionError):
+        _assert_matches_lapack(B)
 
 
 # ------------------------------------------------ characters forced by Lambda0
