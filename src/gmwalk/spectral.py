@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .gm_system import check_aperiodicity_algebraic, check_symmetry
+from .gm_system import SymmetryInvolution, check_aperiodicity_algebraic, check_symmetry
 from .groups import EmbeddedRealLattice, IntegerLattice, hermite_basis
 from .walkdist import (_adjugate, _as_box, _element, _int_det, _point_masses, box_volume,
                        distribution, marginal_recursion, window_mass)
@@ -55,6 +55,12 @@ CUBIC_RADIUS_TOL = 1e-13
 # block beside the stack (one 8,320-row solve raised a grid run's peak RSS by
 # 3 MB, 1,024-row chunks left it as LAPACK did)
 _CUBIC_ENTRIES = 128
+# complex entries of the block budget charged to each matrix entry of a row
+# that is solved in a real basis (``_eigvals``): its phases, its real matrix
+# and the rotation's temporaries peak at about 1.6 per entry (tracemalloc),
+# so a chunk of _BLOCK_ENTRIES // (_REAL_ENTRIES S^2) rows (1,024 at S = 4)
+# takes about a fifth of a block beside the stack
+_REAL_ENTRIES = 8
 # unit roundoff
 _U = np.finfo(float).eps / 2
 # cube roots of unity
@@ -95,9 +101,14 @@ def _phases(cocycle, thetas):
     return np.cos(x) + 1j * np.sin(x)
 
 
+def _twisted(system, phases):
+    """Twisted matrices B[k, s', s] = p(s -> s') phases[k, s']."""
+    return (system.trans_float * phases[:, None, :]).transpose(0, 2, 1)
+
+
 def _twisted_stack(system, cocycle, thetas):
     """Twisted matrices B[k, s', s] = p(s -> s') e^{i<theta_k, v(s')>}."""
-    return (system.trans_float * _phases(cocycle, thetas)[:, None, :]).transpose(0, 2, 1)
+    return _twisted(system, _phases(cocycle, thetas))
 
 
 def _one_row(theta):
@@ -115,8 +126,10 @@ def _cubic_eigvals(B):
 
     a is the trace, b the sum of the principal 2x2 minors and c the
     determinant.  Cardano's formula gives the roots, in the order u + v,
-    omega u + conj(omega) v, conj(omega) u + omega v, and two Newton steps
-    polish them.  A row is certified if its roots are finite, pairwise more
+    omega u + conj(omega) v, conj(omega) u + omega v, and one Newton step
+    polishes them (a second one changed no certificate of the differential
+    test, and without any 0.1 % more of its rows fell back).  A row is
+    certified if its roots are finite, pairwise more
     than ``NEAR_DEGENERATE_GAP`` |lambda_1| apart, and each within
     ``CUBIC_RADIUS_TOL`` ||B||_1 of an eigenvalue by the root-inclusion
     bound: the union of the discs about z_k of radius 3 (|p(z_k)| + e_k) /
@@ -154,8 +167,7 @@ def _cubic_eigvals(B):
         z = np.stack([u + v, _OMEGA * u + _OMEGA.conjugate() * v,
                       _OMEGA.conjugate() * u + _OMEGA * v], axis=1) + s[:, None]
         tr, minors, det = tr[:, None], minors[:, None], det[:, None]
-        for _ in range(2):
-            z = z - (((z - tr) * z + minors) * z - det) / ((3 * z - 2 * tr) * z + minors)
+        z = z - (((z - tr) * z + minors) * z - det) / ((3 * z - 2 * tr) * z + minors)
         res = _modulus(((z - tr) * z + minors) * z - det)
         mod = _modulus(z)
         err = 18 * _U * (((mod + abs_tr[:, None]) * mod + abs_minors[:, None]) * mod
@@ -169,45 +181,170 @@ def _cubic_eigvals(B):
     return z, ok
 
 
-def _eigvals(stack):
-    """Eigenvalues of each matrix of ``stack``, and which rows LAPACK solved.
+def _involution(system, cocycle):
+    """An involution iota of the alphabet that inverts the cocycle, psi(iota s)
+    = psi(s)^-1, and preserves P, or None.
+
+    Each candidate pairs every symbol with one that carries its inverse
+    increment (itself where the increment is its own inverse) and the same
+    stationary mass, as an involution that preserves P must; the first that
+    ``check_symmetry`` accepts is returned, so that stays the one definition
+    of symmetry.  Symbols with distinct increments admit one candidate.
+    """
+    values, pi = cocycle.values, system.pi
+    inverse = [cocycle.spec.inverse(v) for v in values]
+
+    def pairings(free):
+        if not free:
+            yield {}
+            return
+        a = free[0]
+        for b in free:
+            if values[b] == inverse[a] and pi[b] == pi[a]:
+                for rest in pairings([c for c in free[1:] if c != b]):
+                    yield {a: b, b: a, **rest}
+
+    if any(v not in values for v in inverse):
+        return None
+    for iota in pairings(list(range(system.m))):
+        perm = SymmetryInvolution(tuple(iota[a] for a in range(system.m)))
+        if check_symmetry(system, cocycle, perm):
+            return perm.perm
+    return None
+
+
+def _real_basis(system, cocycle):
+    """The real matrix M = T^H P^T T of a fixed unitary basis T in which every
+    twisted matrix is real, and the symbols a < iota a of its pairs, or None.
+
+    With J the permutation matrix of an involution iota (``_involution``),
+    J B(theta) J = conj B(theta).  T takes e_a for each fixed symbol (whose
+    increment is 0), then (e_a + e_b) / sqrt 2 and i (e_a - e_b) / sqrt 2 for
+    each pair b = iota a, so J T = conj T and conj(T^H B T) = T^H J B J T =
+    T^H B T.  Bernoulli systems take no eigensolve (``_stack``) and get none.
+    """
+    perm = None if system.is_bernoulli else _involution(system, cocycle)
+    if perm is None:
+        return None
+    fixed = [a for a, b in enumerate(perm) if a == b]
+    pairs = [a for a, b in enumerate(perm) if a < b]
+    T = np.zeros((system.m, system.m), dtype=complex)
+    f = len(fixed)
+    T[fixed, range(f)] = 1
+    for j, a in enumerate(pairs):
+        T[[a, perm[a]], f + 2 * j] = math.sqrt(0.5)
+        T[[a, perm[a]], f + 2 * j + 1] = 1j * math.sqrt(0.5), -1j * math.sqrt(0.5)
+    return (T.conj().T @ system.trans_float.T @ T).real, pairs
+
+
+def _real_stack(basis, phases, rows):
+    """R(theta) = Re(T^H B(theta) T) at the rows ``rows`` of ``phases``.
+
+    B(theta) = D(theta) P^T with D the diagonal of the phases, and T^H D T is
+    1 on each fixed symbol and, in the plane of each pair, the rotation by
+    the phase angle phi of its symbol a (iota a has -phi), so R = (T^H D T) M
+    (``_real_basis``) takes two rows of M per pair.  Every operation is
+    elementwise, so a row's result does not depend on its block.
+    """
+    M, pairs = basis
+    f = len(M) - 2 * len(pairs)
+    z = phases[rows][:, pairs, None]
+    cos, sin = z.real, z.imag
+    R = np.empty((len(rows),) + M.shape)
+    R[:, :f] = M[:f]
+    R[:, f::2] = cos * M[f::2] - sin * M[f + 1::2]
+    R[:, f + 1::2] = sin * M[f::2] + cos * M[f + 1::2]
+    return R
+
+
+def _near_pair(eig):
+    """Whether two eigenvalues of each row of ``eig`` lie within
+    ``NEAR_DEGENERATE_GAP`` |lambda_1| of each other, one pair of columns at a
+    time, so that no temporary is wider than a column."""
+    mod = [_modulus(eig[:, k]) for k in range(eig.shape[1])]
+    scale = NEAR_DEGENERATE_GAP * functools.reduce(np.maximum, mod)
+    near = np.zeros(len(eig), dtype=bool)
+    for i, j in itertools.combinations(range(eig.shape[1]), 2):
+        near |= _modulus(eig[:, i] - eig[:, j]) <= scale
+    return near
+
+
+def _eigvals(stack, real=None):
+    """Eigenvalues of each matrix of ``stack``, and which rows the general
+    complex eigensolve (``np.linalg.eigvals`` on B) solved.
 
     3x3 stacks are solved in closed form (``_cubic_eigvals``),
-    ``_BLOCK_ENTRIES // _CUBIC_ENTRIES`` rows at a time; the rows it does not
-    certify, and stacks of any other size, go to ``np.linalg.eigvals``
-    unchanged.  A 2x2 spectrum costs LAPACK little, and a quartic's roots are
-    certified too rarely to pay (on the symmetric 4-state chain the same
+    ``_BLOCK_ENTRIES // _CUBIC_ENTRIES`` rows at a time.  Given ``real``, which
+    maps rows of the stack to their real matrices Re(T^H B T) in a unitary
+    basis T (``_real_stack``), the rows left are solved as those,
+    ``_BLOCK_ENTRIES // (_REAL_ENTRIES S^2)`` rows at a time; a row in which
+    two eigenvalues lie within ``NEAR_DEGENERATE_GAP`` |lambda_1|
+    (``_near_pair``) is solved again on B, as a near-defective pair is
+    determined only to about sqrt(u) |B|.  Every other row goes to the
+    general solve.  A 2x2 spectrum costs LAPACK little, and a quartic's roots
+    are certified too rarely to pay (on the symmetric 4-state chain the same
     tests rejected 17 % of a 64^2 grid and 75 % of the 0.5-disc).
     """
-    if stack.shape[1:] != (3, 3):
-        return np.linalg.eigvals(stack), np.ones(len(stack), dtype=bool)
-    eig = np.empty((len(stack), 3), dtype=complex)
-    ok = np.empty(len(stack), dtype=bool)
-    step = max(1, _BLOCK_ENTRIES // _CUBIC_ENTRIES)
-    for i in range(0, len(stack), step):
-        eig[i:i + step], ok[i:i + step] = _cubic_eigvals(stack[i:i + step])
-    lapack = ~ok
-    if lapack.any():
-        eig[lapack] = np.linalg.eigvals(stack[lapack])
-    return eig, lapack
+    general = np.ones(len(stack), dtype=bool)
+    if stack.shape[1:] != (3, 3) and real is None:
+        return np.linalg.eigvals(stack), general
+    eig = np.empty(stack.shape[:2], dtype=complex)
+    if stack.shape[1:] == (3, 3):
+        step = max(1, _BLOCK_ENTRIES // _CUBIC_ENTRIES)
+        for i in range(0, len(stack), step):
+            eig[i:i + step], ok = _cubic_eigvals(stack[i:i + step])
+            general[i:i + step] = ~ok
+    if real is not None and general.any():
+        rows = np.flatnonzero(general)
+        step = max(1, _BLOCK_ENTRIES // (_REAL_ENTRIES * stack[0].size))
+        for i in range(0, len(rows), step):
+            eig[rows[i:i + step]] = np.linalg.eigvals(real(rows[i:i + step]))
+        general[rows] = _near_pair(eig[rows])
+    if general.any():
+        eig[general] = np.linalg.eigvals(stack[general])
+    return eig, general
 
 
-def _leading(eig):
-    """Leading eigenvalue and runner-up modulus ratio of each row of ``eig``, and
-    whether the row is ill-separated: its leading pair ties (1 - ratio below
-    ``NEAR_DEGENERATE_GAP``) or its runner-up lies within ``NEAR_DEGENERATE_GAP``
-    |lambda_1| of the next eigenvalue.  There an eigensolve of the conjugate
-    matrix need not return the conjugate values to rounding (``_grid_leading``).
+def _leading(eig, general):
+    """Leading eigenvalue and runner-up modulus ratio of each row of ``eig``,
+    whether the row is ill-separated, and whether its leading pair is a
+    conjugate pair.
+
+    ``general`` marks the rows the general solve took (``_eigvals``): only
+    those can hold two close eigenvalues (``_near_pair``), since the closed
+    form certifies its gap and a real-basis row with a close pair is solved
+    again by the general solve.
+
+    A leading pair that ties (1 - ratio below ``NEAR_DEGENERATE_GAP``) with
+    |lambda_2 - conj lambda_1| <= ``NEAR_DEGENERATE_GAP`` |lambda_1|, no third
+    eigenvalue of its modulus and no two eigenvalues close (``_near_pair``)
+    is a conjugate pair: its member with Im >= 0 is reported, and the pair is
+    the spectrum of the conjugate matrix too.  A row is ill-separated where two
+    eigenvalues are close or its leading pair ties otherwise: there an
+    eigensolve of the conjugate matrix need not return the conjugate values
+    to rounding (``_grid_leading``).
     """
+    m = eig.shape[1]
     ranked = np.take_along_axis(eig, np.argsort(-np.abs(eig), axis=-1)[:, :3], axis=-1)
-    second = _modulus(ranked[:, 1]) if eig.shape[1] > 1 else 0.0
+    second = _modulus(ranked[:, 1]) if m > 1 else 0.0
     mod = _modulus(ranked[:, 0])
+    if general.all():
+        near = _near_pair(eig)
+    else:
+        near = np.zeros(len(eig), dtype=bool)
+        near[general] = _near_pair(eig[general])
+    lam = ranked[:, 0]
+    pair = np.zeros(len(eig), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(mod > 0, second / mod, math.inf)
-    loose = 1 - ratio < NEAR_DEGENERATE_GAP
-    if eig.shape[1] > 2:
-        loose |= _modulus(ranked[:, 1] - ranked[:, 2]) <= NEAR_DEGENERATE_GAP * mod
-    return ranked[:, 0], ratio, loose
+        tie = 1 - ratio < NEAR_DEGENERATE_GAP
+        if tie.any():
+            pair = tie & ~near & (_modulus(ranked[:, 1] - lam.conj())
+                                  <= NEAR_DEGENERATE_GAP * mod)
+            if m > 2:
+                pair &= 1 - _modulus(ranked[:, 2]) / mod >= NEAR_DEGENERATE_GAP
+            lam = np.where(pair & (lam.imag < 0), ranked[:, 1], lam)
+    return lam, ratio, near | (tie & ~pair), pair
 
 
 def _warn_near_degenerate(ratio):
@@ -217,7 +354,7 @@ def _warn_near_degenerate(ratio):
 
 def leading_eigenvalue(matrix) -> tuple[complex, float]:
     """Maximal-modulus eigenvalue and runner-up modulus ratio (near 1: warns)."""
-    lam, ratio, _ = _leading(_eigvals(np.asarray(matrix)[None])[0])
+    lam, ratio, _, _ = _leading(*_eigvals(np.asarray(matrix)[None]))
     _warn_near_degenerate(ratio)
     return complex(lam[0]), float(ratio[0])
 
@@ -226,31 +363,36 @@ def leading_stack(system, cocycle, thetas):
     """Leading twisted eigenvalues and runner-up ratios at the rows of ``thetas``.
 
     Markov systems solve one block of stacked matrices at a time
-    (``_eigvals``: 3x3 spectra in closed form, others by LAPACK).  Bernoulli
-    twisted matrices have identical columns, so their only nonzero eigenvalue
-    is the trace (ratio 0): exact, and free of the sqrt(eps) noise a generic
-    eigensolve puts on the defective zero eigenvalue.
+    (``_eigvals``: 3x3 spectra in closed form, symmetric systems as real
+    matrices, others by complex LAPACK).  Bernoulli twisted matrices have
+    identical columns, so their only nonzero eigenvalue is the trace (ratio
+    0): exact, and free of the sqrt(eps) noise a generic eigensolve puts on
+    the defective zero eigenvalue.
     """
     return _stack(system, cocycle, thetas)[:2]
 
 
 def _stack(system, cocycle, thetas):
-    """``leading_stack``, each row's ill-separation flag (``_leading``; never on
-    a Bernoulli row, which is exact) and whether LAPACK solved the row."""
+    """``leading_stack``, each row's ill-separation and conjugate-pair flags
+    (``_leading``; never on a Bernoulli row, which is exact) and whether the
+    general complex eigensolve solved the row."""
     thetas = np.asarray(thetas, dtype=float)
     lam = np.zeros(len(thetas), dtype=complex)
     ratio = np.zeros(len(thetas))
     loose = np.zeros(len(thetas), dtype=bool)
-    lapack = np.zeros(len(thetas), dtype=bool)
+    pair = np.zeros(len(thetas), dtype=bool)
+    general = np.zeros(len(thetas), dtype=bool)
+    basis = _real_basis(system, cocycle)
     for blk in _blocks(len(thetas), system.m):
+        phases = _phases(cocycle, thetas[blk])
         if system.is_bernoulli:
-            phases = _phases(cocycle, thetas[blk])
             for s in range(system.m):
                 lam[blk] += system.pi_float[s] * phases[:, s]
         else:
-            eig, lapack[blk] = _eigvals(_twisted_stack(system, cocycle, thetas[blk]))
-            lam[blk], ratio[blk], loose[blk] = _leading(eig)
-    return lam, ratio, loose, lapack
+            real = None if basis is None else functools.partial(_real_stack, basis, phases)
+            eig, general[blk] = _eigvals(_twisted(system, phases), real)
+            lam[blk], ratio[blk], loose[blk], pair[blk] = _leading(eig, general[blk])
+    return lam, ratio, loose, pair, general
 
 
 def eigenvalue_at(system, cocycle, theta):
@@ -268,7 +410,8 @@ class ScanReport:
     argmax_theta: tuple
     passed: bool
     algebraic_full: bool | None = None
-    # grid rows whose spectrum LAPACK solved (``_eigvals``)
+    # grid rows that the general complex eigensolve solved (``_eigvals``):
+    # not those solved in closed form or as real matrices
     fallback_rows: int = 0
 
 
@@ -281,17 +424,20 @@ def _grid(cocycle, resolution):
 
 def _grid_leading(system, cocycle, resolution):
     """Torus grid, its leading eigenvalues and runner-up ratios, half evaluated,
-    and the number of its rows that LAPACK solved.
+    and the number of its rows that the general complex eigensolve solved.
 
     The cocycle is integer and P real, so B(-theta) = conj B(theta) and
     lambda(-theta) = conj lambda(theta).  Only the rows whose mirror index
     (-k mod N per axis) is at least their own are evaluated, the
     self-conjugate ones (every coordinate 0 or pi) among them.  Every other
     row takes its partner's ratio and conjugate eigenvalue, with imaginary
-    part 0.0 - Im so that a real eigenvalue keeps +0.0, unless the partner
-    is ill-separated (``_leading``): at a tie the mirror may report the other
-    member of the pair, and beside a nearly defective runner-up it is
-    determined only to about sqrt(u) |B|, so that row is solved directly.
+    part 0.0 - Im so that a real eigenvalue keeps +0.0.  Where the partner's
+    leading pair is a conjugate pair (``_leading``) the pair is the spectrum
+    at -theta as well, and the row takes the partner's eigenvalue itself, the
+    member with Im >= 0.  A row whose partner is ill-separated is solved
+    directly: at another tie the mirror may report the other member of the
+    pair, and beside a nearly defective pair it is determined only to about
+    sqrt(u) |B|.
     """
     thetas = _grid(cocycle, resolution)
     d = thetas.shape[1]
@@ -302,16 +448,19 @@ def _grid_leading(system, cocycle, resolution):
     lam = np.empty(len(thetas), dtype=complex)
     ratio = np.empty(len(thetas))
     loose = np.zeros(len(thetas), dtype=bool)
-    lapack = np.zeros(len(thetas), dtype=bool)
-    lam[own], ratio[own], loose[own], lapack[own] = _stack(system, cocycle, thetas[own])
+    pair = np.zeros(len(thetas), dtype=bool)
+    general = np.zeros(len(thetas), dtype=bool)
+    lam[own], ratio[own], loose[own], pair[own], general[own] = \
+        _stack(system, cocycle, thetas[own])
     direct = ~own & loose[mirror]
-    lam[direct], ratio[direct], _, lapack[direct] = _stack(system, cocycle, thetas[direct])
+    if direct.any():
+        lam[direct], ratio[direct], _, _, general[direct] = _stack(system, cocycle, thetas[direct])
     mirrored = ~own & ~direct
     partner = mirror[mirrored]
     lam.real[mirrored] = lam.real[partner]
-    lam.imag[mirrored] = 0.0 - lam.imag[partner]
+    lam.imag[mirrored] = np.where(pair[partner], lam.imag[partner], 0.0 - lam.imag[partner])
     ratio[mirrored] = ratio[partner]
-    return thetas, lam, ratio, int(lapack.sum())
+    return thetas, lam, ratio, int(general.sum())
 
 
 def _forced_characters(cocycle):
@@ -548,7 +697,12 @@ def u_n_integral(system, cocycle, eta, n) -> float:
 
     Lattice targets (d = 1) use plain d(theta); embedded targets integrate
     along the real dual line with dt/(2*pi).  Non-real eigenvalues beyond
-    1e-10 raise, since reality is what the symmetry hypothesis buys.
+    1e-10 raise, since reality is what the symmetry hypothesis buys.  P is
+    real and the cocycle integer, so lambda(-theta) = conj lambda(theta): a
+    real lambda makes the integrand even, and half the ball is integrated and
+    doubled (the angle over [0, pi] in d = 2, [0, eta] otherwise).  Non-reality
+    at theta is non-reality at -theta, so the check on the evaluated half is
+    the check on the whole ball.
     """
     if eta <= 0:
         raise ValidationError("eta must be positive")
@@ -571,13 +725,14 @@ def u_n_integral(system, cocycle, eta, n) -> float:
         if spec.ambient_dim != 1:
             raise ValidationError("embedded u_n integrals support ambient dimension 1")
         beta = np.array([row[0] for row in spec.basis])
-        return float(_batched_gl(lambda t, _: lead(np.outer(t, beta)), [-eta], [eta],
-                                 U_N_REL_TOL)[0] / (2 * math.pi))
+        return float(2 * _batched_gl(lambda t, _: lead(np.outer(t, beta)), [0.0], [eta],
+                                     U_N_REL_TOL)[0] / (2 * math.pi))
     d = _lattice_dim(cocycle)
     if d == 1:
         if eta > math.pi + 1e-12:
             raise ValidationError("eta must be <= pi on the torus")
-        return float(_batched_gl(lambda t, _: lead(t[:, None]), [-eta], [eta], U_N_REL_TOL)[0])
+        return float(2 * _batched_gl(lambda t, _: lead(t[:, None]), [0.0], [eta],
+                                     U_N_REL_TOL)[0])
     if d == 2:
         tol = 1e-10     # both nested rules of the 2-d integral stop coarser
 
@@ -586,9 +741,9 @@ def u_n_integral(system, cocycle, eta, n) -> float:
             def angular(t, owner):
                 return lead(r[owner][:, None] * np.stack([np.cos(t), np.sin(t)], axis=1))
 
-            return r * _batched_gl(angular, np.zeros_like(r), np.full_like(r, 2 * math.pi), tol)
+            return r * _batched_gl(angular, np.zeros_like(r), np.full_like(r, math.pi), tol)
 
-        return float(_batched_gl(radial, [0.0], [eta], tol)[0])
+        return float(2 * _batched_gl(radial, [0.0], [eta], tol)[0])
     raise ValidationError("u_n integrals are implemented for d <= 2")
 
 

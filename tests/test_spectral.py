@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import time
 import warnings
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gmwalk import presets, spectral, walkdist
 from gmwalk.errors import ConsistencyError, ValidationError
-from gmwalk.gm_system import Cocycle, GibbsMarkovSystem
+from gmwalk.gm_system import Cocycle, GibbsMarkovSystem, SymmetryInvolution, check_symmetry
 from gmwalk.groups import EmbeddedRealLattice, IntegerLattice
 from pairing import paired_agrees
 
@@ -110,6 +111,15 @@ def _sticky_z():
     return sys_, Cocycle(IntegerLattice(1), ((1,), (-1,)))
 
 
+def _sym4_z2():
+    """gmbench's symmetric 4-state chain over +-e1, +-e2 at fixed rows."""
+    r0 = [Fraction(2, 10), Fraction(3, 10), Fraction(1, 10), Fraction(4, 10)]
+    r2 = [Fraction(1, 10), Fraction(1, 10), Fraction(6, 10), Fraction(2, 10)]
+    rows = [r0, [r0[1], r0[0], r0[3], r0[2]], r2, [r2[1], r2[0], r2[3], r2[2]]]
+    sys_ = GibbsMarkovSystem.markov([[(Fraction(1, 4) + w) / 2 for w in r] for r in rows])
+    return sys_, Cocycle(IntegerLattice(2), ((1, 0), (-1, 0), (0, 1), (0, -1)))
+
+
 def _lattice_systems():
     out = {}
     for name, mk in presets.ALL_EXAMPLES.items():
@@ -144,7 +154,7 @@ def _closed_form_rows(system, cocycle, thetas):
     """Rows whose spectrum the closed-form cubic solved (3-state Markov only)."""
     if system.is_bernoulli:
         return np.zeros(len(thetas), dtype=bool)
-    return ~spectral._stack(system, cocycle, thetas)[3]
+    return ~spectral._stack(system, cocycle, thetas)[-1]
 
 
 def _per_theta_scan(system, cocycle, resolution, eps, leading=_per_theta_leading):
@@ -238,14 +248,14 @@ def test_scan_unchanged_across_blocks(monkeypatch):
     # the defective chain's half grid has runs of rows that LAPACK solves
     mirror = _mirror_rows(32, 2)
     own = mirror >= np.arange(len(mirror))
-    lapack = spectral._stack(*_defective_chain(), spectral._torus_grid(32, 2)[own])[3]
+    lapack = spectral._stack(*_defective_chain(), spectral._torus_grid(32, 2)[own])[-1]
     for entries in (50, 3 * spectral._CUBIC_ENTRIES):
         # a chunk boundary (1 or 3 rows a chunk) falls inside such a run
         step = max(1, entries // spectral._CUBIC_ENTRIES)
         cut = np.arange(step, len(lapack), step)
         assert (lapack[cut - 1] & lapack[cut]).any()
         for sys_, coc in (_markov3_z2(), presets.z2_lattice()[:2], _sticky_z(),
-                          _defective_chain()):
+                          _defective_chain(), _sym4_z2(), _sym4_seed189()):
             one = outputs()
             # a few rows per block and per cubic chunk: the 32^d grid spans many
             monkeypatch.setattr(spectral, "_BLOCK_ENTRIES", entries)
@@ -255,25 +265,29 @@ def test_scan_unchanged_across_blocks(monkeypatch):
 
 
 def test_scan_counts_the_grid_rows_lapack_solved():
-    # Bernoulli rows are exact and 3x3 rows mostly closed-form; every other
-    # spectrum is LAPACK's, on the half grid and the rows solved beside it
+    # Bernoulli rows are exact, 3x3 rows mostly closed-form and a symmetric
+    # system's rows mostly real; every other spectrum is the general complex
+    # solve's, on the half grid and the rows solved beside it
     bern, bern_coc = presets.z2_lattice()[:2]
     assert spectral.aperiodicity_scan(bern, bern_coc, 32, 0.1).fallback_rows == 0
+    assert spectral.aperiodicity_scan(*_sym4_z2(), 32, 0.1).fallback_rows == 0
     for (sys_, coc), resolution in ((_sticky_z(), 64), (_markov3_z2(), 32),
-                                    (_defective_chain(), 32)):
+                                    (_defective_chain(), 32), (_sym4_seed189(), 64)):
         d = coc.spec.key_size
         thetas = spectral._torus_grid(resolution, d)
         mirror = _mirror_rows(resolution, d)
         own = mirror >= np.arange(len(thetas))
-        _, _, loose, lapack = spectral._stack(sys_, coc, thetas[own])
+        _, _, loose, _, lapack = spectral._stack(sys_, coc, thetas[own])
         ill = np.zeros(len(thetas), dtype=bool)
         ill[own] = loose
-        direct = spectral._stack(sys_, coc, thetas[~own & ill[mirror]])[3]
+        direct = spectral._stack(sys_, coc, thetas[~own & ill[mirror]])[-1]
         rep = spectral.aperiodicity_scan(sys_, coc, resolution, 0.1)
         assert rep.fallback_rows == lapack.sum() + direct.sum()
         assert rep == spectral.aperiodicity_scan(sys_, coc, resolution, 0.1)
         if sys_.m == 2:
             assert rep.fallback_rows >= own.sum()
+        if sys_.m == 4:             # the near-defective rows at theta_2 = +-pi/2
+            assert 0 < rep.fallback_rows <= 2 * resolution
 
 
 def test_spectral_scan_is_scan_plus_grid():
@@ -353,9 +367,13 @@ def test_u_n_volume_and_inversion_identity():
 
 
 def test_u_n_rejects_asymmetric_input():
+    # lambda(-theta) = conj lambda(theta): a non-real lambda shows on the
+    # evaluated half of the ball, in d = 1 and d = 2
     sys_, coc, _ = presets.asymmetric_z()
     with pytest.raises(ConsistencyError):
         spectral.u_n_integral(sys_, coc, 2.0, 5)
+    with pytest.raises(ConsistencyError, match="symmetry hypothesis fails"):
+        spectral.u_n_integral(*_markov3_z2(), 0.5, 5)
 
 
 def test_u_n_embedded_line():
@@ -473,6 +491,7 @@ def _tie_chain():
 def _grid_systems():
     out = dict(_lattice_systems())
     out["tie_chain"] = _tie_chain()
+    out["sym4_z2"] = _sym4_z2()
     return out
 
 
@@ -490,23 +509,30 @@ def test_half_grid_evaluates_one_row_per_conjugate_pair(name):
     assert own[mirror == rows].all()
     assert own.sum() == (len(thetas) + (mirror == rows).sum()) // 2
     # evaluated rows: bitwise what leading_stack gives on the same characters
-    want_lam, want_ratio, loose, _ = spectral._stack(sys_, coc, thetas[own])
+    want_lam, want_ratio, loose, pair, _ = spectral._stack(sys_, coc, thetas[own])
     assert repr(lam[own].tolist()) == repr(want_lam.tolist())
     assert repr(ratio[own].tolist()) == repr(want_ratio.tolist())
     # rows whose partner is ill-separated: bitwise a direct solve (the tie
     # chain's ties; no other system here has one)
     ill = np.zeros(len(thetas), dtype=bool)
     ill[own] = loose
+    conjugate_pair = np.zeros(len(thetas), dtype=bool)
+    conjugate_pair[own] = pair
+    # elsewhere only a real B(theta) (markov3_z2 at (pi, pi)) has one, and
+    # that row is its own mirror
+    assert conjugate_pair[mirror != rows].any() == (name == "sym4_z2")
     direct = ~own & ill[mirror]
     assert direct.any() == (name == "tie_chain")
     direct_lam, direct_ratio = spectral.leading_stack(sys_, coc, thetas[direct])
     assert repr((lam[direct].tolist(), ratio[direct].tolist())) == \
         repr((direct_lam.tolist(), direct_ratio.tolist()))
-    # mirrored rows: bitwise the partner's conjugate, +0.0 where lambda is real
+    # mirrored rows: bitwise the partner's conjugate, +0.0 where lambda is
+    # real, or the partner's own eigenvalue where it is one of a conjugate pair
     for i in rows[~own & ~direct]:
         p = mirror[i]
         assert repr((lam[i].real, ratio[i])) == repr((lam[p].real, ratio[p]))
-        assert repr(float(lam[i].imag)) == repr(0.0 - float(lam[p].imag))
+        imag = float(lam[p].imag) if conjugate_pair[p] else 0.0 - float(lam[p].imag)
+        assert repr(float(lam[i].imag)) == repr(imag)
         if lam[i].imag == 0.0:
             assert repr(float(lam[i].imag)) == "0.0"
     # and a maximal-modulus eigenvalue of the twisted matrix at -theta (a
@@ -564,6 +590,57 @@ def test_mirror_solves_rows_whose_partner_is_ill_separated(resolution, monkeypat
     assert rows == [own.sum(), direct]
 
 
+def _sym4_seed2633():
+    # the leading pair is a conjugate pair at 2,642 of the 64^2 grid's rows
+    return _gmbench_sym4([["7/24", "13/72", "25/72", "13/72"], ["13/72", "7/24", "13/72", "25/72"],
+                          ["53/136", "33/136", "25/136", "25/136"],
+                          ["33/136", "53/136", "25/136", "25/136"]])
+
+
+@pytest.mark.parametrize("name, most_direct", [("tie_chain", 64), ("sym4_z2", 0),
+                                                ("sym4_seed2633", 1)])
+def test_mirror_copies_conjugate_pair_ties(name, most_direct, monkeypatch):
+    # a conjugate pair is the spectrum at -theta too, and both rows report its
+    # member with Im >= 0: the mirror copies it.  The tie chain's ties are
+    # lambda and -conj lambda, no conjugate pair: they are solved directly.
+    sys_, coc = {"tie_chain": _tie_chain, "sym4_z2": _sym4_z2,
+                 "sym4_seed2633": _sym4_seed2633}[name]()
+    resolution = 32 if name == "tie_chain" else 64
+    rows, stack = [], spectral._stack
+    monkeypatch.setattr(spectral, "_stack",
+                        lambda s, c, t: (rows.append(len(t)), stack(s, c, t))[1])
+    thetas, lam, ratio, _ = spectral._grid_leading(sys_, coc, resolution)
+    monkeypatch.undo()
+    own = _mirror_rows(resolution, 2) >= np.arange(len(thetas))
+    assert rows[0] == own.sum() and sum(rows[1:]) <= most_direct   # 1,322 at seed 2633 before
+    tie = ~own & (1 - ratio < spectral.NEAR_DEGENERATE_GAP)
+    assert tie.any()
+    direct_lam, direct_ratio = spectral.leading_stack(sys_, coc, thetas[tie])
+    assert np.abs(lam[tie] - direct_lam).max() <= 1e-13
+    assert np.abs(ratio[tie] - direct_ratio).max() <= 1e-13
+    for i in np.flatnonzero(tie):
+        eig = np.linalg.eigvals(spectral.perturbed_matrix(sys_, coc, thetas[i]))
+        assert np.abs(eig - lam[i]).min() <= 1e-13, thetas[i]
+        assert name == "tie_chain" or lam[i].imag >= 0
+
+
+def test_a_near_defective_pair_below_the_runner_up_is_solved_directly():
+    # B(3.240, pi/2) of the seed-189 chain has a near-defective pair +-1.5e-7
+    # below its runner-up 1.77e-4: the partner row is ill-separated, so the
+    # row is solved directly and its runner-up ratio matches complex LAPACK
+    sys_, coc = _sym4_seed189()
+    thetas, lam, ratio, _ = spectral._grid_leading(sys_, coc, 64)
+    i = 33 * 64 + 16
+    p = _mirror_rows(64, 2)[i]
+    assert p < i and spectral._stack(sys_, coc, thetas[[p]])[2][0]
+    want_lam, want_ratio = _per_theta_leading(sys_, coc, thetas[i])
+    assert abs(lam[i] - want_lam) <= 1e-13
+    assert abs(ratio[i] - want_ratio) <= 1e-13      # 4.7e-10 off when mirrored
+    direct_lam, direct_ratio = spectral.leading_stack(sys_, coc, thetas)
+    assert np.abs(lam - direct_lam).max() <= 1e-13
+    assert np.abs(ratio - direct_ratio).max() <= 1e-13
+
+
 def test_reality_check_matches_the_full_grid():
     for sys_, coc in (_markov3_z2(), _tie_chain(), _sticky_z(), _defective_chain()):
         thetas = spectral._torus_grid(32, coc.spec.key_size)
@@ -597,6 +674,11 @@ _chains = st.one_of(
 _CUBIC_TOL = spectral.CUBIC_RADIUS_TOL
 
 
+def _ratios(eig):
+    """Runner-up modulus ratios of the rows of ``eig``."""
+    return spectral._leading(eig, np.ones(len(eig), dtype=bool))[1]
+
+
 def _assert_matches_lapack(B):
     """Rows LAPACK solved are bitwise its own; closed-form rows are within
     CUBIC_RADIUS_TOL of it, eigenvalue by nearest eigenvalue both ways, and so
@@ -609,7 +691,7 @@ def _assert_matches_lapack(B):
     tol = _CUBIC_TOL
     assert dist.min(axis=2).max(initial=0.0) <= tol
     assert dist.min(axis=1).max(initial=0.0) <= tol
-    gap = np.abs(spectral._leading(got)[1] - spectral._leading(want)[1])
+    gap = np.abs(_ratios(got) - _ratios(want))
     assert gap.max(initial=0.0) <= tol
     return lapack
 
@@ -648,7 +730,8 @@ def _close_pair():
 def test_clustered_and_defective_spectra_go_to_lapack():
     B = _clustered_matrix()
     assert _assert_matches_lapack(B[None]).all()
-    lam, ratio, _ = spectral._leading(np.linalg.eigvals(B)[None])
+    eig = np.linalg.eigvals(B)[None]
+    lam, ratio, _, _ = spectral._leading(eig, np.ones(1, dtype=bool))
     assert repr(spectral.leading_eigenvalue(B)) == repr((complex(lam[0]), float(ratio[0])))
     assert _assert_matches_lapack(_close_pair()).all()
     lapack = _assert_matches_lapack(_defective_grid())
@@ -665,6 +748,191 @@ def test_each_acceptance_test_is_needed(name, value, stack, monkeypatch):
     monkeypatch.setattr(spectral, name, value)
     with pytest.raises(AssertionError):
         _assert_matches_lapack(B)
+
+
+# ------------------------------------------------ symmetric systems in a real basis
+
+def _gmbench_sym4(rows):
+    """A symmetric 4-state chain of gmbench character_grids, over +-e1, +-e2."""
+    return (GibbsMarkovSystem.markov([[Fraction(w) for w in r] for r in rows]),
+            Cocycle(IntegerLattice(2), ((1, 0), (-1, 0), (0, 1), (0, -1))))
+
+
+def _sym4_seed189():
+    # B(3.240, pi/2) has eigenvalues -0.4246, 1.77e-4 and a near-defective
+    # pair +-1.5e-7: mirrored, the runner-up ratio was 4.7e-10 off a direct solve
+    return _gmbench_sym4([["29/136", "33/136", "37/136", "37/136"],
+                          ["33/136", "29/136", "37/136", "37/136"],
+                          ["1/6", "5/12", "5/24", "5/24"], ["5/12", "1/6", "5/24", "5/24"]])
+
+
+def _sym4_seed279():
+    # solved as real matrices without the close-pair fallback, the runner-up
+    # ratios of B(0) and B(pi, pi) were 4.1e-10 and 8.2e-10 off complex LAPACK
+    return _gmbench_sym4([["33/136", "49/136", "25/136", "29/136"],
+                          ["49/136", "33/136", "29/136", "25/136"],
+                          ["45/136", "41/136", "21/136", "29/136"],
+                          ["41/136", "45/136", "29/136", "21/136"]])
+
+
+def _symmetric_chain(perm, incs, weights, equal_rows):
+    """A chain that the involution ``perm`` makes symmetric: the pair of a
+    symbol carries its negated increment (a fixed symbol 0), and
+    P[perm a][perm b] = P[a][b].  With ``equal_rows`` the first symbol and its
+    partner take one perm-invariant row, so 0 is an eigenvalue of every B."""
+    m = len(perm)
+    w = [[weights[min((a, b), (perm[a], perm[b]))] for b in range(m)] for a in range(m)]
+    if equal_rows:
+        a = 0
+        w[a] = w[perm[a]] = [w[a][min(b, perm[b])] for b in range(m)]
+    values = [tuple(-c for c in incs[perm[a]]) if perm[a] < a else
+              (incs[a] if perm[a] > a else (0, 0)) for a in range(m)]
+    return _chain(w), Cocycle(IntegerLattice(2), tuple(values))
+
+
+@st.composite
+def _symmetric_chains(draw):
+    m = draw(st.sampled_from([2, 3, 4, 5, 6]))
+    pairs = draw(st.integers(1, m // 2))
+    order = draw(st.permutations(range(m)))
+    perm = list(range(m))
+    for k in range(pairs):
+        a, b = order[2 * k], order[2 * k + 1]
+        perm[a], perm[b] = b, a
+    incs = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                         min_size=m, max_size=m))
+    weights = {(a, b): draw(st.integers(1, 30)) for a in range(m) for b in range(m)}
+    return _symmetric_chain(perm, incs, weights, draw(st.booleans()))
+
+
+# bound on the runner-up ratio error of a kept real-basis row against complex
+# LAPACK.  Measured over the draws below: 3.2e-13 (|lambda_1| near 0.3, so an
+# eigenvalue error of about 5e-14 is six times that in the ratio); every kept
+# eigenvalue was within 4.9e-14, and 1.3 % of the rows fell back.
+_REAL_RATIO_TOL = 1e-12
+
+
+def _unitary_basis(perm):
+    """T of ``spectral._real_basis``, column by column: e_a for each fixed
+    symbol, then (e_a + e_b) / sqrt 2 and i (e_a - e_b) / sqrt 2 for each
+    pair a < b = perm[a]."""
+    m = len(perm)
+    cols = [np.eye(m)[a] for a in range(m) if perm[a] == a]
+    for a in range(m):
+        if a < perm[a]:
+            plus, minus = np.eye(m)[a] + np.eye(m)[perm[a]], np.eye(m)[a] - np.eye(m)[perm[a]]
+            cols += [plus / math.sqrt(2), 1j * minus / math.sqrt(2)]
+    return np.array(cols, dtype=complex).T
+
+
+def _assert_real_basis_matches_lapack(system, cocycle, thetas):
+    """T^H B T is real and the real stack is its real part; rows the general
+    solve took are bitwise complex LAPACK, and every other row (real basis,
+    or closed form at S = 3) is within 1e-13 of it, eigenvalue by nearest
+    eigenvalue both ways, with its runner-up ratio within
+    ``_REAL_RATIO_TOL``."""
+    phases = spectral._phases(cocycle, thetas)
+    B = spectral._twisted(system, phases)
+    T = _unitary_basis(spectral._involution(system, cocycle))
+    assert np.abs(T.conj().T @ T - np.eye(system.m)).max() <= 1e-15
+    TBT = T.conj().T @ B @ T
+    assert np.abs(TBT.imag).max() <= 1e-15
+    real = functools.partial(spectral._real_stack, spectral._real_basis(system, cocycle), phases)
+    assert np.abs(real(np.arange(len(B))) - TBT.real).max() <= 1e-15
+    eig, general = spectral._eigvals(B, real)
+    ref = np.linalg.eigvals(B)
+    assert eig[general].tobytes() == ref[general].tobytes()
+    got, want = eig[~general], ref[~general]
+    dist = np.abs(got[:, :, None] - want[:, None, :])
+    assert dist.min(axis=2).max(initial=0.0) <= 1e-13
+    assert dist.min(axis=1).max(initial=0.0) <= 1e-13
+    gap = np.abs(_ratios(got) - _ratios(want))
+    assert gap.max(initial=0.0) <= _REAL_RATIO_TOL
+    return general
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(chain=st.one_of(_symmetric_chains(), st.sampled_from(
+           [_sym4_z2(), _sym4_seed189(), _sym4_seed279()])),
+       resolution=st.integers(8, 24),
+       extra=st.lists(st.tuples(st.floats(0, 7), st.floats(0, 7)), max_size=6))
+def test_real_basis_spectra_match_lapack(chain, resolution, extra):
+    sys_, coc = chain
+    perm = spectral._involution(sys_, coc)
+    assert perm is not None
+    assert check_symmetry(sys_, coc, SymmetryInvolution(perm))
+    if sys_.is_bernoulli:           # every row equal: the exact trace, no eigensolve
+        assert spectral._real_basis(sys_, coc) is None
+        return
+    thetas = np.concatenate([np.zeros((1, 2)), spectral._torus_grid(resolution, 2),
+                             np.array(extra, dtype=float).reshape(-1, 2)])
+    _assert_real_basis_matches_lapack(sys_, coc, thetas)
+
+
+def _check_real_basis_cases():
+    """The near-defective gmbench chains' 64^2 grids (128 and 2 of 4,096
+    rows fall back); returns the rows that did."""
+    return [_assert_real_basis_matches_lapack(sys_, coc, spectral._torus_grid(64, 2))
+            for sys_, coc in (_sym4_seed189(), _sym4_seed279())]
+
+
+def test_near_defective_rows_fall_back_to_complex_lapack():
+    for general in _check_real_basis_cases():
+        assert 0 < general.sum() <= len(general) // 25
+
+
+def _not_symmetric_4():
+    # the increments of the symmetric 4-state chains, but P[1][1] != P[0][0]
+    return _chain([[1, 2, 3, 4], [2, 3, 4, 1], [3, 4, 1, 2], [4, 1, 2, 3]]), _sym4_z2()[1]
+
+
+def _two_zero_symbols():
+    # two symbols of increment 0 that the involution swaps: the first candidate
+    # fixes them, and check_symmetry rejects it
+    return _symmetric_chain([1, 0, 3, 2], [(1, 2), (0, 0), (0, 0), (0, 0)],
+                            {(a, b): 1 + (3 * a + 5 * b) % 7 for a in range(4) for b in range(4)},
+                            False)
+
+
+def _check_involutions():
+    assert spectral._involution(*_sym4_z2()) == (1, 0, 3, 2)
+    assert spectral._involution(*_two_zero_symbols()) == (1, 0, 3, 2)
+    for sys_, coc in (presets.two_state_markov()[:2], _markov3_z2(), _not_symmetric_4()):
+        assert spectral._involution(sys_, coc) is None
+        assert spectral._real_basis(sys_, coc) is None
+    # a Bernoulli system takes no eigensolve, so it gets no basis
+    assert spectral._real_basis(*presets.trinomial()[:2]) is None
+
+
+def test_involution_is_the_one_check_symmetry_accepts():
+    _check_involutions()
+
+
+def _increments_only(system, cocycle, involution):
+    # check_symmetry on a uniform chain: only the increments are compared
+    uniform = GibbsMarkovSystem.bernoulli([Fraction(1, system.m)] * system.m)
+    return check_symmetry(uniform, cocycle, involution)
+
+
+@pytest.mark.parametrize("name, value, check", [
+    ("_real_basis", lambda s, c: _scaled(*_REAL_BASIS(s, c)), _check_real_basis_cases),
+    ("_near_pair", lambda eig: np.zeros(len(eig), dtype=bool), _check_real_basis_cases),
+    ("check_symmetry", _increments_only, _check_involutions)])
+def test_each_real_basis_safeguard_is_needed(name, value, check, monkeypatch):
+    # a basis that is not unitary, no close-pair fallback, or an involution not
+    # checked against P: each breaks a test above
+    monkeypatch.setattr(spectral, name, value)
+    with pytest.raises(AssertionError):
+        check()
+
+
+# read once: the mutant above patches the module's function
+_REAL_BASIS = spectral._real_basis
+
+
+def _scaled(M, pairs):
+    # M = T^H P^T T of the basis (1 + 5e-8) T, which is not unitary
+    return M * (1 + 1e-7), pairs
 
 
 # ------------------------------------------------ characters forced by Lambda0
@@ -771,15 +1039,6 @@ def _reference_u_n(system, cocycle, eta, n):
     return _adaptive_gl(np.vectorize(radial, otypes=[float]), 0.0, eta, 1e-10)
 
 
-def _sym4_z2():
-    """gmbench's symmetric 4-state chain over +-e1, +-e2 at fixed rows."""
-    r0 = [Fraction(2, 10), Fraction(3, 10), Fraction(1, 10), Fraction(4, 10)]
-    r2 = [Fraction(1, 10), Fraction(1, 10), Fraction(6, 10), Fraction(2, 10)]
-    rows = [r0, [r0[1], r0[0], r0[3], r0[2]], r2, [r2[1], r2[0], r2[3], r2[2]]]
-    sys_ = GibbsMarkovSystem.markov([[(Fraction(1, 4) + w) / 2 for w in r] for r in rows])
-    return sys_, Cocycle(IntegerLattice(2), ((1, 0), (-1, 0), (0, 1), (0, -1)))
-
-
 def test_batched_rule_matches_the_recursive_rule():
     def f(x):
         return np.exp(x) * np.cos(5 * x) / (1.1 + np.sin(3 * x))
@@ -821,6 +1080,8 @@ def test_two_dimensional_u_n_stacks_each_level(monkeypatch):
     # tens of stacked calls where the nested rule makes hundreds of 15-row ones
     assert len(stacked) <= 30 and len(calls) >= 300
     assert set(calls) == {15}
+    # the angle over [0, pi]: 2,025 rows where the full circle took 6,360
+    assert sum(stacked) <= 0.6 * sum(calls)
 
 
 def test_a_quadrature_that_never_settles_raises():
