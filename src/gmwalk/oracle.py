@@ -1,20 +1,16 @@
 """Brute-force ground truth by exhaustive word enumeration, always exact.
 
-Words are walked depth-first so prefixes share group products.  Weight
-products are carried as integer numerators over a fixed common denominator
-(weights are rationals), which keeps the inner loop on machine/big ints and
-converts to Fraction only at export.  Masses are recorded at every depth, so
-one traversal yields the laws of all steps up to n.
+One enumerator, ``_words``, checks the inputs of every public function and
+walks the words depth-first, so prefixes share group products.  Weights are
+carried as integer numerators over fixed common denominators and become
+Fractions only at export; one walk can record the laws of every depth 1..n.
 """
-
-from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ResourceLimitError, ValidationError
-from .gm_system import GibbsMarkovSystem
 from .walkdist import MassTable
 
 WORD_GUARD = 100_000_000
@@ -28,89 +24,80 @@ class OracleResult:
     word_count: int
 
 
-def _int_weights(system: GibbsMarkovSystem):
-    """(pi numerators, transition numerators, pi denom, step denom)."""
+def _words(system, cocycle, n, first=None, right=False, every=False):
+    """Integer numerators of the words of length n, keyed by (last symbol, product).
+
+    A word starts at any symbol s with pi(s) * dpi, or at symbol ``first``
+    alone with 1; each further symbol multiplies the product on the left (on
+    the right with ``right``) and the weight by p(last -> s) * dtr.  Returns
+    the tables of depths 1..n (``every``) or of depth n alone, and the
+    denominator of each: (dpi, or 1 from ``first``) * dtr^(depth - 1).
+    """
+    m = system.m
+    if n < 1:
+        raise ValidationError("word enumeration needs n >= 1")
+    cocycle.check_total(m)
+    if first is not None and first not in range(m):
+        raise ValidationError(f"base symbol {first!r} is not in the alphabet 0..{m - 1}")
+    k = n if first is None else n - 1
+    if m ** k > WORD_GUARD:
+        raise ResourceLimitError(f"{m}**{k} words exceed the enumeration guard")
+    mul = cocycle.spec.multiply
+    if right:
+        mul = lambda v, g, left=mul: left(g, v)
     dpi = math.lcm(*(f.denominator for f in system.pi))
     dtr = math.lcm(*(f.denominator for row in system.trans for f in row))
     pi_num = [int(f * dpi) for f in system.pi]
     tr_num = [[int(f * dtr) for f in row] for row in system.trans]
-    return pi_num, tr_num, dpi, dtr
+    vals = cocycle.values
+    steps = [list(zip(range(m), vals, row)) for row in tr_num]
+    # a root "symbol" m whose step to s carries the word's first weight
+    steps.append(list(zip(range(m), vals, pi_num)) if first is None else [(first, vals[first], 1)])
+    tabs = [{} for _ in range(n + 1)]
+    lo = 1 if every else n
 
+    def visit(depth, last, g, w):
+        depth += 1
+        tab = tabs[depth] if depth >= lo else None
+        for s, v, p in steps[last]:
+            h = mul(v, g)
+            x = w * p
+            if tab is not None:
+                key = (s, h)
+                tab[key] = tab.get(key, 0) + x
+            if depth < n:
+                visit(depth, s, h, x)
 
-def _guard(system, n):
-    if system.m ** n > WORD_GUARD:
-        raise ResourceLimitError(f"{system.m}**{n} words exceed the enumeration guard")
+    visit(0, m, cocycle.spec.identity(), 1)
+    den = dpi if first is None else 1
+    return tabs[lo:], [den * dtr ** (j - 1) for j in range(lo, n + 1)]
 
 
 def oracle_distributions_upto(system, cocycle, n):
     """Joint (state, element) laws for every step 1..n, by full enumeration."""
-    _guard(system, n)
-    cocycle.check_total(system.m)
-    spec = cocycle.spec
-    mul = spec.multiply
-    vals = cocycle.values
-    pi_num, tr_num, dpi, dtr = _int_weights(system)
-    m = system.m
-    acc = [dict() for _ in range(n + 1)]   # acc[j]: (state, g) -> int numerator
-    count = 0
-
-    def visit(depth, last, g, wnum):
-        nonlocal count
-        a = acc[depth]
-        key = (last, g)
-        a[key] = a.get(key, 0) + wnum
-        if depth == n:
-            count += 1
-            return
-        row = tr_num[last]
-        for s in range(m):
-            visit(depth + 1, s, mul(vals[s], g), wnum * row[s])
-
-    for s in range(m):
-        visit(1, s, vals[s], pi_num[s])
-
-    tables = []
-    for j in range(1, n + 1):
-        denom = dpi * dtr ** (j - 1)
-        # depth-j entries in acc[j] carry extra transition factors beyond j-1
-        # steps only when words were cut short; here every entry at depth j
-        # has exactly j-1 transition factors
-        data = {k: Fraction(v, denom) for k, v in acc[j].items()}
-        tables.append(MassTable(j, "rational", spec, data))
-    return tables
+    tabs, dens = _words(system, cocycle, n, every=True)
+    return [MassTable(j, "rational", cocycle.spec, {k: Fraction(v, d) for k, v in tab.items()})
+            for j, (tab, d) in enumerate(zip(tabs, dens), 1)]
 
 
 def oracle_distribution(system, cocycle, n) -> MassTable:
     """Exact law of the n-step product (increments multiplied on the left)."""
-    if n < 1:
-        raise ValidationError("oracle distribution needs n >= 1")
     return oracle_distributions_upto(system, cocycle, n)[-1]
 
 
 def oracle_distribution_reversed(system, cocycle, n) -> MassTable:
     """Same enumeration with right-multiplied increments (order witness)."""
-    _guard(system, n)
-    spec = cocycle.spec
-    mul = spec.multiply
-    vals = cocycle.values
-    pi_num, tr_num, dpi, dtr = _int_weights(system)
-    m = system.m
-    out = {}
+    (tab,), (den,) = _words(system, cocycle, n, right=True)
+    return MassTable(n, "rational", cocycle.spec, {k: Fraction(v, den) for k, v in tab.items()})
 
-    def visit(depth, last, g, wnum):
-        if depth == n:
-            key = (last, g)
-            out[key] = out.get(key, 0) + wnum
-            return
-        row = tr_num[last]
-        for s in range(m):
-            visit(depth + 1, s, mul(g, vals[s]), wnum * row[s])
 
-    for s in range(m):
-        visit(1, s, vals[s], pi_num[s])
-    denom = dpi * dtr ** (n - 1)
-    data = {k: Fraction(v, denom) for k, v in out.items()}
-    return MassTable(n, "rational", spec, data)
+def _periodic_table(system, cocycle, a, n):
+    """Z_{a,g}^n by g: the depth-n words from a, each closed by p(last -> a)."""
+    (tab,), (den,) = _words(system, cocycle, n, first=a)
+    closed = {}
+    for (last, g), v in tab.items():
+        closed[g] = closed.get(g, 0) + v * system.trans[last][a]
+    return {g: w / den for g, w in closed.items()}
 
 
 def oracle_periodic_sums(system, cocycle, a, n):
@@ -120,70 +107,20 @@ def oracle_periodic_sums(system, cocycle, a, n):
     product of transition weights around the cycle (the exact cylinder weight
     of the periodic point for these locally constant potentials).
     """
-    _guard(system, n - 1)
-    if n < 1:
-        raise ValidationError("periodic sums need n >= 1")
-    spec = cocycle.spec
-    mul = spec.multiply
-    vals = cocycle.values
-    _, tr_num, _, dtr = _int_weights(system)
-    m = system.m
-    table = {}
-    count = 0
-
-    def visit(depth, last, g, wnum):
-        nonlocal count
-        if depth == n:
-            key = g
-            w = wnum * tr_num[last][a]
-            table[key] = table.get(key, 0) + w
-            count += 1
-            return
-        row = tr_num[last]
-        for s in range(m):
-            visit(depth + 1, s, mul(vals[s], g), wnum * row[s])
-
-    visit(1, a, vals[a], 1)
-    denom = dtr ** n
-    tab = {g: Fraction(v, denom) for g, v in table.items()}
+    tab = _periodic_table(system, cocycle, a, n)
     z_a = sum(tab.values(), Fraction(0))
-    return OracleResult("periodic_sums", n, {"Z_a": z_a, "table": tab}, count)
+    return OracleResult("periodic_sums", n, {"Z_a": z_a, "table": tab}, system.m ** (n - 1))
 
 
 def oracle_walk_measure(system, cocycle, a, n):
     """Exact base-cylinder walk measure and its normalization.
 
     The reference point is the periodic point of the base cylinder, so the
-    weight of an n-word v starting at a is mu([v]) * p(last(v) -> a) / pi(a);
-    the normalization P_n(1) is the total of those weights.
+    weight of an n-word v starting at a is mu([v]) * p(last(v) -> a) / pi(a),
+    its periodic weight; the normalization P_n(1) is their total, Z_a^n.
     """
-    _guard(system, n - 1)
-    if n < 1:
-        raise ValidationError("walk measures need n >= 1")
-    spec = cocycle.spec
-    mul = spec.multiply
-    vals = cocycle.values
-    pi_num, tr_num, dpi, dtr = _int_weights(system)
-    m = system.m
-    table = {}
-    count = 0
-
-    def visit(depth, last, g, wnum):
-        nonlocal count
-        if depth == n:
-            w = wnum * tr_num[last][a]
-            table[g] = table.get(g, 0) + w
-            count += 1
-            return
-        row = tr_num[last]
-        for s in range(m):
-            visit(depth + 1, s, mul(vals[s], g), wnum * row[s])
-
-    visit(1, a, vals[a], pi_num[a])
-    denom = dpi * dtr ** n
-    weights = {g: Fraction(v, denom) / system.pi[a] for g, v in table.items()}
+    weights = _periodic_table(system, cocycle, a, n)
     pn_one = sum(weights.values(), Fraction(0))
     measure = {g: w / pn_one for g, w in weights.items()}
-    return OracleResult(
-        "walk_measure", n, {"pn_one": pn_one, "measure": measure}, count
-    )
+    return OracleResult("walk_measure", n, {"pn_one": pn_one, "measure": measure},
+                        system.m ** (n - 1))

@@ -158,23 +158,12 @@ class MassTable:
     def support(self):
         return set(g for (_, g) in self.data)
 
-    def rows(self):
-        """(n, key..., mass) rows of the group marginal, sorted by key."""
-        return [(self.n,) + g + (w,) for g, w in sorted(self.group_masses().items())]
-
 
 def _group_masses(data):
     out = {}
     for (_, g), w in data.items():
         out[g] = out.get(g, 0) + w
     return out
-
-
-def write_distribution_csv(table: MassTable, path):
-    """Write a table's group marginal as CSV with columns (n, key..., mass)."""
-    key_size = table.spec.key_size
-    header = ["n"] + [f"key_{i}" for i in range(key_size)] + ["mass"]
-    _write_csv(path, header, table.rows())
 
 
 def _write_csv(path, header, rows):
@@ -304,22 +293,21 @@ class _SparseEngine:
     A step mixes M = P^T data[g] (data[g] itself without P) and adds w * M[t]
     into slot t of data[atom * g] for each shift (t, atom, w), as
     ``_kernels.lattice_step`` does: one group product per shift.  Keys (s, g)
-    enter through ``Recursion.seed`` or a table and leave through ``to_table``,
-    which exports the nonzero slots.  Exact work steps Python int numerators
+    enter through ``Recursion.seed`` and leave through ``to_table``, which
+    exports the nonzero slots.  Exact work steps Python int numerators
     over den = d0 * D^n, where D = dp * dw and d0, dp, dw are the lcms of the
     denominators of the step-0 masses, of P and of the shift weights; a mass
     leaves as ``Fraction(num, den)``.  Float work steps the masses (den = 1).
     """
 
-    def __init__(self, rec, seed_state=None, seed_entry=None, max_atoms=DEFAULT_MAX_ATOMS,
-                 data=None, n=0):
+    def __init__(self, rec, seed_state=None, seed_entry=None, max_atoms=DEFAULT_MAX_ATOMS):
         self.rec = rec
         self.spec = rec.spec
         self.mode = rec.mode
         self.max_atoms = max_atoms
         self._blank = [0 if rec.mode == "rational" else 0.0] * rec.S   # stepped zeros
-        self.n = n
-        table = data if data is not None else rec.seed(seed_state, seed_entry)
+        self.n = 0
+        table = rec.seed(seed_state, seed_entry)
         flat = [] if rec.P is None else list(itertools.chain(*rec.P))     # P, row by row
         wts = [w for _, _, w in rec.shifts]
         self._D = self.den = 1
@@ -1268,19 +1256,6 @@ def _blocked_masses(rec, targets, depths, b, weights=None, seed_state=None, seed
 
 
 # ------------------------------------------------------------- public ops
-
-def zero_table(system, cocycle, mode="rational", seed_state=None) -> MassTable:
-    """Step-0 table: all mass at the identity, stationary state marginal."""
-    return _SparseEngine(walk_recursion(system, cocycle, mode), seed_state).to_table()
-
-
-def step(table: MassTable, system, cocycle, max_atoms=DEFAULT_MAX_ATOMS) -> MassTable:
-    """One left-increment step of a sparse table."""
-    eng = _SparseEngine(walk_recursion(system, cocycle, table.mode), data=table.data,
-                        n=table.n, max_atoms=max_atoms)
-    eng.step_once()
-    return eng.to_table()
-
 
 def distribution(system, cocycle, n, mode="rational", seed_state=None,
                  max_cells=DEFAULT_MAX_CELLS, max_atoms=DEFAULT_MAX_ATOMS) -> MassTable:

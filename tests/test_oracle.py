@@ -4,6 +4,7 @@ import pytest
 
 from gmwalk import oracle, presets
 from gmwalk.errors import ResourceLimitError, ValidationError
+from gmwalk.gm_system import Cocycle
 
 
 def test_trinomial_two_step_table():
@@ -51,10 +52,20 @@ def test_periodic_sums_uniform():
 
 
 def test_walk_measure_normalization():
-    sys_, coc, _ = presets.two_state_markov()
-    res = oracle.oracle_walk_measure(sys_, coc, 0, 5)
-    assert sum(res.value["measure"].values()) == 1
-    assert res.value["pn_one"] > 0
+    # the walk weight mu([v]) p(last -> a) / pi(a) is the periodic weight, so
+    # the measure is the periodic table over its total Z_a
+    for make in (presets.two_state_markov, presets.heisenberg_asymmetric):
+        sys_, coc, _ = make()
+        for a in range(sys_.m):
+            for n in range(1, 6):
+                res = oracle.oracle_walk_measure(sys_, coc, a, n)
+                per = oracle.oracle_periodic_sums(sys_, coc, a, n)
+                z_a = per.value["Z_a"]
+                assert sum(res.value["measure"].values()) == 1
+                assert res.value["pn_one"] > 0
+                assert res.value["pn_one"] == z_a
+                assert {g: w * z_a for g, w in res.value["measure"].items()} == per.value["table"]
+                assert res.word_count == per.word_count == sys_.m ** (n - 1)
 
 
 def test_guard_and_validation():
@@ -63,3 +74,33 @@ def test_guard_and_validation():
         oracle.oracle_distribution(sys_, coc, 30)
     with pytest.raises(ValidationError):
         oracle.oracle_distribution(sys_, coc, 0)
+
+
+@pytest.mark.parametrize("name, periodic", [
+    ("oracle_distributions_upto", False),
+    ("oracle_distribution_reversed", False),
+    ("oracle_periodic_sums", True),
+    ("oracle_walk_measure", True),
+])
+def test_every_entry_point_validates_its_input(name, periodic, monkeypatch):
+    sys_, coc, _ = presets.trinomial()
+    fn = getattr(oracle, name)
+
+    def call(n=3, cocycle=coc, a=0):
+        return fn(sys_, cocycle, a, n) if periodic else fn(sys_, cocycle, n)
+
+    with pytest.raises(ValidationError):
+        call(n=0)
+    with pytest.raises(ValidationError):
+        call(cocycle=Cocycle(coc.spec, coc.values[:2]))
+    if periodic:
+        for a in (-1, 3):
+            with pytest.raises(ValidationError):
+                call(a=a)
+    # the guard counts 3^n words, or 3^(n-1) from a fixed base symbol
+    with pytest.raises(ResourceLimitError):
+        call(n=18 if periodic else 17)
+    monkeypatch.setattr(oracle, "WORD_GUARD", 3 ** 4)
+    call(n=5 if periodic else 4)
+    with pytest.raises(ResourceLimitError):
+        call(n=6 if periodic else 5)

@@ -17,14 +17,15 @@ from pairing import HEIS_MARKOV, paired_agrees
 
 def test_step_zero_seed_and_mass():
     sys_, coc, _ = presets.trinomial()
-    t0 = walkdist.zero_table(sys_, coc)
+    t0 = walkdist.distribution(sys_, coc, 0)
     assert t0.n == 0
     assert t0.mass_at((0,)) == 1
     assert t0.state_marginal(3) == list(sys_.pi)
-    t1 = walkdist.step(t0, sys_, coc)
+    t1 = walkdist.distribution(sys_, coc, 1)
     assert t1.n == 1
     assert t1.group_masses() == {(-1,): Fraction(1, 3), (0,): Fraction(1, 3),
                                  (1,): Fraction(1, 3)}
+    assert t1.state_marginal(3) == list(sys_.pi)
 
 
 def test_two_step_trinomial_masses():
@@ -894,17 +895,6 @@ def test_distribution_seeded_state():
     assert t.group_masses() == {(1,): Fraction(1, 4), (-1,): Fraction(3, 4)}
 
 
-def test_distribution_csv_round_trip(tmp_path):
-    sys_, coc, _ = presets.trinomial()
-    t = walkdist.distribution(sys_, coc, 2)
-    path = tmp_path / "dist.csv"
-    walkdist.write_distribution_csv(t, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,key_0,mass"
-    assert lines[1] == "2,-2,1/9"
-    assert len(lines) == 6
-
-
 # ------------------------------------------- exact mode against plain Fractions
 
 def _coprime_markov():
@@ -998,17 +988,6 @@ def test_exact_grouped_returns_equal_fraction_reference(make):
             data = _fraction_steps(sys_, coc, data, 1)
         got = pressure.grouped_return_sequence(sys_, coc, a, 12, mode="rational")
         assert got == want and _all_fractions(got)
-
-
-def test_exact_step_of_a_mixed_denominator_table():
-    sys_, coc = _coprime_markov()
-    data = {(0, (0,)): Fraction(1, 6), (1, (2,)): Fraction(3, 10), (2, (-1,)): Fraction(8, 15)}
-    table = walkdist.MassTable(4, "rational", coc.spec, data)
-    for _ in range(3):
-        table = walkdist.step(table, sys_, coc)
-        data = _fraction_steps(sys_, coc, data, 1)
-        assert table.data == data and _all_fractions(table.data.values())
-    assert table.n == 7 and table.total() == 1
 
 
 @pytest.mark.parametrize("make", [presets.cyclic2, presets.cyclic3,
